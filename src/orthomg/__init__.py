@@ -8,12 +8,8 @@ from .errors import (
     WorkerError,
 )
 from .sparse import (
-    DenseMatrix,
-    LuFactorization,
     SparseMatrixCsr,
     dot,
-    lu_factor,
-    lu_solve,
     norm2,
     read_matrix_market,
     read_vector_market,
@@ -34,13 +30,10 @@ from .problem import (
 )
 from .resmin import SearchSpace, rm_init, rm_reset, rm_update
 from .smoothers import (
-    BlockJacobiSmoother,
     Partition,
-    SchwarzSmoother,
-    bj_apply,
+    SubdomainSmoother,
     bj_setup,
     partition_cells,
-    schwarz_apply,
     schwarz_setup,
 )
 from .sync import (
@@ -103,8 +96,7 @@ __all__ = [
     "SingularMatrixError", "NumericalFailureError",
     "ExchangeTimeoutError", "WorkerError",
     # sparse kernels
-    "SparseMatrixCsr", "DenseMatrix", "LuFactorization",
-    "spmv", "dot", "norm2", "lu_factor", "lu_solve", "triple_product",
+    "SparseMatrixCsr", "spmv", "dot", "norm2", "triple_product",
     "write_matrix_market", "read_matrix_market",
     "write_vector_market", "read_vector_market",
     # benchmark problem
@@ -115,8 +107,7 @@ __all__ = [
     "SearchSpace", "rm_init", "rm_reset", "rm_update",
     # smoothers
     "Partition", "partition_cells",
-    "SchwarzSmoother", "schwarz_setup", "schwarz_apply",
-    "BlockJacobiSmoother", "bj_setup", "bj_apply",
+    "SubdomainSmoother", "schwarz_setup", "bj_setup",
     # synchronous cycles
     "LevelRule", "ConvergenceCriteria", "level_converged",
     "LevelSmoother", "CycleConfig", "ConvergenceHistory", "SolveResult",

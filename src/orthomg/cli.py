@@ -133,7 +133,7 @@ def execute_run(cfg, prepared, variant, workers):
                 cycle_cfg = replace(
                     cycle_cfg,
                     smoothers=tuple(
-                        s.with_executor(pool) if s is not None else None
+                        s.with_executor(pool, used) if s is not None else None
                         for s in prepared.smoothers
                     ),
                 )

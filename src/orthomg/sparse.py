@@ -1,42 +1,30 @@
-"""Sparse CSR and small dense kernels underlying the multigrid stack.
+"""Sparse CSR kernels underlying the multigrid stack.
 
-CSR is the single sparse format used throughout; dense matrices appear
-only as local subdomain/tile blocks and their LU factors.  Matrices are
-treated as immutable after construction so they can be shared freely
-across worker threads.  The heavy kernels (matrix-vector products,
-triple products, LU) delegate to scipy/LAPACK behind these interfaces.
+CSR is the single matrix format of the public API.  Matrices are treated
+as immutable after construction so they can be shared freely across
+worker threads.  The heavy kernels (matrix-vector products, triple
+products) delegate to scipy behind these interfaces.
 """
 
 import math
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 import scipy.io
-import scipy.linalg
 import scipy.sparse
-
-from .errors import SingularMatrixError
 
 __all__ = [
     "SparseMatrixCsr",
-    "DenseMatrix",
-    "LuFactorization",
     "spmv",
     "dot",
     "norm2",
-    "lu_factor",
-    "lu_solve",
     "triple_product",
     "write_matrix_market",
     "read_matrix_market",
     "write_vector_market",
     "read_vector_market",
 ]
-
-_PRECISIONS = {"float64": np.float64, "float32": np.float32}
-
 
 @dataclass(eq=False)
 class SparseMatrixCsr:
@@ -136,55 +124,6 @@ class SparseMatrixCsr:
         )
 
 
-@dataclass(eq=False)
-class DenseMatrix:
-    """Small dense matrix stored row-major at float64 or float32."""
-
-    n_rows: int
-    n_cols: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.ascontiguousarray(self.values)
-        if self.values.dtype not in (np.float64, np.float32):
-            self.values = self.values.astype(np.float64)
-        if self.values.shape != (self.n_rows, self.n_cols):
-            raise ValueError("values must have shape (n_rows, n_cols)")
-
-    @classmethod
-    def from_array(cls, a, precision="float64"):
-        a = np.asarray(a, dtype=_precision_dtype(precision))
-        if a.ndim != 2:
-            raise ValueError("dense matrix requires a 2-d array")
-        return cls(a.shape[0], a.shape[1], a)
-
-    @property
-    def precision(self):
-        return "float32" if self.values.dtype == np.float32 else "float64"
-
-
-@dataclass(eq=False)
-class LuFactorization:
-    """Packed LU factors with partial-pivoting row swaps.
-
-    ``factors`` stores L (unit diagonal, below) and U (on and above the
-    diagonal) in one matrix; ``pivots`` is the LAPACK-style swap vector.
-    """
-
-    factors: DenseMatrix
-    pivots: np.ndarray
-    precision: str
-
-
-def _precision_dtype(precision):
-    try:
-        return _PRECISIONS[precision]
-    except KeyError:
-        raise ValueError(
-            f"unknown precision {precision!r}; expected 'float64' or 'float32'"
-        ) from None
-
-
 def spmv(a, x):
     """Sparse matrix-vector product ``a @ x`` in float64.
 
@@ -218,47 +157,6 @@ def norm2(x):
     """Euclidean norm, defined as ``sqrt(dot(x, x))``."""
     x = np.asarray(x, dtype=np.float64)
     return math.sqrt(float(np.dot(x, x)))
-
-
-def lu_factor(m, precision="float64"):
-    """LU-factorize a square dense matrix with partial pivoting.
-
-    Parameters
-    ----------
-    m : DenseMatrix or 2-d array
-    precision : {'float64', 'float32'}
-        Working precision of the factorization.  Right-hand sides are
-        cast to this precision during solves; results are returned as
-        float64.
-
-    Raises
-    ------
-    SingularMatrixError
-        If a pivot is exactly zero after row exchanges; the message
-        names the offending pivot index.
-    """
-    values = m.values if isinstance(m, DenseMatrix) else np.asarray(m)
-    if values.ndim != 2 or values.shape[0] != values.shape[1]:
-        raise ValueError("lu_factor requires a square matrix")
-    a = np.asarray(values, dtype=_precision_dtype(precision))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # scipy warns on exact zero pivots
-        packed, piv = scipy.linalg.lu_factor(a, check_finite=False)
-    diag = np.abs(np.diag(packed))
-    zero = np.flatnonzero(diag == 0.0)
-    if zero.size:
-        raise SingularMatrixError(f"zero pivot at index {int(zero[0])}")
-    n = packed.shape[0]
-    return LuFactorization(DenseMatrix(n, n, packed), piv, precision)
-
-
-def lu_solve(lu, b):
-    """Solve ``m @ x = b`` given ``lu = lu_factor(m)``; returns float64."""
-    b = np.asarray(b, dtype=lu.factors.values.dtype)
-    if b.shape[0] != lu.factors.n_rows:
-        raise ValueError("right-hand side length does not match factorization")
-    x = scipy.linalg.lu_solve((lu.factors.values, lu.pivots), b, check_finite=False)
-    return np.asarray(x, dtype=np.float64)
 
 
 def triple_product(r, a, p):

@@ -22,7 +22,6 @@ import scipy.sparse.linalg
 
 from .errors import SingularMatrixError
 from .resmin import rm_init, rm_update
-from .smoothers import BlockJacobiSmoother, SchwarzSmoother, bj_apply, schwarz_apply
 from .sparse import norm2, spmv
 
 __all__ = [
@@ -127,23 +126,17 @@ def level_converged(level, r_norm, r0_norm, iterations_done, criteria):
 
 @dataclass(eq=False)
 class LevelSmoother:
-    """A smoother bound to its per-application arguments for one level."""
+    """One level's smoother, optionally bound to a thread pool."""
 
     smoother: object
-    iterations: int = 1
     executor: object = None
 
     def apply(self, a, r):
-        if isinstance(self.smoother, SchwarzSmoother):
-            return schwarz_apply(
-                self.smoother, a, r, self.iterations, executor=self.executor
-            )
-        if isinstance(self.smoother, BlockJacobiSmoother):
-            return bj_apply(self.smoother, a, r, executor=self.executor)
-        return self.smoother.apply(a, r)
+        return self.smoother.apply(a, r, executor=self.executor)
 
-    def with_executor(self, executor):
-        return replace(self, executor=executor)
+    def with_executor(self, executor, workers):
+        """Bind ``executor``, the smoother split into one chunk per worker."""
+        return replace(self, smoother=self.smoother.split(workers), executor=executor)
 
 
 @dataclass(eq=False)

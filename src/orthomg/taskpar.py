@@ -491,7 +491,7 @@ def _bound_smoothers(cfg, assignment, n_levels):
                         max_workers=workers, thread_name_prefix=f"smoother-l{level}"
                     )
                 )
-                bound[level] = bound[level].with_executor(pool)
+                bound[level] = bound[level].with_executor(pool, workers)
         yield bound
 
 

@@ -34,12 +34,11 @@ def benchmark_setup(cells=16, dimension=2, l_min=64, smoother="schwarz",
         if smoother == "schwarz":
             count = min(n_subdomains, level.n_dofs)
             part = om.partition_cells(level.cells_per_axis, dimension, count, overlap)
-            sm = om.schwarz_setup(level.matrix, part, precision)
-            smoothers.append(om.LevelSmoother(sm, iterations=smoother_iterations))
+            sm = om.schwarz_setup(level.matrix, part, precision, smoother_iterations)
         else:
             sm = om.bj_setup(level.matrix, min(tile, level.cells_per_axis),
                              (level.cells_per_axis, dimension))
-            smoothers.append(om.LevelSmoother(sm))
+        smoothers.append(om.LevelSmoother(sm))
     smoothers.append(None)
     return spec, hierarchy, b, tuple(smoothers)
 

@@ -4,7 +4,7 @@ import pytest
 
 import orthomg as om
 from orthomg import config as config_mod
-from orthomg.smoothers import BlockJacobiSmoother, SchwarzSmoother
+from orthomg.smoothers import SubdomainSmoother
 
 SAMPLE = """\
 # benchmark run
@@ -205,11 +205,12 @@ def test_build_level_smoothers_schwarz():
     assert len(smoothers) == h.n_levels
     assert smoothers[-1] is None
     for bound in smoothers[:-1]:
-        assert isinstance(bound.smoother, SchwarzSmoother)
-        assert bound.iterations == 2
+        assert isinstance(bound.smoother, SubdomainSmoother)
+        assert bound.smoother.sweeps == 2
+        assert bound.smoother.omega == 1.0
     # 256 cells at 64 per subdomain -> 4 subdomains on the finest level
-    assert smoothers[0].smoother.partition.n_subdomains == 4
-    assert smoothers[1].smoother.partition.n_subdomains == 1
+    assert len(smoothers[0].smoother.sets) == 4
+    assert len(smoothers[1].smoother.sets) == 1
 
 
 def test_build_level_smoothers_block_jacobi_clamps_tile():
@@ -220,10 +221,11 @@ def test_build_level_smoothers_block_jacobi_clamps_tile():
     spec = om.build_problem_spec(cfg)
     h = om.build_hierarchy(spec, l_min=cfg.l_min)
     smoothers = om.build_level_smoothers(h, cfg, spec.dimension)
-    assert isinstance(smoothers[0].smoother, BlockJacobiSmoother)
+    assert isinstance(smoothers[0].smoother, SubdomainSmoother)
     assert smoothers[0].smoother.omega == 0.9
+    assert smoothers[0].smoother.sweeps == 5
     # a 16-wide tile covers the 16x16 finest level with a single block,
     # and shrinks to fit the 8x8 level below it
-    assert len(smoothers[0].smoother.blocks) == 1
-    assert len(smoothers[1].smoother.blocks) == 1
-    assert smoothers[1].smoother.blocks[0].size == 64
+    assert len(smoothers[0].smoother.sets) == 1
+    assert len(smoothers[1].smoother.sets) == 1
+    assert smoothers[1].smoother.sets[0].size == 64

@@ -4,6 +4,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -130,17 +131,17 @@ def test_schwarz_single_sweep_matches_oracle():
     sm = om.schwarz_setup(a, p)
     rng = np.random.default_rng(3)
     r = rng.standard_normal(64)
-    z = om.schwarz_apply(sm, a, r)
+    z = sm.apply(a, r)
     assert z == pytest.approx(schwarz_oracle(a.to_dense(), p, r, 1), abs=1e-10)
 
 
 def test_schwarz_multi_sweep_matches_oracle():
     a = poisson_matrix(8)
     p = om.partition_cells(8, 2, 2, 2)
-    sm = om.schwarz_setup(a, p)
+    sm = om.schwarz_setup(a, p, sweeps=3)
     rng = np.random.default_rng(5)
     r = rng.standard_normal(64)
-    z = om.schwarz_apply(sm, a, r, n_iterations=3)
+    z = sm.apply(a, r)
     assert z == pytest.approx(schwarz_oracle(a.to_dense(), p, r, 3), abs=1e-9)
 
 
@@ -150,20 +151,35 @@ def test_schwarz_is_linear():
     rng = np.random.default_rng(7)
     r1 = rng.standard_normal(16)
     r2 = rng.standard_normal(16)
-    combined = om.schwarz_apply(sm, a, r1 + r2)
-    separate = om.schwarz_apply(sm, a, r1) + om.schwarz_apply(sm, a, r2)
+    combined = sm.apply(a, r1 + r2)
+    separate = sm.apply(a, r1) + sm.apply(a, r2)
     assert combined == pytest.approx(separate, abs=1e-12)
 
 
 def test_schwarz_executor_matches_serial_exactly():
     a = poisson_matrix(8)
-    sm = om.schwarz_setup(a, om.partition_cells(8, 2, 4, 1))
+    sm = om.schwarz_setup(a, om.partition_cells(8, 2, 4, 1), sweeps=2)
     rng = np.random.default_rng(9)
     r = rng.standard_normal(64)
-    serial = om.schwarz_apply(sm, a, r, n_iterations=2)
+    serial = sm.apply(a, r)
     with ThreadPoolExecutor(max_workers=3) as pool:
-        threaded = om.schwarz_apply(sm, a, r, n_iterations=2, executor=pool)
+        threaded = sm.split(3).apply(a, r, executor=pool)
     assert np.array_equal(serial, threaded)
+
+
+def test_schwarz_benchmark_level_matches_dense_oracle():
+    # the 256^2 finest level of the benchmark's disc problem, 256 subdomains
+    spec = om.ProblemSpec(dimension=2, cells_per_axis=256, k_outer=1000.0)
+    a, _ = om.assemble_poisson(spec)
+    p = om.partition_cells(256, 2, 256, 1)
+    sm = om.schwarz_setup(a, p)
+    r = np.random.default_rng(29).standard_normal(a.n_rows)
+    z = sm.apply(a, r)
+    csr = scipy.sparse.csr_matrix((a.values, a.col_indices, a.row_offsets), shape=a.shape)
+    oracle = np.zeros_like(r)
+    for ext in p.extended_cells:
+        oracle[ext] += np.linalg.solve(csr[ext][:, ext].toarray(), r[ext])
+    assert np.linalg.norm(z - oracle) <= 1e-12 * np.linalg.norm(oracle)
 
 
 def test_schwarz_float32_local_solves():
@@ -171,11 +187,12 @@ def test_schwarz_float32_local_solves():
     p = om.partition_cells(8, 2, 4, 1)
     sm64 = om.schwarz_setup(a, p, "float64")
     sm32 = om.schwarz_setup(a, p, "float32")
-    assert all(f.precision == "float32" for f in sm32.local_factors)
+    assert sm32.precision == "float32"
+    assert all(lu.L.dtype == np.float32 for _, lu in sm32.chunks)
     rng = np.random.default_rng(11)
     r = rng.standard_normal(64)
-    z64 = om.schwarz_apply(sm64, a, r)
-    z32 = om.schwarz_apply(sm32, a, r)
+    z64 = sm64.apply(a, r)
+    z32 = sm32.apply(a, r)
     assert z32.dtype == np.float64
     assert not np.array_equal(z32, z64)
     assert z32 == pytest.approx(z64, rel=1e-4, abs=1e-4 * np.abs(z64).max())
@@ -197,11 +214,14 @@ def test_schwarz_singular_subdomain_is_named():
 
 def test_schwarz_apply_validates_inputs():
     a = poisson_matrix(4)
-    sm = om.schwarz_setup(a, om.partition_cells(4, 2, 2, 1))
+    p = om.partition_cells(4, 2, 2, 1)
+    sm = om.schwarz_setup(a, p)
     with pytest.raises(ValueError, match="length"):
-        om.schwarz_apply(sm, a, np.ones(5))
-    with pytest.raises(ValueError, match="n_iterations"):
-        om.schwarz_apply(sm, a, np.ones(16), n_iterations=0)
+        sm.apply(a, np.ones(5))
+    with pytest.raises(ValueError, match="sweeps"):
+        om.schwarz_setup(a, p, sweeps=0)
+    with pytest.raises(ValueError, match="precision"):
+        om.schwarz_setup(a, p, "float16")
 
 
 # ---------------------------------------------------------------------------
@@ -210,38 +230,38 @@ def test_schwarz_apply_validates_inputs():
 
 def test_bj_matches_oracle():
     a = poisson_matrix(8)
-    sm = om.bj_setup(a, 4, (8, 2), omega=1.0, sweeps_per_apply=5)
+    sm = om.bj_setup(a, 4, (8, 2), omega=1.0, sweeps=5)
     rng = np.random.default_rng(13)
     r = rng.standard_normal(64)
-    z = om.bj_apply(sm, a, r)
-    assert z == pytest.approx(bj_oracle(a.to_dense(), sm.blocks, 1.0, 5, r), abs=1e-12)
+    z = sm.apply(a, r)
+    assert z == pytest.approx(bj_oracle(a.to_dense(), sm.sets, 1.0, 5, r), abs=1e-12)
 
 
 def test_bj_damped_matches_oracle():
     a = poisson_matrix(4)
-    sm = om.bj_setup(a, 2, (4, 2), omega=0.7, sweeps_per_apply=3)
+    sm = om.bj_setup(a, 2, (4, 2), omega=0.7, sweeps=3)
     rng = np.random.default_rng(17)
     r = rng.standard_normal(16)
-    z = om.bj_apply(sm, a, r)
-    assert z == pytest.approx(bj_oracle(a.to_dense(), sm.blocks, 0.7, 3, r), abs=1e-12)
+    z = sm.apply(a, r)
+    assert z == pytest.approx(bj_oracle(a.to_dense(), sm.sets, 0.7, 3, r), abs=1e-12)
 
 
 def test_bj_tiles_are_square_patches():
     a = poisson_matrix(8)
     sm = om.bj_setup(a, 4, (8, 2))
-    assert len(sm.blocks) == 4
-    assert all(block.size == 16 for block in sm.blocks)
+    assert len(sm.sets) == 4
+    assert all(block.size == 16 for block in sm.sets)
     # first tile is the 4x4 patch in the corner: rows 0-3 of columns 0-3
     first = np.arange(64).reshape(8, 8)[:4, :4].ravel()
-    assert np.array_equal(sm.blocks[0], np.sort(first))
+    assert np.array_equal(sm.sets[0], np.sort(first))
 
 
 def test_bj_diagonal_blocks_of_size_one_solve_diagonal_systems():
     diag = np.diag([2.0, 4.0, 8.0, 16.0])
     a = om.SparseMatrixCsr.from_dense(diag)
-    sm = om.bj_setup(a, 1, None, omega=1.0, sweeps_per_apply=1)
+    sm = om.bj_setup(a, 1, None, omega=1.0, sweeps=1)
     r = np.array([2.0, 4.0, 8.0, 16.0])
-    z = om.bj_apply(sm, a, r)
+    z = sm.apply(a, r)
     assert z == pytest.approx(np.ones(4), rel=1e-15)
 
 
@@ -251,8 +271,8 @@ def test_bj_is_linear():
     rng = np.random.default_rng(19)
     r1 = rng.standard_normal(16)
     r2 = rng.standard_normal(16)
-    assert om.bj_apply(sm, a, r1 + r2) == pytest.approx(
-        om.bj_apply(sm, a, r1) + om.bj_apply(sm, a, r2), abs=1e-12
+    assert sm.apply(a, r1 + r2) == pytest.approx(
+        sm.apply(a, r1) + sm.apply(a, r2), abs=1e-12
     )
 
 
@@ -265,7 +285,10 @@ def test_bj_setup_validation():
     with pytest.raises(ValueError, match="omega"):
         om.bj_setup(a, 2, (4, 2), omega=0.0)
     with pytest.raises(ValueError, match="sweeps"):
-        om.bj_setup(a, 2, (4, 2), sweeps_per_apply=0)
+        om.bj_setup(a, 2, (4, 2), sweeps=0)
+    rectangular = om.SparseMatrixCsr.from_dense(np.ones((4, 2)))
+    with pytest.raises(ValueError, match="square"):
+        om.bj_setup(rectangular, 1, None)
 
 
 def test_bj_singular_block_is_named():
@@ -279,10 +302,36 @@ def test_bj_executor_matches_serial_exactly():
     sm = om.bj_setup(a, 4, (8, 2))
     rng = np.random.default_rng(23)
     r = rng.standard_normal(64)
-    serial = om.bj_apply(sm, a, r)
+    serial = sm.apply(a, r)
     with ThreadPoolExecutor(max_workers=2) as pool:
-        threaded = om.bj_apply(sm, a, r, executor=pool)
+        threaded = sm.split(2).apply(a, r, executor=pool)
     assert np.array_equal(serial, threaded)
+
+
+class CountingExecutor:
+    """Serial stand-in for a thread pool that counts submitted tasks."""
+
+    def __init__(self):
+        self.tasks = 0
+
+    def map(self, fn, items):
+        items = list(items)
+        self.tasks += len(items)
+        return map(fn, items)
+
+
+def test_bound_smoother_submits_one_task_per_worker():
+    # 1024 tiles on the 128^2 level: one task per worker chunk, not per tile
+    a = poisson_matrix(128)
+    sm = om.bj_setup(a, 4, (128, 2), sweeps=1)
+    assert len(sm.sets) == 1024
+    executor = CountingExecutor()
+    bound = om.LevelSmoother(sm).with_executor(executor, 3)
+    r = np.random.default_rng(31).standard_normal(a.n_rows)
+    z = bound.apply(a, r)
+    assert 1 <= executor.tasks <= 3
+    assert len(bound.smoother.chunks) == 3
+    assert np.array_equal(z, sm.apply(a, r))
 
 
 # smoothers as solvers: repeated application of either smoother through the
@@ -294,13 +343,11 @@ def test_smoother_reduces_residual_through_minimization(kind):
     a = poisson_matrix(8)
     if kind == "schwarz":
         sm = om.schwarz_setup(a, om.partition_cells(8, 2, 4, 1))
-        apply_fn = lambda r: om.schwarz_apply(sm, a, r)
     else:
         sm = om.bj_setup(a, 4, (8, 2))
-        apply_fn = lambda r: om.bj_apply(sm, a, r)
     b = np.ones(64)
     space = om.rm_init(np.zeros(64), b)
     r = b
     for _ in range(30):
-        _, r = om.rm_update(space, a, apply_fn(r))
+        _, r = om.rm_update(space, a, sm.apply(a, r))
     assert om.norm2(r) < 1e-6 * om.norm2(b)

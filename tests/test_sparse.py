@@ -1,4 +1,4 @@
-"""Sparse/dense kernel tests against independent dense oracles."""
+"""Sparse kernel tests against independent dense oracles."""
 
 import math
 
@@ -139,61 +139,6 @@ def test_norm2():
     rng = np.random.default_rng(13)
     x = rng.standard_normal(100)
     assert om.norm2(x) == pytest.approx(math.sqrt(compensated_dot(x, x)), rel=1e-14)
-
-
-# ---------------------------------------------------------------------------
-# LU factorization
-
-
-def test_lu_reproduces_identity_columns():
-    rng = np.random.default_rng(5)
-    a = rng.standard_normal((6, 6)) + 6.0 * np.eye(6)
-    lu = om.lu_factor(a)
-    for i in range(6):
-        e = np.zeros(6)
-        e[i] = 1.0
-        x = om.lu_solve(lu, e)
-        assert a @ x == pytest.approx(e, abs=1e-12)
-
-
-def test_lu_solve_matches_numpy():
-    rng = np.random.default_rng(17)
-    for _ in range(20):
-        n = int(rng.integers(2, 12))
-        a = rng.standard_normal((n, n)) + n * np.eye(n)
-        b = rng.standard_normal(n)
-        x = om.lu_solve(om.lu_factor(a), b)
-        assert x == pytest.approx(np.linalg.solve(a, b), rel=1e-10, abs=1e-12)
-
-
-def test_lu_float32_precision():
-    rng = np.random.default_rng(19)
-    a = rng.standard_normal((8, 8)) + 8.0 * np.eye(8)
-    b = rng.standard_normal(8)
-    lu32 = om.lu_factor(a, precision="float32")
-    assert lu32.precision == "float32"
-    assert lu32.factors.values.dtype == np.float32
-    x32 = om.lu_solve(lu32, b)
-    assert x32.dtype == np.float64  # result promoted back
-    exact = np.linalg.solve(a, b)
-    assert x32 == pytest.approx(exact, rel=1e-4, abs=1e-4)
-    assert not np.array_equal(x32, om.lu_solve(om.lu_factor(a), b))
-
-
-def test_lu_singular_raises():
-    singular = np.array([[1.0, 2.0], [2.0, 4.0]])
-    with pytest.raises(om.SingularMatrixError, match="zero pivot"):
-        om.lu_factor(singular)
-
-
-def test_lu_rejects_rectangular():
-    with pytest.raises(ValueError, match="square"):
-        om.lu_factor(np.ones((2, 3)))
-
-
-def test_lu_unknown_precision():
-    with pytest.raises(ValueError, match="unknown precision"):
-        om.lu_factor(np.eye(2), precision="float16")
 
 
 # ---------------------------------------------------------------------------
