@@ -142,6 +142,47 @@ def test_norm2():
 
 
 # ---------------------------------------------------------------------------
+# local sparse LU (one block-Jacobi tile spanning the whole matrix, so a
+# single undamped sweep is one sparse LU solve with A)
+
+
+def whole_matrix_lu(a, precision="float64"):
+    a = om.SparseMatrixCsr.from_dense(a)
+    return a, om.bj_setup(a, a.n_rows, sweeps=1, precision=precision)
+
+
+def test_lu_float32_precision():
+    rng = np.random.default_rng(19)
+    a = rng.standard_normal((8, 8)) + 8.0 * np.eye(8)
+    b = rng.standard_normal(8)
+    csr, lu32 = whole_matrix_lu(a, precision="float32")
+    assert lu32.precision == "float32"
+    assert lu32.block_diagonal.dtype == np.float32
+    assert all(lu.L.dtype == np.float32 for _, lu in lu32.chunks)
+    x32 = lu32.apply(csr, b)
+    assert x32.dtype == np.float64  # result promoted back
+    exact = np.linalg.solve(a, b)
+    assert x32 == pytest.approx(exact, rel=1e-4, abs=1e-4)
+    assert not np.array_equal(x32, whole_matrix_lu(a)[1].apply(csr, b))
+
+
+def test_lu_singular_raises():
+    singular = np.array([[1.0, 2.0], [2.0, 4.0]])
+    with pytest.raises(om.SingularMatrixError, match="singular"):
+        whole_matrix_lu(singular)
+
+
+def test_lu_rejects_rectangular():
+    with pytest.raises(ValueError, match="square"):
+        whole_matrix_lu(np.ones((2, 3)))
+
+
+def test_lu_unknown_precision():
+    with pytest.raises(ValueError, match="unknown precision"):
+        whole_matrix_lu(np.eye(2), precision="float16")
+
+
+# ---------------------------------------------------------------------------
 # triple product
 
 
