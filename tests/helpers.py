@@ -18,6 +18,11 @@ def random_spd(rng, n):
     return om.SparseMatrixCsr.from_dense(a @ a.T + n * np.eye(n))
 
 
+def kernel(smoother):
+    """Local kernel a :class:`~orthomg.SubdomainSmoother` took at set-up."""
+    return "dense" if isinstance(smoother.block_diagonal, np.ndarray) else "sparse"
+
+
 def benchmark_setup(cells=16, dimension=2, l_min=64, smoother="schwarz",
                     n_subdomains=4, overlap=1, precision="float64",
                     smoother_iterations=1, tile=4, k_outer=1000.0):

@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import orthomg as om
+from helpers import kernel
+from orthomg import smoothers
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -158,13 +160,16 @@ def test_schwarz_is_linear():
 
 def test_schwarz_executor_matches_serial_exactly():
     a = poisson_matrix(8)
-    sm = om.schwarz_setup(a, om.partition_cells(8, 2, 4, 1), sweeps=2)
-    rng = np.random.default_rng(9)
-    r = rng.standard_normal(64)
-    serial = sm.apply(a, r)
-    with ThreadPoolExecutor(max_workers=3) as pool:
-        threaded = sm.split(3).apply(a, r, executor=pool)
-    assert np.array_equal(serial, threaded)
+    # 16 disjoint 4-cell subdomains (dense kernel), 4 with overlap (sparse LU)
+    for (count, overlap), kind in (((16, 0), "dense"), ((4, 1), "sparse")):
+        sm = om.schwarz_setup(a, om.partition_cells(8, 2, count, overlap), sweeps=2)
+        assert kernel(sm) == kind
+        rng = np.random.default_rng(9)
+        r = rng.standard_normal(64)
+        serial = sm.apply(a, r)
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            threaded = sm.split(3).apply(a, r, executor=pool)
+        assert np.array_equal(serial, threaded), kind
 
 
 def test_schwarz_benchmark_level_matches_dense_oracle():
@@ -184,18 +189,22 @@ def test_schwarz_benchmark_level_matches_dense_oracle():
 
 def test_schwarz_float32_local_solves():
     a = poisson_matrix(8)
-    p = om.partition_cells(8, 2, 4, 1)
-    sm64 = om.schwarz_setup(a, p, "float64")
-    sm32 = om.schwarz_setup(a, p, "float32")
-    assert sm32.precision == "float32"
-    assert all(lu.L.dtype == np.float32 for _, lu in sm32.chunks)
-    rng = np.random.default_rng(11)
-    r = rng.standard_normal(64)
-    z64 = sm64.apply(a, r)
-    z32 = sm32.apply(a, r)
-    assert z32.dtype == np.float64
-    assert not np.array_equal(z32, z64)
-    assert z32 == pytest.approx(z64, rel=1e-4, abs=1e-4 * np.abs(z64).max())
+    for (count, overlap), kind in (((16, 0), "dense"), ((4, 1), "sparse")):
+        p = om.partition_cells(8, 2, count, overlap)
+        sm64 = om.schwarz_setup(a, p, "float64")
+        sm32 = om.schwarz_setup(a, p, "float32")
+        assert kernel(sm32) == kind
+        assert sm32.precision == "float32"
+        assert sm32.block_diagonal.dtype == np.float32
+        rng = np.random.default_rng(11)
+        r = rng.standard_normal(64)
+        for rows, solver in sm32.chunks:
+            assert solver.solve(r[sm32.idx][rows].astype(np.float32)).dtype == np.float32
+        z64 = sm64.apply(a, r)
+        z32 = sm32.apply(a, r)
+        assert z32.dtype == np.float64
+        assert not np.array_equal(z32, z64)
+        assert z32 == pytest.approx(z64, rel=1e-4, abs=1e-4 * np.abs(z64).max()), kind
 
 
 def test_schwarz_setup_rejects_partial_cover():
@@ -206,10 +215,12 @@ def test_schwarz_setup_rejects_partial_cover():
 
 
 def test_schwarz_singular_subdomain_is_named():
-    a = om.SparseMatrixCsr.from_dense(np.diag([1.0, 1.0, 0.0, 1.0]))
-    p = om.partition_cells(4, 1, 2, 0)
-    with pytest.raises(om.SingularMatrixError, match="subdomain 1"):
-        om.schwarz_setup(a, p)
+    # 2-cell subdomains take the dense kernel, 20-cell ones the sparse LU
+    for n, zero in ((4, 2), (40, 30)):
+        a = om.SparseMatrixCsr.from_dense(np.diag(np.where(np.arange(n) == zero, 0.0, 1.0)))
+        p = om.partition_cells(n, 1, 2, 0)
+        with pytest.raises(om.SingularMatrixError, match="subdomain 1"):
+            om.schwarz_setup(a, p)
 
 
 def test_schwarz_apply_validates_inputs():
@@ -292,20 +303,78 @@ def test_bj_setup_validation():
 
 
 def test_bj_singular_block_is_named():
-    a = om.SparseMatrixCsr.from_dense(np.diag([1.0, 0.0, 1.0, 1.0]))
-    with pytest.raises(om.SingularMatrixError, match="diagonal block 1"):
-        om.bj_setup(a, 1, None)
+    # 1-cell tiles take the dense kernel, 20-cell tiles the sparse LU
+    for n, zero, tile in ((4, 1, 1), (60, 25, 20)):
+        a = om.SparseMatrixCsr.from_dense(np.diag(np.where(np.arange(n) == zero, 0.0, 1.0)))
+        with pytest.raises(om.SingularMatrixError, match="diagonal block 1"):
+            om.bj_setup(a, tile, None)
 
 
 def test_bj_executor_matches_serial_exactly():
-    a = poisson_matrix(8)
-    sm = om.bj_setup(a, 4, (8, 2))
-    rng = np.random.default_rng(23)
-    r = rng.standard_normal(64)
-    serial = sm.apply(a, r)
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        threaded = sm.split(2).apply(a, r, executor=pool)
-    assert np.array_equal(serial, threaded)
+    # 4x4 tiles take the dense kernel, 8x8 tiles the sparse LU
+    for cells, tile, kind in ((8, 4, "dense"), (16, 8, "sparse")):
+        a = poisson_matrix(cells)
+        sm = om.bj_setup(a, tile, (cells, 2))
+        assert kernel(sm) == kind
+        rng = np.random.default_rng(23)
+        r = rng.standard_normal(cells**2)
+        serial = sm.apply(a, r)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            threaded = sm.split(2).apply(a, r, executor=pool)
+        assert np.array_equal(serial, threaded), kind
+
+
+def test_bj_benchmark_level_matches_dense_oracle():
+    # the 128^2 finest level of the benchmark's disc problem, 1024 tiles
+    spec = om.ProblemSpec(dimension=2, cells_per_axis=128, k_outer=1000.0)
+    a, _ = om.assemble_poisson(spec)
+    sm = om.bj_setup(a, 4, (128, 2), sweeps=1)
+    assert len(sm.sets) == 1024
+    assert kernel(sm) == "dense"
+    r = np.random.default_rng(37).standard_normal(a.n_rows)
+    z = sm.apply(a, r)
+    csr = scipy.sparse.csr_matrix((a.values, a.col_indices, a.row_offsets), shape=a.shape)
+    oracle = np.zeros_like(r)
+    for tile in sm.sets:
+        oracle[tile] = np.linalg.solve(csr[tile][:, tile].toarray(), r[tile])
+    assert np.linalg.norm(z - oracle) <= 1e-12 * np.linalg.norm(oracle)
+
+
+@pytest.mark.parametrize("tile", [2, 4])
+def test_dense_and_sparse_kernels_agree(monkeypatch, tile):
+    spec = om.ProblemSpec(dimension=2, cells_per_axis=32, k_outer=1000.0)
+    a, _ = om.assemble_poisson(spec)
+    dense = om.bj_setup(a, tile, (32, 2), omega=0.8, sweeps=3)
+    monkeypatch.setattr(smoothers, "DENSE_MAX_CELLS", 0)
+    sparse = om.bj_setup(a, tile, (32, 2), omega=0.8, sweeps=3)
+    assert (kernel(dense), kernel(sparse)) == ("dense", "sparse")
+    r = np.random.default_rng(41).standard_normal(a.n_rows)
+    z_dense = dense.apply(a, r)
+    z_sparse = sparse.apply(a, r)
+    assert np.linalg.norm(z_dense - z_sparse) <= 1e-13 * np.linalg.norm(z_sparse)
+
+
+def test_dense_kernel_tells_apart_blocks_with_equal_keys():
+    # adjacent floats whose products with sqrt(2) round alike: the blocks
+    # share a key, and only the exact comparison keeps them apart
+    x = 1.7500000000000004
+    y = np.nextafter(x, 2.0)
+    assert x * np.sqrt(2.0) == y * np.sqrt(2.0) and 1.0 / x != 1.0 / y
+    diagonal = np.array([x, y, 3.0, 3.0])
+    sm = om.bj_setup(om.SparseMatrixCsr.from_dense(np.diag(diagonal)), 1, None)
+    assert kernel(sm) == "dense"
+    assert np.array_equal(sm.block_diagonal[:, 0, 0], 1.0 / diagonal)
+
+
+def test_kernel_is_chosen_from_set_sizes():
+    a2, a3 = poisson_matrix(8), poisson_matrix(8, dimension=3)
+    assert kernel(om.bj_setup(a2, 4, (8, 2))) == "dense"  # 16 cells per tile
+    assert kernel(om.bj_setup(a3, 2, (8, 3))) == "dense"  # 8
+    assert kernel(om.bj_setup(a3, 4, (8, 3))) == "sparse"  # 64
+    # equal 4-cell cores, but unequal sets once overlap is added
+    p = om.partition_cells(8, 2, 16, 1)
+    assert len({len(s) for s in p.extended_cells}) > 1
+    assert kernel(om.schwarz_setup(a2, p)) == "sparse"
 
 
 class CountingExecutor:

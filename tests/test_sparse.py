@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import orthomg as om
-from helpers import random_sparse
+from helpers import kernel, random_sparse
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -152,18 +152,22 @@ def whole_matrix_lu(a, precision="float64"):
 
 
 def test_lu_float32_precision():
-    rng = np.random.default_rng(19)
-    a = rng.standard_normal((8, 8)) + 8.0 * np.eye(8)
-    b = rng.standard_normal(8)
-    csr, lu32 = whole_matrix_lu(a, precision="float32")
-    assert lu32.precision == "float32"
-    assert lu32.block_diagonal.dtype == np.float32
-    assert all(lu.L.dtype == np.float32 for _, lu in lu32.chunks)
-    x32 = lu32.apply(csr, b)
-    assert x32.dtype == np.float64  # result promoted back
-    exact = np.linalg.solve(a, b)
-    assert x32 == pytest.approx(exact, rel=1e-4, abs=1e-4)
-    assert not np.array_equal(x32, whole_matrix_lu(a)[1].apply(csr, b))
+    # an 8-cell block takes the dense kernel, a 20-cell one the sparse LU
+    for n, kind in ((8, "dense"), (20, "sparse")):
+        rng = np.random.default_rng(19)
+        a = rng.standard_normal((n, n)) + n * np.eye(n)
+        b = rng.standard_normal(n)
+        csr, lu32 = whole_matrix_lu(a, precision="float32")
+        assert kernel(lu32) == kind
+        assert lu32.precision == "float32"
+        assert lu32.block_diagonal.dtype == np.float32
+        for rows, solver in lu32.chunks:
+            assert solver.solve(b[rows].astype(np.float32)).dtype == np.float32
+        x32 = lu32.apply(csr, b)
+        assert x32.dtype == np.float64  # result promoted back
+        exact = np.linalg.solve(a, b)
+        assert x32 == pytest.approx(exact, rel=1e-4, abs=1e-4), n
+        assert not np.array_equal(x32, whole_matrix_lu(a)[1].apply(csr, b))
 
 
 def test_lu_singular_raises():
