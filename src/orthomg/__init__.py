@@ -9,7 +9,6 @@ from .errors import (
 )
 from .sparse import (
     SparseMatrixCsr,
-    dot,
     norm2,
     read_matrix_market,
     read_vector_market,
@@ -28,7 +27,7 @@ from .problem import (
     build_restriction,
     coefficient_at,
 )
-from .resmin import SearchSpace, rm_init, rm_reset, rm_update
+from .resmin import SearchSpace, rm_init, rm_update
 from .smoothers import (
     Partition,
     SubdomainSmoother,
@@ -64,8 +63,6 @@ from .taskpar import (
     MSG_SMOOTHER_DONE,
     MSG_TERMINATE,
     MSG_UPDATED_RESIDUAL,
-    PLACEMENT_BOTH_GROUPS,
-    PLACEMENT_COARSE_GROUP,
     ROLE_COARSE,
     ROLE_SMOOTHER,
     ExchangeMessage,
@@ -75,7 +72,6 @@ from .taskpar import (
     assign_groups,
     async_solve,
     hybrid_solve,
-    intergrid_placement,
 )
 from .config import (
     RunConfig,
@@ -96,7 +92,7 @@ __all__ = [
     "SingularMatrixError", "NumericalFailureError",
     "ExchangeTimeoutError", "WorkerError",
     # sparse kernels
-    "SparseMatrixCsr", "spmv", "dot", "norm2", "triple_product",
+    "SparseMatrixCsr", "spmv", "norm2", "triple_product",
     "write_matrix_market", "read_matrix_market",
     "write_vector_market", "read_vector_market",
     # benchmark problem
@@ -104,7 +100,7 @@ __all__ = [
     "assemble_poisson", "build_prolongation", "build_restriction",
     "build_hierarchy",
     # residual minimization
-    "SearchSpace", "rm_init", "rm_reset", "rm_update",
+    "SearchSpace", "rm_init", "rm_update",
     # smoothers
     "Partition", "partition_cells",
     "SubdomainSmoother", "schwarz_setup", "bj_setup",
@@ -118,11 +114,10 @@ __all__ = [
     "KIND_INITIAL", "KIND_SMOOTHER", "KIND_COARSE", "KIND_FINAL",
     # task-parallel engine
     "ExchangeMessage", "SchedulerMode", "GroupAssignment", "assign_groups",
-    "intergrid_placement", "MessageTrace", "async_solve", "hybrid_solve",
+    "MessageTrace", "async_solve", "hybrid_solve",
     "MSG_SMOOTHER_DONE", "MSG_COARSE_DONE", "MSG_COARSE_CORRECTION",
     "MSG_UPDATED_RESIDUAL", "MSG_TERMINATE", "MESSAGE_KINDS",
     "ROLE_SMOOTHER", "ROLE_COARSE",
-    "PLACEMENT_COARSE_GROUP", "PLACEMENT_BOTH_GROUPS",
     # configuration
     "RunConfig", "parse_config", "parse_config_file", "serialize_config",
     "config_digest", "build_problem_spec", "build_criteria",

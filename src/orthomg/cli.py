@@ -115,8 +115,7 @@ def execute_run(cfg, prepared, variant, workers):
         start = time.perf_counter()
         result = solve(
             hierarchy, prepared.rhs, x0, cycle_cfg, assignment, sched,
-            placement=cfg.scheduler.placement, trace=trace,
-            watchdog_seconds=cfg.watchdog_seconds,
+            trace=trace, watchdog_seconds=cfg.watchdog_seconds,
         )
         seconds = time.perf_counter() - start
     else:

@@ -72,7 +72,6 @@ class SmootherSection:
 class SchedulerSection:
     mode: str = "realtime"
     sweeps_per_cycle: int = 1
-    placement: str = "coarse_group"
 
 
 @dataclass
@@ -100,7 +99,6 @@ class RunConfig:
     workers: int = 1
     coarsest_workers: int = 1
     watchdog_seconds: float = 60.0
-    seed: int = 0
     output: str = "out"
     history_enabled: bool = True
     trace_enabled: bool = False
@@ -162,7 +160,6 @@ _SCHEMA = {
     "smoother.sweeps": ("smoother", "sweeps", int),
     "scheduler.mode": ("scheduler", "mode", str),
     "scheduler.sweeps_per_cycle": ("scheduler", "sweeps_per_cycle", int),
-    "scheduler.placement": ("scheduler", "placement", str),
     "compare.variants": ("compare", "variants", _parse_str_list),
     "compare.repetitions": ("compare", "repetitions", int),
     "scaling.workers": ("scaling", "workers", _parse_int_list),
@@ -171,7 +168,6 @@ _SCHEMA = {
     "workers": (None, "workers", int),
     "coarsest_workers": (None, "coarsest_workers", int),
     "watchdog_seconds": (None, "watchdog_seconds", float),
-    "seed": (None, "seed", int),
     "output": (None, "output", str),
     "history.enabled": (None, "history_enabled", _parse_bool),
     "trace.enabled": (None, "trace_enabled", _parse_bool),
@@ -227,11 +223,6 @@ def validate_config(cfg):
     if cfg.scheduler.mode not in ("realtime", "deterministic"):
         raise ValueError(
             f"scheduler.mode must be 'realtime' or 'deterministic', got {cfg.scheduler.mode!r}"
-        )
-    if cfg.scheduler.placement not in ("coarse_group", "both_groups"):
-        raise ValueError(
-            "scheduler.placement must be 'coarse_group' or 'both_groups', "
-            f"got {cfg.scheduler.placement!r}"
         )
     if cfg.l_min < 4:
         raise ValueError("hierarchy.l_min must be at least 4")

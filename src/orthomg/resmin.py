@@ -14,7 +14,7 @@ import numpy as np
 
 from .sparse import norm2, spmv
 
-__all__ = ["SearchSpace", "rm_init", "rm_update", "rm_reset"]
+__all__ = ["SearchSpace", "rm_init", "rm_update"]
 
 # Directions whose operator image nearly vanishes after projection carry
 # no new information; they are discarded rather than normalized.
@@ -24,6 +24,14 @@ BREAKDOWN_TOLERANCE = 1e-13
 # of the vector's mass in the first one.
 REORTHOGONALIZE_THRESHOLD = 0.1
 
+# A step that would raise the residual is rounding noise on a useless
+# direction while the stored pairs are consistent, that is while the
+# explicit image A z of the orthonormalized direction matches its basis
+# vector w.  Consistent pairs give |A z - w| of about 3e-16; pairs that
+# drifted apart after repeated heavy cancellation gave 2.6e-6 to 2.0 on
+# the realtime task-parallel cycle.
+DRIFT_TOLERANCE = 1e-8
+
 DEFAULT_RESTART_CAP = 200
 
 
@@ -32,10 +40,11 @@ class SearchSpace:
 
     ``basis[i]`` is the operator image of ``directions[i]`` after
     modified Gram-Schmidt and normalization, so the basis stays
-    orthonormal and ``coeffs[i]`` is the share of the residual it
-    removed.  The iterate and its residual advance together as an exact
-    pair: ``x`` gains ``coeff * direction`` while ``r`` loses
-    ``coeff * (A @ direction)``.
+    orthonormal.  The iterate and its residual advance together as an
+    exact pair: ``x`` gains ``coeff * direction`` while ``r`` loses
+    ``coeff * (A @ direction)``.  ``breakdown_count`` counts rejected
+    directions and ``reanchor_count`` the restarts forced by drift of the
+    stored pairs; neither is reset by a restart.
     """
 
     __slots__ = (
@@ -43,8 +52,8 @@ class SearchSpace:
         "anchor_r",
         "basis",
         "directions",
-        "coeffs",
         "breakdown_count",
+        "reanchor_count",
         "restart_cap",
         "_x",
         "_r",
@@ -60,6 +69,7 @@ class SearchSpace:
             raise ValueError("restart_cap must be at least 1")
         self.restart_cap = int(restart_cap)
         self.breakdown_count = 0
+        self.reanchor_count = 0
         self._set_anchor(x0, r0)
 
     def _set_anchor(self, x0, r0):
@@ -67,7 +77,6 @@ class SearchSpace:
         self.anchor_r = r0
         self.basis = []
         self.directions = []
-        self.coeffs = []
         self._x = x0
         self._r = r0
         self._anchor_norm = norm2(r0)
@@ -84,16 +93,6 @@ class SearchSpace:
 def rm_init(x0, r0, restart_cap=DEFAULT_RESTART_CAP):
     """Create an empty search space anchored at ``(x0, r0)``."""
     return SearchSpace(x0, r0, restart_cap=restart_cap)
-
-
-def rm_reset(space, x_new, r_new):
-    """Clear all stored directions and re-anchor at ``(x_new, r_new)``."""
-    x_new = np.asarray(x_new, dtype=np.float64)
-    r_new = np.asarray(r_new, dtype=np.float64)
-    if x_new.shape != space.anchor_x.shape or r_new.shape != space.anchor_r.shape:
-        raise ValueError("new anchors must match the original vector length")
-    space._set_anchor(x_new, r_new)
-    return space
 
 
 def rm_update(space, a, z):
@@ -115,7 +114,10 @@ def rm_update(space, a, z):
         residual.  If the direction breaks down (its operator image
         lies in the span of the existing basis, or the anchor residual
         is already zero) the previous minimizer is returned unchanged
-        and ``space.breakdown_count`` is incremented.
+        and ``space.breakdown_count`` is incremented.  If the stored
+        pairs have drifted so far that the minimizing step would raise
+        the residual, the space restarts from the current minimizer and
+        folds ``z`` in again, counted in ``space.reanchor_count``.
     """
     z = np.asarray(z, dtype=np.float64)
     if z.shape != space.anchor_x.shape:
@@ -128,12 +130,32 @@ def rm_update(space, a, z):
     if space.size >= space.restart_cap:
         # Re-anchor at the current minimizer so the basis stays small.
         space._set_anchor(space._x, space._r)
+    accepted = _fold(space, a, z)
+    if accepted is None:
+        # The stored pairs (w_i, A z_i) have drifted apart.  Rejecting the
+        # direction would leave (x, r) as they are, and the next sweeps
+        # would propose the same directions again, so restart from the
+        # current minimizer and fold ``z`` in once more.
+        space.reanchor_count += 1
+        space._set_anchor(space._x, space._r)
+        accepted = _fold(space, a, z)
+    if not accepted:
+        space.breakdown_count += 1
+    return space._x, space._r
 
+
+def _fold(space, a, z):
+    """Orthonormalize ``z`` against the basis and take the minimizing step.
+
+    Returns True when the direction joined the basis, False when its image
+    vanished, lies in the span of the basis, or gives a step that would
+    raise the residual by rounding noise, and None when that step would
+    raise it because the stored pairs have drifted.
+    """
     w = spmv(a, z)
     image_norm = norm2(w)
     if image_norm == 0.0:
-        space.breakdown_count += 1
-        return space._x, space._r
+        return False
     z = z.copy()
 
     # modified Gram-Schmidt against the accepted basis, paired on (w, z)
@@ -150,8 +172,7 @@ def rm_update(space, a, z):
             z -= beta * z_i
         remaining = norm2(w)
     if remaining <= BREAKDOWN_TOLERANCE * image_norm:
-        space.breakdown_count += 1
-        return space._x, space._r
+        return False
 
     scale = 1.0 / remaining
     w *= scale
@@ -164,14 +185,13 @@ def rm_update(space, a, z):
     # from the true residual of the iterate.
     coeff = float(np.dot(w, space._r))
     x = space._x + coeff * z
-    r = space._r - coeff * spmv(a, z)
+    image = spmv(a, z)
+    r = space._r - coeff * image
     if norm2(r) > norm2(space._r):
-        # only possible through rounding noise on a useless direction
-        space.breakdown_count += 1
-        return space._x, space._r
+        drifted = space.size > 0 and norm2(image - w) > DRIFT_TOLERANCE
+        return None if drifted else False
     space.basis.append(w)
     space.directions.append(z)
-    space.coeffs.append(coeff)
     space._x = x
     space._r = r
-    return x, r
+    return True

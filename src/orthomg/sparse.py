@@ -17,7 +17,6 @@ import scipy.sparse
 __all__ = [
     "SparseMatrixCsr",
     "spmv",
-    "dot",
     "norm2",
     "triple_product",
     "write_matrix_market",
@@ -144,17 +143,8 @@ def spmv(a, x):
     return a._scipy.dot(x)
 
 
-def dot(x, y):
-    """Euclidean inner product of two equal-length float64 vectors."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValueError("dot requires two 1-d vectors of equal length")
-    return float(np.dot(x, y))
-
-
 def norm2(x):
-    """Euclidean norm, defined as ``sqrt(dot(x, x))``."""
+    """Euclidean norm of a float64 vector."""
     x = np.asarray(x, dtype=np.float64)
     return math.sqrt(float(np.dot(x, x)))
 

@@ -1,11 +1,15 @@
-"""Synchronous multigrid cycles with level-local convergence control.
+"""Synchronous multigrid cycles and the one level loop every cycle shares.
 
-Two orderings are provided.  The multiplicative cycle smooths, folds in
-a coarse correction, and smooths again, minimizing after each step.
-The additive cycle computes the smoother and coarse corrections from
-the same cycle-start residual and folds them in back to back, which is
-the ordering the task-parallel engine reproduces when its scheduler is
-pinned to one sweep per cycle.
+Every variant, task-parallel included, runs :func:`level_loop`: it owns
+the initial residual and search space, the history records, the
+level-local convergence test and the outer cap, and it hands each cycle
+to a body that only folds corrections in.  Three bodies live here.  The
+multiplicative body smooths, folds in a coarse correction, and smooths
+again, minimizing after each step.  The additive body computes the
+smoother and coarse corrections from the same cycle-start residual and
+folds them in back to back, which is the ordering the task-parallel
+engine reproduces when its scheduler is pinned to one sweep per cycle.
+A single-level hierarchy takes the direct body on either ordering.
 
 Intermediate levels do not iterate to the outer tolerance: each level
 stops after a fixed residual-reduction factor or a small iteration cap,
@@ -15,7 +19,7 @@ and the coarsest level is always solved directly.
 import csv
 import io
 import weakref
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse.linalg
@@ -257,114 +261,105 @@ def _check_solve_inputs(hierarchy, b, x0, cfg):
     return b, x0
 
 
-class _LevelLoop:
-    """Shared outer-iteration machinery for one level of a cycle."""
+def level_loop(hierarchy, level, b, x0, cfg, body, history=None):
+    """Iterate one cycle ``body`` on ``level`` until its criteria pass.
 
-    def __init__(self, hierarchy, level, cfg, history=None):
-        self.hierarchy = hierarchy
-        self.level = level
-        self.matrix = hierarchy.levels[level].matrix
-        self.cfg = cfg
-        self.history = history  # only the entry level records
+    This is the outer loop of every variant.  ``body(space, r, record)``
+    runs one cycle from residual ``r``: it folds each correction into
+    ``space`` with ``rm_update``, hands every new residual to
+    ``record(kind, r)``, and returns the last ``(x, r)``.  Only the entry
+    level passes a ``history``; the finest level also stops at
+    ``cfg.max_outer_iterations``.
+    """
+    a = hierarchy.levels[level].matrix
 
-    def record(self, kind, residual):
-        if self.history is not None:
-            self.history.append(kind, residual)
+    def record(kind, r):
+        if history is not None:
+            history.append(kind, norm2(r))
 
-    def run(self, b, x0, body):
-        """Iterate ``body`` until the level-local criteria are met."""
-        a = self.matrix
-        r0 = b - spmv(a, x0)
-        space = rm_init(x0, r0)
-        x, r = x0, r0
-        r0_norm = norm2(r0)
-        r_norm = r0_norm
-        self.record(KIND_INITIAL, r0_norm)
-        iterations = 0
-        while not level_converged(self.level, r_norm, r0_norm, iterations, self.cfg.criteria):
-            if self.level == 0 and iterations >= self.cfg.max_outer_iterations:
-                break
-            x, r = body(space, x, r)
-            r_norm = norm2(r)
-            iterations += 1
-        self.record(KIND_FINAL, r_norm)
-        converged = level_converged(self.level, r_norm, r0_norm, iterations, self.cfg.criteria)
-        return SolveResult(x, r, r_norm, converged, iterations, self.history)
+    r0 = b - spmv(a, x0)
+    space = rm_init(x0, r0)
+    x, r = x0, r0
+    r0_norm = r_norm = norm2(r0)
+    record(KIND_INITIAL, r0)
+    iterations = 0
+    while not level_converged(level, r_norm, r0_norm, iterations, cfg.criteria):
+        if level == 0 and iterations >= cfg.max_outer_iterations:
+            break
+        x, r = body(space, r, record)
+        r_norm = norm2(r)
+        iterations += 1
+    record(KIND_FINAL, r)
+    converged = level_converged(level, r_norm, r0_norm, iterations, cfg.criteria)
+    return SolveResult(x, r, r_norm, converged, iterations, history)
 
 
-def _coarse_correction(hierarchy, level, residual, cfg, recurse):
-    """Restrict, solve the next level, and prolong the correction."""
-    lvl = hierarchy.levels[level]
-    coarse_residual = spmv(lvl.restriction, residual)
-    next_level = level + 1
-    if next_level == hierarchy.n_levels - 1:
-        coarse_x = coarsest_solve(hierarchy.levels[next_level].matrix, coarse_residual)
-    else:
-        coarse_x = recurse(next_level, coarse_residual)
-    return spmv(lvl.prolongation, coarse_x)
+def direct_body(a):
+    """Single-level cycle: a direct solve, minimized like any correction."""
 
-
-def _solve_level_multiplicative(hierarchy, level, b, x0, cfg, history=None,
-                                coarse_override=None):
-    loop = _LevelLoop(hierarchy, level, cfg, history)
-    a = loop.matrix
-    single = hierarchy.n_levels == 1
-
-    def recurse(next_level, coarse_residual):
-        zeros = np.zeros(hierarchy.levels[next_level].n_dofs)
-        sub = _solve_level_multiplicative(hierarchy, next_level, coarse_residual, zeros, cfg)
-        return sub.x
-
-    def body(space, x, r):
-        if single:
-            z = coarsest_solve(a, r)
-            x, r = rm_update(space, a, z)
-            loop.record(KIND_COARSE, norm2(r))
-            return x, r
-        smoother = cfg.smoothers[level]
-        z = smoother.apply(a, r)
-        x, r = rm_update(space, a, z)
-        loop.record(KIND_SMOOTHER, norm2(r))
-        if coarse_override is not None:
-            z_cor = coarse_override(r)
-        else:
-            z_cor = _coarse_correction(hierarchy, level, r, cfg, recurse)
-        x, r = rm_update(space, a, z_cor)
-        loop.record(KIND_COARSE, norm2(r))
-        z = smoother.apply(a, r)
-        x, r = rm_update(space, a, z)
-        loop.record(KIND_SMOOTHER, norm2(r))
+    def body(space, r, record):
+        x, r = rm_update(space, a, coarsest_solve(a, r))
+        record(KIND_COARSE, r)
         return x, r
 
-    return loop.run(b, x0, body)
+    return body
 
 
-def _solve_level_additive(hierarchy, level, b, x0, cfg, history=None):
-    loop = _LevelLoop(hierarchy, level, cfg, history)
-    a = loop.matrix
-    single = hierarchy.n_levels == 1
+def multiplicative_body(a, smoother, coarse):
+    """Smooth, fold in the coarse correction, smooth again."""
 
-    def recurse(next_level, coarse_residual):
-        zeros = np.zeros(hierarchy.levels[next_level].n_dofs)
-        sub = _solve_level_additive(hierarchy, next_level, coarse_residual, zeros, cfg)
-        return sub.x
+    def body(space, r, record):
+        x, r = rm_update(space, a, smoother.apply(a, r))
+        record(KIND_SMOOTHER, r)
+        x, r = rm_update(space, a, coarse(r))
+        record(KIND_COARSE, r)
+        x, r = rm_update(space, a, smoother.apply(a, r))
+        record(KIND_SMOOTHER, r)
+        return x, r
 
-    def body(space, x, r):
-        if single:
-            z = coarsest_solve(a, r)
-            x, r = rm_update(space, a, z)
-            loop.record(KIND_COARSE, norm2(r))
-            return x, r
-        cycle_start = r
-        z_smooth = cfg.smoothers[level].apply(a, cycle_start)
-        z_coarse = _coarse_correction(hierarchy, level, cycle_start, cfg, recurse)
+    return body
+
+
+def additive_body(a, smoother, coarse):
+    """Smoother and coarse corrections from one cycle-start residual."""
+
+    def body(space, r, record):
+        z_smooth = smoother.apply(a, r)
+        z_coarse = coarse(r)
         x, r = rm_update(space, a, z_smooth)
-        loop.record(KIND_SMOOTHER, norm2(r))
+        record(KIND_SMOOTHER, r)
         x, r = rm_update(space, a, z_coarse)
-        loop.record(KIND_COARSE, norm2(r))
+        record(KIND_COARSE, r)
         return x, r
 
-    return loop.run(b, x0, body)
+    return body
+
+
+def solve_level(hierarchy, level, b, x0, cfg, cycle, history=None, coarse=None):
+    """Run ``cycle`` (a body factory above) on ``level``, recursing below it.
+
+    ``coarse(r)`` replaces the restrict, solve, prolong step of ``level``
+    when given; the next level is otherwise solved by the same cycle, or
+    directly when it is the coarsest.
+    """
+    a = hierarchy.levels[level].matrix
+    if hierarchy.n_levels == 1:
+        return level_loop(hierarchy, level, b, x0, cfg, direct_body(a), history)
+    if coarse is None:
+        lvl = hierarchy.levels[level]
+        below = hierarchy.levels[level + 1]
+
+        def coarse(r):
+            coarse_residual = spmv(lvl.restriction, r)
+            if below.index == hierarchy.n_levels - 1:
+                coarse_x = coarsest_solve(below.matrix, coarse_residual)
+            else:
+                coarse_x = solve_level(hierarchy, below.index, coarse_residual,
+                                       np.zeros(below.n_dofs), cfg, cycle).x
+            return spmv(lvl.prolongation, coarse_x)
+
+    body = cycle(a, cfg.smoothers[level], coarse)
+    return level_loop(hierarchy, level, b, x0, cfg, body, history)
 
 
 def orthomg_solve_multiplicative(hierarchy, b, x0, cfg):
@@ -376,7 +371,7 @@ def orthomg_solve_multiplicative(hierarchy, b, x0, cfg):
     """
     b, x0 = _check_solve_inputs(hierarchy, b, x0, cfg)
     history = ConvergenceHistory(cfg.history_enabled)
-    return _solve_level_multiplicative(hierarchy, 0, b, x0, cfg, history)
+    return solve_level(hierarchy, 0, b, x0, cfg, multiplicative_body, history)
 
 
 def orthomg_solve_additive(hierarchy, b, x0, cfg):
@@ -388,4 +383,4 @@ def orthomg_solve_additive(hierarchy, b, x0, cfg):
     """
     b, x0 = _check_solve_inputs(hierarchy, b, x0, cfg)
     history = ConvergenceHistory(cfg.history_enabled)
-    return _solve_level_additive(hierarchy, 0, b, x0, cfg, history)
+    return solve_level(hierarchy, 0, b, x0, cfg, additive_body, history)

@@ -10,12 +10,17 @@ queues, and every payload changes hands only through a message, so a
 distributed transport could replace the queues without touching the
 cycle logic.
 
+Each level runs the shared loop of :func:`orthomg.sync.level_loop`
+with a task-parallel body: send the cycle-start residual across the
+boundary, sweep until the correction arrives, fold it in.  An engine
+starts its servant threads once and serves any number of solves of its
+top level, so the hybrid cycle keeps one engine for a whole solve.
+
 A deterministic scheduler mode pins the number of smoother sweeps per
 cycle, which makes runs bitwise reproducible and, at one sweep per
 cycle, reduces the protocol to the synchronous additive cycle.
 """
 
-import itertools
 import queue
 import threading
 import time
@@ -26,20 +31,20 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ExchangeTimeoutError, WorkerError
-from .resmin import rm_init, rm_update
-from .sparse import norm2, spmv
+# perfbench/tracing.py rebinds rm_init, rm_update, spmv and coarsest_solve
+# where this module looks them up, so all four stay module names here.
+from .resmin import rm_init, rm_update  # noqa: F401
+from .sparse import spmv
 from .sync import (
     KIND_COARSE,
-    KIND_FINAL,
-    KIND_INITIAL,
     KIND_SMOOTHER,
     ConvergenceHistory,
-    SolveResult,
     _check_solve_inputs,
-    _solve_level_multiplicative,
     coarsest_solve,
-    level_converged,
+    level_loop,
+    multiplicative_body,
     orthomg_solve_additive,
+    solve_level,
 )
 
 __all__ = [
@@ -49,15 +54,12 @@ __all__ = [
     "MSG_UPDATED_RESIDUAL",
     "MSG_TERMINATE",
     "MESSAGE_KINDS",
-    "PLACEMENT_COARSE_GROUP",
-    "PLACEMENT_BOTH_GROUPS",
     "ExchangeMessage",
     "SchedulerMode",
     "GroupAssignment",
     "TraceRow",
     "MessageTrace",
     "assign_groups",
-    "intergrid_placement",
     "async_solve",
     "hybrid_solve",
 ]
@@ -71,9 +73,6 @@ _MSG_ERROR = "error"
 
 ROLE_SMOOTHER = "smoother"
 ROLE_COARSE = "coarse"
-
-PLACEMENT_COARSE_GROUP = "coarse_group"
-PLACEMENT_BOTH_GROUPS = "both_groups"
 
 TRACE_RESTRICT = "restrict"
 TRACE_PROLONG = "prolong"
@@ -175,26 +174,9 @@ def assign_groups(hierarchy, total_workers, coarsest_workers=1):
     return GroupAssignment(tuple(int(s) for s in shares), coarsest_workers)
 
 
-def intergrid_placement(level, option=PLACEMENT_COARSE_GROUP):
-    """Roles that execute the transfer operators at boundary ``level``.
-
-    The default places restriction and prolongation on the coarse
-    group, which also receives the fine residual and returns the
-    prolonged correction.  The both-groups fallback attributes the
-    transfers to both sides; the numerical path is identical.
-    """
-    if level < 0:
-        raise ValueError("boundary level must be non-negative")
-    if option == PLACEMENT_COARSE_GROUP:
-        return (ROLE_COARSE,)
-    if option == PLACEMENT_BOTH_GROUPS:
-        return (ROLE_COARSE, ROLE_SMOOTHER)
-    raise ValueError(f"unknown placement option {option!r}")
-
-
 @dataclass(frozen=True)
 class TraceRow:
-    wall_time: float
+    seconds: float  # since the trace was created, monotonic
     level: int
     role: str
     kind: str
@@ -207,9 +189,10 @@ class MessageTrace:
     def __init__(self):
         self.rows = []
         self._lock = threading.Lock()
+        self._start = time.perf_counter()
 
     def record(self, level, role, kind, cycle_index):
-        row = TraceRow(time.time(), level, role, kind, cycle_index)
+        row = TraceRow(time.perf_counter() - self._start, level, role, kind, cycle_index)
         with self._lock:
             self.rows.append(row)
 
@@ -217,286 +200,236 @@ class MessageTrace:
         return [row for row in self.rows if row.kind in kinds]
 
     def to_csv(self, target):
-        if hasattr(target, "write"):
-            self._write(target)
-        else:
+        if not hasattr(target, "write"):
             with open(target, "w", newline="") as handle:
-                self._write(handle)
-
-    def _write(self, handle):
-        handle.write("wall_time,level,role,kind,cycle_index\n")
+                return self.to_csv(handle)
+        target.write("seconds,level,role,kind,cycle_index\n")
         for row in self.rows:
-            handle.write(
-                f"{row.wall_time!r},{row.level},{row.role},{row.kind},{row.cycle_index}\n"
+            target.write(
+                f"{row.seconds!r},{row.level},{row.role},{row.kind},{row.cycle_index}\n"
             )
 
 
 class _Channel:
     """Ordered point-to-point queues across one level boundary."""
 
-    def __init__(self, boundary_level):
+    def __init__(self, boundary_level, mode):
         self.boundary_level = boundary_level
+        self.mode = mode  # how the coarse side solves: "direct" | "async" | "sync"
         self.down = queue.Queue()  # smoother side -> coarse side
         self.up = queue.Queue()  # coarse side -> smoother side
-        self._counter = itertools.count()
-        self.cycles_started = 0
+        self.cycles_started = -1  # index of the last cycle started, -1 before any
 
     def next_cycle(self):
-        self.cycles_started = next(self._counter)
+        self.cycles_started += 1
         return self.cycles_started
 
 
-class _Servant:
-    """Thread serving the coarse side of one boundary."""
-
-    def __init__(self, engine, level, mode, channel, child_channel):
-        self.engine = engine
-        self.level = level  # level this servant solves
-        self.mode = mode  # "direct" | "async" | "sync"
-        self.channel = channel  # boundary (level - 1) <-> level
-        self.child_channel = child_channel  # boundary level <-> level + 1, if any
-        self.thread = threading.Thread(
-            target=self._run, name=f"coarse-l{level}", daemon=True
-        )
-
-    def _run(self):
-        engine = self.engine
-        try:
-            while True:
-                msg = engine._receive(self.channel.down, self.channel.boundary_level)
-                if msg.kind == MSG_TERMINATE:
-                    break
-                if msg.kind == MSG_SMOOTHER_DONE:
-                    continue
-                if msg.kind == MSG_UPDATED_RESIDUAL:
-                    self._handle(msg)
-                    continue
-                raise RuntimeError(f"unexpected message kind {msg.kind!r}")
-        except BaseException as exc:  # noqa: BLE001 - must surface in the driver
-            self.channel.up.put(ExchangeMessage(_MSG_ERROR, -1, (self.level, exc)))
-        finally:
-            if self.child_channel is not None:
-                engine._send(
-                    self.child_channel, "down", ROLE_SMOOTHER, MSG_TERMINATE,
-                    None, self.child_channel.cycles_started,
-                )
-
-    def _handle(self, msg):
-        engine = self.engine
-        boundary = self.channel.boundary_level
-        if engine.coarse_delay > 0.0 and boundary == engine.top_level:
-            time.sleep(engine.coarse_delay)
-        fine = engine.hierarchy.levels[boundary]
-        coarse_residual = spmv(fine.restriction, msg.payload)
-        engine._trace_transfer(boundary, TRACE_RESTRICT, msg.cycle_index)
-        zeros = np.zeros(engine.hierarchy.levels[self.level].n_dofs)
-        if self.mode == "direct":
-            coarse_x = coarsest_solve(engine.hierarchy.levels[self.level].matrix,
-                                      coarse_residual)
-        elif self.mode == "sync":
-            sub = _solve_level_multiplicative(
-                engine.hierarchy, self.level, coarse_residual, zeros, engine.cfg
-            )
-            coarse_x = sub.x
-        else:
-            coarse_x, _, _, _, _ = engine._level_loop(
-                self.level, coarse_residual, zeros, self.child_channel,
-                record_history=False,
-            )
-        correction = spmv(fine.prolongation, coarse_x)
-        engine._trace_transfer(boundary, TRACE_PROLONG, msg.cycle_index)
-        engine._send(self.channel, "up", ROLE_COARSE, MSG_COARSE_DONE,
-                     None, msg.cycle_index)
-        engine._send(self.channel, "up", ROLE_COARSE, MSG_COARSE_CORRECTION,
-                     correction, msg.cycle_index)
-
-
 class _AsyncEngine:
-    """Builds the servant chain and drives the finest level in-thread."""
+    """Servant threads below ``top_level``, started once for any number of solves.
 
-    def __init__(self, hierarchy, cfg, assignment, sched, *, top_level=0,
-                 smoothers=None, placement=PLACEMENT_COARSE_GROUP, trace=None,
+    Each boundary from ``top_level`` down gets a channel and a servant
+    thread that answers every residual with a coarse correction; the chain
+    ends at the first coarse side that solves directly or synchronously.
+    ``solve`` runs the top level's loop on the calling thread; leaving the
+    ``with`` block stops the servants.
+    """
+
+    def __init__(self, hierarchy, cfg, assignment, sched, *, top_level=0, trace=None,
                  watchdog_seconds=60.0, coarse_delay_seconds=0.0):
         if watchdog_seconds <= 0.0:
             raise ValueError("watchdog_seconds must be positive")
         self.hierarchy = hierarchy
         self.cfg = cfg
-        self.assignment = assignment
         self.sched = sched
         self.top_level = top_level
-        self.smoothers = cfg.smoothers if smoothers is None else smoothers
-        self.placement = placement
         self.trace = trace
         self.watchdog = watchdog_seconds
         self.coarse_delay = coarse_delay_seconds
-        self.coarsest_index = hierarchy.n_levels - 1
-        self.history = ConvergenceHistory(cfg.history_enabled)
+        self.in_flight_since = None  # perf_counter() of the running solve
         self.channels = []
-        self.servants = []
-        self._build_chain()
-
-    def _build_chain(self):
-        level = self.top_level
-        while level < self.coarsest_index:
-            serve_level = level + 1
-            if serve_level == self.coarsest_index:
+        coarsest = hierarchy.n_levels - 1
+        for level in range(top_level, coarsest):
+            if level + 1 == coarsest:
                 mode = "direct"
-            elif self.assignment.coarse_group_size(level) >= 2:
+            elif assignment.coarse_group_size(level) >= 2:
                 mode = "async"
             else:
                 mode = "sync"
-            channel = _Channel(level)
-            self.channels.append(channel)
-            self.servants.append(
-                _Servant(self, serve_level, mode, channel, child_channel=None)
-            )
-            if len(self.servants) >= 2:
-                self.servants[-2].child_channel = channel
+            self.channels.append(_Channel(level, mode))
             if mode != "async":
                 break
-            level = serve_level
+        children = self.channels[1:] + [None]
+        self.threads = [
+            threading.Thread(target=self._serve, args=(channel, child),
+                             name=f"coarse-l{channel.boundary_level + 1}", daemon=True)
+            for channel, child in zip(self.channels, children)
+        ]
+        for thread in self.threads:
+            thread.start()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        if exc_type is not None:
+            # Unblock every servant before the exception propagates.
+            for channel in self.channels:
+                channel.down.put(ExchangeMessage(MSG_TERMINATE, -1, None))
+            for thread in self.threads:
+                thread.join(timeout=5.0)
+            return
+        top = self.channels[0]
+        self._send(top, "down", ROLE_SMOOTHER, MSG_TERMINATE, None, top.cycles_started)
+        for thread in self.threads:
+            thread.join(timeout=self.watchdog)
+            if thread.is_alive():
+                raise ExchangeTimeoutError(f"worker {thread.name} did not shut down")
+
+    # -- coarse side -----------------------------------------------------
+
+    def _serve(self, channel, child):
+        """Servant thread: answer each residual on ``channel`` until terminated."""
+        try:
+            while True:
+                msg = self._receive(channel.down, channel.boundary_level)
+                if msg.kind == MSG_TERMINATE:
+                    break
+                if msg.kind == MSG_UPDATED_RESIDUAL:
+                    self._correct(channel, child, msg)
+                elif msg.kind != MSG_SMOOTHER_DONE:
+                    raise RuntimeError(f"unexpected message kind {msg.kind!r}")
+        except BaseException as exc:  # noqa: BLE001 - must surface on the driving thread
+            level = channel.boundary_level + 1
+            channel.up.put(ExchangeMessage(_MSG_ERROR, -1, (level, exc)))
+        finally:
+            if child is not None:
+                self._send(child, "down", ROLE_SMOOTHER, MSG_TERMINATE, None,
+                           child.cycles_started)
+
+    def _correct(self, channel, child, msg):
+        """Restrict the residual, solve the next level, send back the prolongation."""
+        boundary = channel.boundary_level
+        if self.coarse_delay > 0.0 and boundary == self.top_level:
+            time.sleep(self.coarse_delay)
+        fine = self.hierarchy.levels[boundary]
+        coarse = self.hierarchy.levels[boundary + 1]
+        coarse_residual = spmv(fine.restriction, msg.payload)
+        self._trace(boundary, ROLE_COARSE, TRACE_RESTRICT, msg.cycle_index)
+        zeros = np.zeros(coarse.n_dofs)
+        if channel.mode == "direct":
+            coarse_x = coarsest_solve(coarse.matrix, coarse_residual)
+        elif channel.mode == "sync":
+            coarse_x = solve_level(self.hierarchy, coarse.index, coarse_residual, zeros,
+                                   self.cfg, multiplicative_body).x
+        else:
+            coarse_x = self.run_level(coarse.index, coarse_residual, zeros, child).x
+        correction = spmv(fine.prolongation, coarse_x)
+        self._trace(boundary, ROLE_COARSE, TRACE_PROLONG, msg.cycle_index)
+        self._send(channel, "up", ROLE_COARSE, MSG_COARSE_DONE, None, msg.cycle_index)
+        self._send(channel, "up", ROLE_COARSE, MSG_COARSE_CORRECTION, correction,
+                   msg.cycle_index)
 
     # -- messaging ---------------------------------------------------
 
-    def _send(self, channel, direction, role, kind, payload, cycle_index):
+    def _trace(self, level, role, kind, cycle_index):
         if self.trace is not None:
-            self.trace.record(channel.boundary_level, role, kind, cycle_index)
+            self.trace.record(level, role, kind, cycle_index)
+
+    def _send(self, channel, direction, role, kind, payload, cycle_index):
+        self._trace(channel.boundary_level, role, kind, cycle_index)
         target = channel.down if direction == "down" else channel.up
         target.put(ExchangeMessage(kind, cycle_index, payload))
 
     def _receive(self, q, boundary_level):
-        try:
-            msg = q.get(timeout=self.watchdog)
-        except queue.Empty:
-            raise ExchangeTimeoutError(
-                f"no message crossed level boundary {boundary_level} within "
-                f"{self.watchdog:.1f}s"
-            ) from None
+        """Next message on ``q``; the watchdog counts only while a solve runs.
+
+        A servant waiting for work between two solves of a persistent
+        engine is idle, not stalled.
+        """
+        waiting_since = time.perf_counter()
+        while True:
+            try:
+                msg = q.get(timeout=self.watchdog)
+                break
+            except queue.Empty:
+                since = self.in_flight_since
+                if since is not None and (
+                    time.perf_counter() - max(since, waiting_since) >= self.watchdog
+                ):
+                    raise ExchangeTimeoutError(
+                        f"no message crossed level boundary {boundary_level} within "
+                        f"{self.watchdog:.1f}s"
+                    ) from None
         if msg.kind == _MSG_ERROR:
             level, cause = msg.payload
             raise WorkerError(level, ROLE_COARSE, cause)
         return msg
 
-    def _trace_transfer(self, boundary_level, op, cycle_index):
-        if self.trace is None:
-            return
-        for role in intergrid_placement(boundary_level, self.placement):
-            self.trace.record(boundary_level, role, op, cycle_index)
-
     def _receive_correction(self, channel, cycle_index):
-        msg = self._receive(channel.up, channel.boundary_level)
-        if msg.kind != MSG_COARSE_DONE or msg.cycle_index != cycle_index:
-            raise RuntimeError(
-                f"protocol violation at boundary {channel.boundary_level}: "
-                f"expected {MSG_COARSE_DONE} for cycle {cycle_index}, "
-                f"got {msg.kind} for cycle {msg.cycle_index}"
-            )
-        msg = self._receive(channel.up, channel.boundary_level)
-        if msg.kind != MSG_COARSE_CORRECTION or msg.cycle_index != cycle_index:
-            raise RuntimeError(
-                f"protocol violation at boundary {channel.boundary_level}: "
-                f"expected {MSG_COARSE_CORRECTION} for cycle {cycle_index}, "
-                f"got {msg.kind} for cycle {msg.cycle_index}"
-            )
+        for expected in (MSG_COARSE_DONE, MSG_COARSE_CORRECTION):
+            msg = self._receive(channel.up, channel.boundary_level)
+            if msg.kind != expected or msg.cycle_index != cycle_index:
+                raise RuntimeError(
+                    f"protocol violation at boundary {channel.boundary_level}: "
+                    f"expected {expected} for cycle {cycle_index}, "
+                    f"got {msg.kind} for cycle {msg.cycle_index}"
+                )
         return msg.payload
 
-    # -- cycle loop ----------------------------------------------------
+    # -- fine side -------------------------------------------------------
 
-    def _level_loop(self, level, b, x0, channel, record_history):
-        """Run the smoother-side loop of one level until its criteria pass."""
+    def run_level(self, level, b, x0, channel, history=None):
+        """The shared level loop with the task-parallel body over ``channel``."""
         a = self.hierarchy.levels[level].matrix
-        cfg = self.cfg
-        smoother = self.smoothers[level]
-        deterministic = self.sched.kind == "deterministic"
-        r0 = b - spmv(a, x0)
-        space = rm_init(x0, r0)
-        x, r = x0, r0
-        r0_norm = norm2(r0)
-        r_norm = r0_norm
-        if record_history:
-            self.history.append(KIND_INITIAL, r0_norm)
-        cycles = 0
-        while not level_converged(level, r_norm, r0_norm, cycles, cfg.criteria):
-            if level == 0 and cycles >= cfg.max_outer_iterations:
-                break
+        smoother = self.cfg.smoothers[level]
+        sched = self.sched
+
+        def body(space, r, record):
             cycle = channel.next_cycle()
             self._send(channel, "down", ROLE_SMOOTHER, MSG_UPDATED_RESIDUAL, r, cycle)
-            correction = None
             sweeps = 0
-            while correction is None:
-                z = smoother.apply(a, r)
-                x, r = rm_update(space, a, z)
-                if record_history:
-                    self.history.append(KIND_SMOOTHER, norm2(r))
+            while True:
+                x, r = rm_update(space, a, smoother.apply(a, r))
+                record(KIND_SMOOTHER, r)
                 sweeps += 1
                 if sweeps == 1:
                     self._send(channel, "down", ROLE_SMOOTHER, MSG_SMOOTHER_DONE,
                                None, cycle)
-                if deterministic:
-                    if sweeps >= self.sched.sweeps_per_cycle:
-                        correction = self._receive_correction(channel, cycle)
+                if sched.kind == "deterministic":
+                    if sweeps >= sched.sweeps_per_cycle:
+                        break
                 elif not channel.up.empty():
-                    correction = self._receive_correction(channel, cycle)
-            x, r = rm_update(space, a, correction)
-            if record_history:
-                self.history.append(KIND_COARSE, norm2(r))
-            r_norm = norm2(r)
-            cycles += 1
-        converged = level_converged(level, r_norm, r0_norm, cycles, cfg.criteria)
-        return x, r, r_norm, cycles, converged
+                    break
+            x, r = rm_update(space, a, self._receive_correction(channel, cycle))
+            record(KIND_COARSE, r)
+            return x, r
 
-    # -- public driver -------------------------------------------------
+        return level_loop(self.hierarchy, level, b, x0, self.cfg, body, history)
 
-    def solve(self, b, x0):
-        for servant in self.servants:
-            servant.thread.start()
-        top_channel = self.channels[0]
+    def solve(self, b, x0, history=None):
+        """Solve the top level against the running servants."""
+        self.in_flight_since = time.perf_counter()
         try:
-            x, r, r_norm, cycles, converged = self._level_loop(
-                self.top_level, b, x0, top_channel, record_history=True
-            )
-            self._send(top_channel, "down", ROLE_SMOOTHER, MSG_TERMINATE, None,
-                       top_channel.cycles_started)
-        except BaseException:
-            # Unblock every servant before propagating.
-            for channel in self.channels:
-                channel.down.put(ExchangeMessage(MSG_TERMINATE, -1, None))
-            for servant in self.servants:
-                servant.thread.join(timeout=5.0)
-            raise
-        for servant in self.servants:
-            servant.thread.join(timeout=self.watchdog)
-            if servant.thread.is_alive():
-                raise ExchangeTimeoutError(
-                    f"worker at level {servant.level} did not shut down"
-                )
-        self.history.append(KIND_FINAL, r_norm)
-        return SolveResult(x, r, r_norm, converged, cycles, self.history)
+            return self.run_level(self.top_level, b, x0, self.channels[0], history)
+        finally:
+            self.in_flight_since = None
 
 
 @contextmanager
-def _bound_smoothers(cfg, assignment, n_levels):
-    """Attach per-level thread pools to the smoothers as assigned."""
+def _bound_smoothers(cfg, assignment):
+    """``cfg`` with a thread pool bound to every smoother of two or more workers."""
     with ExitStack() as stack:
         bound = list(cfg.smoothers)
-        for level in range(min(len(bound), max(n_levels - 1, 0))):
-            if bound[level] is None:
-                continue
-            workers = 1
-            if level < len(assignment.smoother_workers):
-                workers = assignment.smoother_workers[level]
-            if workers >= 2:
-                pool = stack.enter_context(
-                    ThreadPoolExecutor(
-                        max_workers=workers, thread_name_prefix=f"smoother-l{level}"
-                    )
-                )
-                bound[level] = bound[level].with_executor(pool, workers)
-        yield bound
+        for level, (smoother, workers) in enumerate(zip(bound, assignment.smoother_workers)):
+            if smoother is not None and workers >= 2:
+                pool = stack.enter_context(ThreadPoolExecutor(
+                    max_workers=workers, thread_name_prefix=f"smoother-l{level}"))
+                bound[level] = smoother.with_executor(pool, workers)
+        yield replace(cfg, smoothers=bound)
 
 
-def async_solve(hierarchy, b, x0, cfg, assignment, sched, *,
-                placement=PLACEMENT_COARSE_GROUP, trace=None,
+def async_solve(hierarchy, b, x0, cfg, assignment, sched, *, trace=None,
                 watchdog_seconds=60.0, coarse_delay_seconds=0.0):
     """Solve ``A x = b`` with the semi-asynchronous additive cycle.
 
@@ -511,8 +444,6 @@ def async_solve(hierarchy, b, x0, cfg, assignment, sched, *,
         workers runs the next level asynchronously as well, otherwise
         that side degrades to the synchronous cycle.
     sched : SchedulerMode
-    placement : str, optional
-        Which roles the transfer operators are attributed to.
     trace : MessageTrace, optional
         Receives one row per message and per transfer application.
     watchdog_seconds : float, optional
@@ -528,26 +459,23 @@ def async_solve(hierarchy, b, x0, cfg, assignment, sched, *,
     b, x0 = _check_solve_inputs(hierarchy, b, x0, cfg)
     if hierarchy.n_levels == 1:
         return orthomg_solve_additive(hierarchy, b, x0, cfg)
-    with _bound_smoothers(cfg, assignment, hierarchy.n_levels) as smoothers:
-        engine = _AsyncEngine(
-            hierarchy, cfg, assignment, sched, smoothers=smoothers,
-            placement=placement, trace=trace, watchdog_seconds=watchdog_seconds,
-            coarse_delay_seconds=coarse_delay_seconds,
-        )
-        return engine.solve(b, x0)
+    with _bound_smoothers(cfg, assignment) as bound, \
+            _AsyncEngine(hierarchy, bound, assignment, sched, trace=trace,
+                         watchdog_seconds=watchdog_seconds,
+                         coarse_delay_seconds=coarse_delay_seconds) as engine:
+        return engine.solve(b, x0, ConvergenceHistory(cfg.history_enabled))
 
 
-def hybrid_solve(hierarchy, b, x0, cfg, assignment, sched=None, *,
-                 placement=PLACEMENT_COARSE_GROUP, trace=None,
+def hybrid_solve(hierarchy, b, x0, cfg, assignment, sched=None, *, trace=None,
                  watchdog_seconds=60.0):
     """Multiplicative cycle on the finest level, asynchronous below it.
 
     The finest level pre-smooths, folds in a coarse correction, and
     post-smooths exactly like the synchronous multiplicative cycle, but
-    each coarse correction is produced by the task-parallel engine
-    running on the levels beneath.  With a two-level hierarchy the
-    coarse call is a direct solve and the run coincides with the
-    synchronous multiplicative cycle.
+    each coarse correction is a solve of the next level by one
+    task-parallel engine, started once for the whole solve.  With a
+    two-level hierarchy the coarse call is a direct solve and the run
+    coincides with the synchronous multiplicative cycle.
     """
     if hierarchy.n_levels < 2:
         raise ValueError("the hybrid cycle needs at least two levels")
@@ -555,24 +483,18 @@ def hybrid_solve(hierarchy, b, x0, cfg, assignment, sched=None, *,
     if sched is None:
         sched = SchedulerMode.realtime()
     history = ConvergenceHistory(cfg.history_enabled)
-    with _bound_smoothers(cfg, assignment, hierarchy.n_levels) as smoothers:
-        bound_cfg = replace(cfg, smoothers=smoothers)
-        if hierarchy.n_levels == 2:
-            return _solve_level_multiplicative(hierarchy, 0, b, x0, bound_cfg, history)
+    with _bound_smoothers(cfg, assignment) as bound, ExitStack() as stack:
+        coarse = None  # two levels: the synchronous direct coarse solve
+        if hierarchy.n_levels > 2:
+            engine = stack.enter_context(_AsyncEngine(
+                hierarchy, bound, assignment, sched, top_level=1, trace=trace,
+                watchdog_seconds=watchdog_seconds))
+            finest = hierarchy.levels[0]
 
-        finest = hierarchy.levels[0]
+            def coarse(r):
+                sub = engine.solve(spmv(finest.restriction, r),
+                                   np.zeros(hierarchy.levels[1].n_dofs))
+                return spmv(finest.prolongation, sub.x)
 
-        def coarse_override(residual):
-            coarse_residual = spmv(finest.restriction, residual)
-            engine = _AsyncEngine(
-                hierarchy, bound_cfg, assignment, sched, top_level=1,
-                smoothers=smoothers, placement=placement, trace=trace,
-                watchdog_seconds=watchdog_seconds,
-            )
-            sub = engine.solve(coarse_residual,
-                               np.zeros(hierarchy.levels[1].n_dofs))
-            return spmv(finest.prolongation, sub.x)
-
-        return _solve_level_multiplicative(
-            hierarchy, 0, b, x0, bound_cfg, history, coarse_override=coarse_override
-        )
+        return solve_level(hierarchy, 0, b, x0, bound, multiplicative_body, history,
+                           coarse=coarse)

@@ -86,7 +86,7 @@ def test_solve_task_parallel_traces_and_clamps_workers(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "note: workers raised from 1 to 2" in printed
     rows = read_rows(out / "trace.csv")
-    assert list(rows[0]) == ["wall_time", "level", "role", "kind", "cycle_index"]
+    assert list(rows[0]) == ["seconds", "level", "role", "kind", "cycle_index"]
     assert rows[-1]["kind"] == "terminate"
 
 
@@ -258,3 +258,19 @@ def test_scaling_sweeps_workers_and_reports_speedup(tmp_path):
     assert len(summary["rows"]) == 2
     runs = read_rows(out / "runs.csv")
     assert len(runs) == 2
+
+
+def test_scaling_config_converges_in_every_repetition(tmp_path):
+    # realtime runs of this config freeze their residual if the minimizer
+    # rejects every direction once its stored pairs have drifted
+    code, out = run(
+        tmp_path, "scaling",
+        "scaling.sizes = 16\nscaling.workers = 2, 4\n"
+        "scaling.variants = additive_task_parallel\ncompare.repetitions = 50\n",
+    )
+    assert code == cli.EXIT_OK
+    runs = read_rows(out / "runs.csv")
+    assert len(runs) == 100
+    stalled = [(row["workers_requested"], row["repetition"], row["note"])
+               for row in runs if row["converged"] != "True"]
+    assert stalled == []

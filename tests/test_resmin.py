@@ -145,26 +145,31 @@ def test_restart_cap_re_anchors_without_losing_progress():
     assert space.breakdown_count == 0  # restarts are not breakdowns
 
 
+def test_drifted_pairs_re_anchor_and_keep_decreasing():
+    # a rejected step whose stored pairs no longer match (w_i != A z_i)
+    # restarts from the current minimizer instead of freezing the residual
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        n = 8
+        a = random_spd(rng, n)
+        b = rng.standard_normal(n)
+        space = om.rm_init(np.zeros(n), b)
+        for _ in range(2):
+            om.rm_update(space, a, rng.standard_normal(n))
+        stored = space.directions[0].copy()
+        space.directions[0] = stored + 0.5 * rng.standard_normal(n)
+        _, r_before = space.current_solution()
+        x, r = om.rm_update(space, a, stored + 1e-6 * rng.standard_normal(n))
+        assert space.reanchor_count == 1
+        assert space.breakdown_count == 0
+        assert space.size == 1
+        assert om.norm2(r) < om.norm2(r_before)
+        assert om.norm2(r - (b - om.spmv(a, x))) <= 1e-12 * om.norm2(b)
+
+
 def test_restart_cap_validation():
     with pytest.raises(ValueError, match="restart_cap"):
         om.rm_init(np.zeros(3), np.ones(3), restart_cap=0)
-
-
-def test_reset_clears_directions():
-    rng = np.random.default_rng(31)
-    a = random_spd(rng, 5)
-    b = rng.standard_normal(5)
-    space = om.rm_init(np.zeros(5), b)
-    om.rm_update(space, a, rng.standard_normal(5))
-    assert space.size == 1
-    x_new = rng.standard_normal(5)
-    r_new = b - om.spmv(a, x_new)
-    om.rm_reset(space, x_new, r_new)
-    assert space.size == 0
-    assert space.current_solution()[0] is not None
-    assert np.array_equal(space.current_solution()[1], r_new)
-    with pytest.raises(ValueError, match="length"):
-        om.rm_reset(space, np.zeros(6), np.zeros(6))
 
 
 def test_exact_solve_after_n_independent_directions():
@@ -188,4 +193,4 @@ def test_coefficients_track_basis_size():
     space = om.rm_init(np.zeros(7), rng.standard_normal(7))
     for _ in range(4):
         om.rm_update(space, a, rng.standard_normal(7))
-    assert len(space.coeffs) == space.size == len(space.directions) == 4
+    assert space.size == len(space.basis) == len(space.directions) == 4

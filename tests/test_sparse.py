@@ -115,24 +115,6 @@ def test_empty_trailing_rows_are_valid():
 # vector kernels
 
 
-def test_dot_pinned():
-    assert om.dot([1.0, 2.0], [3.0, 4.0]) == 11.0
-
-
-def test_dot_matches_compensated_sum():
-    rng = np.random.default_rng(11)
-    for _ in range(30):
-        n = int(rng.integers(1, 200))
-        x = rng.standard_normal(n)
-        y = rng.standard_normal(n)
-        assert om.dot(x, y) == pytest.approx(compensated_dot(x, y), rel=1e-13, abs=1e-13)
-
-
-def test_dot_rejects_mismatched_shapes():
-    with pytest.raises(ValueError):
-        om.dot(np.ones(3), np.ones(4))
-
-
 def test_norm2():
     assert om.norm2([3.0, 4.0]) == 5.0
     assert om.norm2(np.zeros(10)) == 0.0

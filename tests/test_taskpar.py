@@ -1,7 +1,9 @@
 """Task-parallel engine tests: worker groups, message protocol, equivalence."""
 
 import io
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -98,15 +100,6 @@ def test_assign_groups_single_level_keeps_everything():
     assert ga.coarsest_workers == 7
 
 
-def test_intergrid_placement_options():
-    assert om.intergrid_placement(0) == ("coarse",)
-    assert om.intergrid_placement(2, om.PLACEMENT_BOTH_GROUPS) == ("coarse", "smoother")
-    with pytest.raises(ValueError, match="non-negative"):
-        om.intergrid_placement(-1)
-    with pytest.raises(ValueError, match="unknown placement"):
-        om.intergrid_placement(0, "fine_group")
-
-
 # ---------------------------------------------------------------------------
 # message trace
 
@@ -128,9 +121,9 @@ def test_message_trace_csv_roundtrip():
     buf = io.StringIO()
     trace.to_csv(buf)
     lines = buf.getvalue().splitlines()
-    assert lines[0] == "wall_time,level,role,kind,cycle_index"
-    wall, level, role, kind, cycle = lines[1].split(",")
-    assert float(wall) == trace.rows[0].wall_time
+    assert lines[0] == "seconds,level,role,kind,cycle_index"
+    seconds, level, role, kind, cycle = lines[1].split(",")
+    assert float(seconds) == trace.rows[0].seconds
     assert (int(level), role, kind, int(cycle)) == (0, "smoother", "smoother_done", 4)
 
 
@@ -246,26 +239,6 @@ def test_realtime_survives_a_slow_coarse_side():
     assert res.residual_norm <= 1e-8 * om.norm2(b)
 
 
-def test_placement_option_changes_attribution_not_numbers():
-    h, b, smoothers = two_level()
-    cfg = cycle_config("additive_task_parallel", smoothers)
-    x0 = np.zeros(h.finest.n_dofs)
-    ga = om.assign_groups(h, 2)
-    sched = om.SchedulerMode.deterministic(1)
-    trace_a, trace_b = om.MessageTrace(), om.MessageTrace()
-    res_a = om.async_solve(h, b, x0, cfg, ga, sched,
-                           placement=om.PLACEMENT_COARSE_GROUP, trace=trace_a)
-    res_b = om.async_solve(h, b, x0, cfg, ga, sched,
-                           placement=om.PLACEMENT_BOTH_GROUPS, trace=trace_b)
-    assert np.array_equal(res_a.x, res_b.x)
-    assert history_records(res_a) == history_records(res_b)
-    moves_a = trace_a.rows_of_kind("restrict", "prolong")
-    moves_b = trace_b.rows_of_kind("restrict", "prolong")
-    assert {r.role for r in moves_a} == {"coarse"}
-    assert {r.role for r in moves_b} == {"coarse", "smoother"}
-    assert len(moves_b) == 2 * len(moves_a)
-
-
 # ---------------------------------------------------------------------------
 # edge cases and shutdown
 
@@ -368,6 +341,89 @@ def test_hybrid_three_levels_converges():
     assert om.norm2(b - om.spmv(h.finest.matrix, res.x)) == pytest.approx(
         res.residual_norm, abs=1e-9 * om.norm2(b)
     )
+
+
+def test_hybrid_keeps_one_engine_for_the_whole_solve():
+    _, h, b, smoothers = benchmark_setup(cells=64, l_min=64)
+    assert h.n_levels == 4
+    cfg = cycle_config("hybrid", smoothers)
+    trace = om.MessageTrace()
+    res = om.hybrid_solve(h, b, np.zeros(h.finest.n_dofs), cfg,
+                          om.assign_groups(h, 4), om.SchedulerMode.deterministic(1),
+                          trace=trace)
+    assert res.converged
+    assert res.iterations >= 2
+    stops = [row.level for row in trace.rows_of_kind(om.MSG_TERMINATE)]
+    # one stop for the top boundary of the engine and one for the
+    # asynchronous boundary beneath it, however many finest iterations ran
+    assert sorted(stops) == [1, 2]
+    started = [r.cycle_index for r in trace.rows_of_kind(om.MSG_UPDATED_RESIDUAL)
+               if r.level == 1]
+    assert started == list(range(len(started)))
+    assert len(started) > res.iterations
+    assert coarse_threads() == []
+
+
+def test_back_to_back_deterministic_hybrid_solves_match():
+    _, h, b, smoothers = benchmark_setup(cells=64, l_min=64)
+    cfg = cycle_config("hybrid", smoothers)
+    x0 = np.zeros(h.finest.n_dofs)
+    ga = om.assign_groups(h, 4)
+    first = om.hybrid_solve(h, b, x0, cfg, ga, om.SchedulerMode.deterministic(2))
+    second = om.hybrid_solve(h, b, x0, cfg, ga, om.SchedulerMode.deterministic(2))
+    assert history_records(first) == history_records(second)
+    assert np.array_equal(first.x, second.x)
+
+
+def test_persistent_engine_protocol_under_thread_switching():
+    # more threads than cores and a short switch interval: every coarse
+    # call of the one engine is answered once, in order, and it stops once
+    _, h, b, smoothers = benchmark_setup(cells=64, l_min=64)
+    cfg = cycle_config("hybrid", smoothers)
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        trace = om.MessageTrace()
+        res = om.hybrid_solve(h, b, np.zeros(h.finest.n_dofs), cfg,
+                              om.assign_groups(h, 6), om.SchedulerMode.realtime(),
+                              trace=trace, watchdog_seconds=30.0)
+    finally:
+        sys.setswitchinterval(previous)
+    assert res.converged
+    for level in (1, 2):
+        rows = [r for r in trace.rows if r.level == level]
+        started = [r.cycle_index for r in rows if r.kind == om.MSG_UPDATED_RESIDUAL]
+        assert started == list(range(len(started)))
+        for kind in (om.MSG_COARSE_DONE, om.MSG_COARSE_CORRECTION):
+            assert [r.cycle_index for r in rows if r.kind == kind] == started
+        assert [r.kind for r in rows].count(om.MSG_TERMINATE) == 1
+    assert coarse_threads() == []
+
+
+class _SlowSmoother:
+    """Finest-level smoother that takes longer than the watchdog."""
+
+    def __init__(self, inner, seconds):
+        self.inner = inner
+        self.seconds = seconds
+
+    def apply(self, a, r):
+        time.sleep(self.seconds)
+        return self.inner.apply(a, r)
+
+
+def test_hybrid_engine_idles_through_a_slow_finest_step():
+    # the servants wait between coarse calls longer than watchdog_seconds;
+    # only a receive inside a running coarse solve may time out
+    h, b, smoothers = three_level()
+    slow = (_SlowSmoother(smoothers[0], 0.25),) + smoothers[1:]
+    cfg = cycle_config("hybrid", slow, criteria=om.ConvergenceCriteria(eps_rel=1e-4))
+    res = om.hybrid_solve(h, b, np.zeros(h.finest.n_dofs), cfg,
+                          om.assign_groups(h, 3), om.SchedulerMode.deterministic(1),
+                          watchdog_seconds=0.2)
+    assert res.converged
+    assert res.iterations >= 2
+    assert coarse_threads() == []
 
 
 def test_hybrid_needs_two_levels():
