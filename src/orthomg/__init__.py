@@ -65,7 +65,6 @@ from .taskpar import (
     MSG_UPDATED_RESIDUAL,
     ROLE_COARSE,
     ROLE_SMOOTHER,
-    ExchangeMessage,
     GroupAssignment,
     MessageTrace,
     SchedulerMode,
@@ -113,7 +112,7 @@ __all__ = [
     "VARIANT_ADDITIVE_TASK_PARALLEL", "VARIANT_HYBRID",
     "KIND_INITIAL", "KIND_SMOOTHER", "KIND_COARSE", "KIND_FINAL",
     # task-parallel engine
-    "ExchangeMessage", "SchedulerMode", "GroupAssignment", "assign_groups",
+    "SchedulerMode", "GroupAssignment", "assign_groups",
     "MessageTrace", "async_solve", "hybrid_solve",
     "MSG_SMOOTHER_DONE", "MSG_COARSE_DONE", "MSG_COARSE_CORRECTION",
     "MSG_UPDATED_RESIDUAL", "MSG_TERMINATE", "MESSAGE_KINDS",

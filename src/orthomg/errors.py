@@ -17,7 +17,7 @@ class NumericalFailureError(RuntimeError):
 
 
 class ExchangeTimeoutError(RuntimeError):
-    """No message crossed a level boundary within the watchdog window."""
+    """No coarse correction crossed a level boundary within the watchdog window."""
 
 
 class WorkerError(RuntimeError):

@@ -49,7 +49,6 @@ class SearchSpace:
 
     __slots__ = (
         "anchor_x",
-        "anchor_r",
         "basis",
         "directions",
         "breakdown_count",
@@ -74,7 +73,6 @@ class SearchSpace:
 
     def _set_anchor(self, x0, r0):
         self.anchor_x = x0
-        self.anchor_r = r0
         self.basis = []
         self.directions = []
         self._x = x0

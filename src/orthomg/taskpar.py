@@ -1,20 +1,17 @@
-"""Semi-asynchronous task-parallel cycles over message-passing worker groups.
+"""Semi-asynchronous task-parallel cycles: one coarse task per cycle.
 
-Every level boundary separates a smoother group (fine side) from a
-coarse group that owns all deeper levels.  Within one cycle the smoother
-side keeps sweeping and minimizing while the coarse side restricts the
-cycle-start residual, solves its level, and prolongs the correction
-exactly once; the two sides meet at a single exchange per cycle.  The
-groups run as in-process threads connected by ordered point-to-point
-queues, and every payload changes hands only through a message, so a
-distributed transport could replace the queues without touching the
-cycle logic.
+Every level boundary separates a smoother side (fine) from a coarse side
+that owns all deeper levels.  Each cycle submits one coarse task, which
+restricts the cycle-start residual, solves the next level, and prolongs
+the correction; its result is a ``concurrent.futures.Future``.  The
+smoother side keeps sweeping and minimizing until it stops and waits for
+that future, then folds the correction in.
 
 Each level runs the shared loop of :func:`orthomg.sync.level_loop`
-with a task-parallel body: send the cycle-start residual across the
-boundary, sweep until the correction arrives, fold it in.  An engine
-starts its servant threads once and serves any number of solves of its
-top level, so the hybrid cycle keeps one engine for a whole solve.
+with a task-parallel body: submit the cycle-start residual, sweep, fold
+in the correction.  An engine starts one coarse-side worker thread per
+boundary and serves any number of solves of its top level, so the
+hybrid cycle keeps one engine for a whole solve.
 
 A deterministic scheduler mode pins the number of smoother sweeps per
 cycle, which makes runs bitwise reproducible and, at one sweep per
@@ -24,7 +21,8 @@ cycle, reduces the protocol to the synchronous additive cycle.
 import queue
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import TimeoutError as FutureTimeoutError
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, replace
 
@@ -54,7 +52,6 @@ __all__ = [
     "MSG_UPDATED_RESIDUAL",
     "MSG_TERMINATE",
     "MESSAGE_KINDS",
-    "ExchangeMessage",
     "SchedulerMode",
     "GroupAssignment",
     "TraceRow",
@@ -69,7 +66,6 @@ MSG_COARSE_DONE = "coarse_done"
 MSG_COARSE_CORRECTION = "coarse_correction"
 MSG_UPDATED_RESIDUAL = "updated_residual"
 MSG_TERMINATE = "terminate"
-_MSG_ERROR = "error"
 
 ROLE_SMOOTHER = "smoother"
 ROLE_COARSE = "coarse"
@@ -82,14 +78,9 @@ MESSAGE_KINDS = frozenset(
      MSG_UPDATED_RESIDUAL, MSG_TERMINATE}
 )
 
-
-@dataclass(frozen=True)
-class ExchangeMessage:
-    """One message crossing a level boundary; payloads transfer ownership."""
-
-    kind: str
-    cycle_index: int
-    payload: object = None
+# How long leaving an engine waits for each coarse worker to stop; a worker
+# still running a stalled task is a daemon thread and is left behind.
+JOIN_SECONDS = 5.0
 
 
 @dataclass(frozen=True)
@@ -130,10 +121,6 @@ class GroupAssignment:
     @property
     def total_workers(self):
         return sum(self.smoother_workers) + self.coarsest_workers
-
-    def coarse_group_size(self, level):
-        """Workers owned by the coarse side of the boundary at ``level``."""
-        return sum(self.smoother_workers[level + 1:]) + self.coarsest_workers
 
 
 def assign_groups(hierarchy, total_workers, coarsest_workers=1):
@@ -210,32 +197,45 @@ class MessageTrace:
             )
 
 
-class _Channel:
-    """Ordered point-to-point queues across one level boundary."""
+class _Worker:
+    """A daemon thread that runs submitted calls in order, each into a future.
 
-    def __init__(self, boundary_level, mode):
-        self.boundary_level = boundary_level
-        self.mode = mode  # how the coarse side solves: "direct" | "async" | "sync"
-        self.down = queue.Queue()  # smoother side -> coarse side
-        self.up = queue.Queue()  # coarse side -> smoother side
-        self.cycles_started = -1  # index of the last cycle started, -1 before any
+    Daemon, so a coarse task that never returns cannot hold up interpreter
+    exit, unlike the joined workers of a ``ThreadPoolExecutor``.
+    """
 
-    def next_cycle(self):
-        self.cycles_started += 1
-        return self.cycles_started
+    def __init__(self, name):
+        self._calls = queue.SimpleQueue()
+        self.thread = threading.Thread(target=self._run, name=name, daemon=True)
+        self.thread.start()
+
+    def submit(self, fn, *args):
+        future = Future()
+        self._calls.put((future, fn, args))
+        return future
+
+    def stop(self):
+        self._calls.put(None)
+
+    def _run(self):
+        while (call := self._calls.get()) is not None:
+            future, fn, args = call
+            try:
+                future.set_result(fn(*args))
+            except BaseException as exc:  # noqa: BLE001 - raised again by whoever waits
+                future.set_exception(exc)
 
 
 class _AsyncEngine:
-    """Servant threads below ``top_level``, started once for any number of solves.
+    """Coarse-side workers below ``top_level``, started once for any number of solves.
 
-    Each boundary from ``top_level`` down gets a channel and a servant
-    thread that answers every residual with a coarse correction; the chain
-    ends at the first coarse side that solves directly or synchronously.
-    ``solve`` runs the top level's loop on the calling thread; leaving the
-    ``with`` block stops the servants.
+    Each boundary from ``top_level`` down gets one worker thread, which
+    runs that boundary's coarse corrections, one task per cycle.
+    ``run_level(top_level, ...)`` runs the top level's loop on the calling
+    thread; leaving the ``with`` block stops the workers.
     """
 
-    def __init__(self, hierarchy, cfg, assignment, sched, *, top_level=0, trace=None,
+    def __init__(self, hierarchy, cfg, sched, *, top_level=0, trace=None,
                  watchdog_seconds=60.0, coarse_delay_seconds=0.0):
         if watchdog_seconds <= 0.0:
             raise ValueError("watchdog_seconds must be positive")
@@ -246,174 +246,87 @@ class _AsyncEngine:
         self.trace = trace
         self.watchdog = watchdog_seconds
         self.coarse_delay = coarse_delay_seconds
-        self.in_flight_since = None  # perf_counter() of the running solve
-        self.channels = []
-        coarsest = hierarchy.n_levels - 1
-        for level in range(top_level, coarsest):
-            if level + 1 == coarsest:
-                mode = "direct"
-            elif assignment.coarse_group_size(level) >= 2:
-                mode = "async"
-            else:
-                mode = "sync"
-            self.channels.append(_Channel(level, mode))
-            if mode != "async":
-                break
-        children = self.channels[1:] + [None]
-        self.threads = [
-            threading.Thread(target=self._serve, args=(channel, child),
-                             name=f"coarse-l{channel.boundary_level + 1}", daemon=True)
-            for channel, child in zip(self.channels, children)
-        ]
-        for thread in self.threads:
-            thread.start()
+        boundaries = range(top_level, hierarchy.n_levels - 1)
+        self.cycles = {k: -1 for k in boundaries}  # last cycle started, -1 before any
+        self.workers = {k: _Worker(f"coarse-l{k + 1}") for k in boundaries}
 
     def __enter__(self):
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        if exc_type is not None:
-            # Unblock every servant before the exception propagates.
-            for channel in self.channels:
-                channel.down.put(ExchangeMessage(MSG_TERMINATE, -1, None))
-            for thread in self.threads:
-                thread.join(timeout=5.0)
-            return
-        top = self.channels[0]
-        self._send(top, "down", ROLE_SMOOTHER, MSG_TERMINATE, None, top.cycles_started)
-        for thread in self.threads:
-            thread.join(timeout=self.watchdog)
-            if thread.is_alive():
-                raise ExchangeTimeoutError(f"worker {thread.name} did not shut down")
-
-    # -- coarse side -----------------------------------------------------
-
-    def _serve(self, channel, child):
-        """Servant thread: answer each residual on ``channel`` until terminated."""
-        try:
-            while True:
-                msg = self._receive(channel.down, channel.boundary_level)
-                if msg.kind == MSG_TERMINATE:
-                    break
-                if msg.kind == MSG_UPDATED_RESIDUAL:
-                    self._correct(channel, child, msg)
-                elif msg.kind != MSG_SMOOTHER_DONE:
-                    raise RuntimeError(f"unexpected message kind {msg.kind!r}")
-        except BaseException as exc:  # noqa: BLE001 - must surface on the driving thread
-            level = channel.boundary_level + 1
-            channel.up.put(ExchangeMessage(_MSG_ERROR, -1, (level, exc)))
-        finally:
-            if child is not None:
-                self._send(child, "down", ROLE_SMOOTHER, MSG_TERMINATE, None,
-                           child.cycles_started)
-
-    def _correct(self, channel, child, msg):
-        """Restrict the residual, solve the next level, send back the prolongation."""
-        boundary = channel.boundary_level
-        if self.coarse_delay > 0.0 and boundary == self.top_level:
-            time.sleep(self.coarse_delay)
-        fine = self.hierarchy.levels[boundary]
-        coarse = self.hierarchy.levels[boundary + 1]
-        coarse_residual = spmv(fine.restriction, msg.payload)
-        self._trace(boundary, ROLE_COARSE, TRACE_RESTRICT, msg.cycle_index)
-        zeros = np.zeros(coarse.n_dofs)
-        if channel.mode == "direct":
-            coarse_x = coarsest_solve(coarse.matrix, coarse_residual)
-        elif channel.mode == "sync":
-            coarse_x = solve_level(self.hierarchy, coarse.index, coarse_residual, zeros,
-                                   self.cfg, multiplicative_body).x
-        else:
-            coarse_x = self.run_level(coarse.index, coarse_residual, zeros, child).x
-        correction = spmv(fine.prolongation, coarse_x)
-        self._trace(boundary, ROLE_COARSE, TRACE_PROLONG, msg.cycle_index)
-        self._send(channel, "up", ROLE_COARSE, MSG_COARSE_DONE, None, msg.cycle_index)
-        self._send(channel, "up", ROLE_COARSE, MSG_COARSE_CORRECTION, correction,
-                   msg.cycle_index)
-
-    # -- messaging ---------------------------------------------------
+        # After a normal solve every worker is idle; after a failure one may
+        # still run a stalled task, which must not hold the error back.
+        for boundary, worker in self.workers.items():
+            self._trace(boundary, ROLE_SMOOTHER, MSG_TERMINATE, self.cycles[boundary])
+            worker.stop()
+        for worker in self.workers.values():
+            worker.thread.join(timeout=JOIN_SECONDS)
 
     def _trace(self, level, role, kind, cycle_index):
         if self.trace is not None:
             self.trace.record(level, role, kind, cycle_index)
 
-    def _send(self, channel, direction, role, kind, payload, cycle_index):
-        self._trace(channel.boundary_level, role, kind, cycle_index)
-        target = channel.down if direction == "down" else channel.up
-        target.put(ExchangeMessage(kind, cycle_index, payload))
+    def _correct(self, boundary, r, cycle):
+        """Coarse task: restrict ``r``, solve the next level, prolong the correction."""
+        if self.coarse_delay > 0.0 and boundary == self.top_level:
+            time.sleep(self.coarse_delay)
+        fine = self.hierarchy.levels[boundary]
+        coarse = self.hierarchy.levels[boundary + 1]
+        coarse_residual = spmv(fine.restriction, r)
+        self._trace(boundary, ROLE_COARSE, TRACE_RESTRICT, cycle)
+        if coarse.index == self.hierarchy.n_levels - 1:
+            coarse_x = coarsest_solve(coarse.matrix, coarse_residual)
+        else:
+            coarse_x = self.run_level(coarse.index, coarse_residual,
+                                      np.zeros(coarse.n_dofs)).x
+        correction = spmv(fine.prolongation, coarse_x)
+        self._trace(boundary, ROLE_COARSE, TRACE_PROLONG, cycle)
+        self._trace(boundary, ROLE_COARSE, MSG_COARSE_DONE, cycle)
+        self._trace(boundary, ROLE_COARSE, MSG_COARSE_CORRECTION, cycle)
+        return correction
 
-    def _receive(self, q, boundary_level):
-        """Next message on ``q``; the watchdog counts only while a solve runs.
+    def _wait(self, boundary, future):
+        """The correction ``future`` holds, or the reason it did not come."""
+        try:
+            cause = future.exception(timeout=self.watchdog)
+        except FutureTimeoutError:
+            raise ExchangeTimeoutError(
+                f"no coarse correction crossed level boundary {boundary} within "
+                f"{self.watchdog:.1f}s"
+            ) from None
+        if cause is not None:
+            raise WorkerError(boundary + 1, ROLE_COARSE, cause)
+        return future.result()
 
-        A servant waiting for work between two solves of a persistent
-        engine is idle, not stalled.
-        """
-        waiting_since = time.perf_counter()
-        while True:
-            try:
-                msg = q.get(timeout=self.watchdog)
-                break
-            except queue.Empty:
-                since = self.in_flight_since
-                if since is not None and (
-                    time.perf_counter() - max(since, waiting_since) >= self.watchdog
-                ):
-                    raise ExchangeTimeoutError(
-                        f"no message crossed level boundary {boundary_level} within "
-                        f"{self.watchdog:.1f}s"
-                    ) from None
-        if msg.kind == _MSG_ERROR:
-            level, cause = msg.payload
-            raise WorkerError(level, ROLE_COARSE, cause)
-        return msg
-
-    def _receive_correction(self, channel, cycle_index):
-        for expected in (MSG_COARSE_DONE, MSG_COARSE_CORRECTION):
-            msg = self._receive(channel.up, channel.boundary_level)
-            if msg.kind != expected or msg.cycle_index != cycle_index:
-                raise RuntimeError(
-                    f"protocol violation at boundary {channel.boundary_level}: "
-                    f"expected {expected} for cycle {cycle_index}, "
-                    f"got {msg.kind} for cycle {msg.cycle_index}"
-                )
-        return msg.payload
-
-    # -- fine side -------------------------------------------------------
-
-    def run_level(self, level, b, x0, channel, history=None):
-        """The shared level loop with the task-parallel body over ``channel``."""
+    def run_level(self, level, b, x0, history=None):
+        """The shared level loop with the task-parallel body at ``level``."""
         a = self.hierarchy.levels[level].matrix
         smoother = self.cfg.smoothers[level]
         sched = self.sched
+        worker = self.workers[level]
 
         def body(space, r, record):
-            cycle = channel.next_cycle()
-            self._send(channel, "down", ROLE_SMOOTHER, MSG_UPDATED_RESIDUAL, r, cycle)
+            self.cycles[level] += 1
+            cycle = self.cycles[level]
+            self._trace(level, ROLE_SMOOTHER, MSG_UPDATED_RESIDUAL, cycle)
+            future = worker.submit(self._correct, level, r, cycle)
             sweeps = 0
             while True:
                 x, r = rm_update(space, a, smoother.apply(a, r))
                 record(KIND_SMOOTHER, r)
                 sweeps += 1
                 if sweeps == 1:
-                    self._send(channel, "down", ROLE_SMOOTHER, MSG_SMOOTHER_DONE,
-                               None, cycle)
+                    self._trace(level, ROLE_SMOOTHER, MSG_SMOOTHER_DONE, cycle)
                 if sched.kind == "deterministic":
                     if sweeps >= sched.sweeps_per_cycle:
                         break
-                elif not channel.up.empty():
+                elif future.done():
                     break
-            x, r = rm_update(space, a, self._receive_correction(channel, cycle))
+            x, r = rm_update(space, a, self._wait(level, future))
             record(KIND_COARSE, r)
             return x, r
 
         return level_loop(self.hierarchy, level, b, x0, self.cfg, body, history)
-
-    def solve(self, b, x0, history=None):
-        """Solve the top level against the running servants."""
-        self.in_flight_since = time.perf_counter()
-        try:
-            return self.run_level(self.top_level, b, x0, self.channels[0], history)
-        finally:
-            self.in_flight_since = None
 
 
 @contextmanager
@@ -440,14 +353,13 @@ def async_solve(hierarchy, b, x0, cfg, assignment, sched, *, trace=None,
     cfg : CycleConfig
         Criteria, smoothers, and the outer iteration cap.
     assignment : GroupAssignment
-        Worker counts; a boundary whose coarse side owns at least two
-        workers runs the next level asynchronously as well, otherwise
-        that side degrades to the synchronous cycle.
+        Worker counts; each smoother level of two or more workers sweeps
+        its subdomains on a thread pool of that size.
     sched : SchedulerMode
     trace : MessageTrace, optional
-        Receives one row per message and per transfer application.
+        Receives one row per protocol event and per transfer application.
     watchdog_seconds : float, optional
-        Deadlock guard on every blocking receive.
+        Deadlock guard on every wait for a coarse correction.
     coarse_delay_seconds : float, optional
         Test hook: sleep injected before each top-boundary coarse solve.
 
@@ -460,10 +372,10 @@ def async_solve(hierarchy, b, x0, cfg, assignment, sched, *, trace=None,
     if hierarchy.n_levels == 1:
         return orthomg_solve_additive(hierarchy, b, x0, cfg)
     with _bound_smoothers(cfg, assignment) as bound, \
-            _AsyncEngine(hierarchy, bound, assignment, sched, trace=trace,
+            _AsyncEngine(hierarchy, bound, sched, trace=trace,
                          watchdog_seconds=watchdog_seconds,
                          coarse_delay_seconds=coarse_delay_seconds) as engine:
-        return engine.solve(b, x0, ConvergenceHistory(cfg.history_enabled))
+        return engine.run_level(0, b, x0, ConvergenceHistory(cfg.history_enabled))
 
 
 def hybrid_solve(hierarchy, b, x0, cfg, assignment, sched=None, *, trace=None,
@@ -487,13 +399,13 @@ def hybrid_solve(hierarchy, b, x0, cfg, assignment, sched=None, *, trace=None,
         coarse = None  # two levels: the synchronous direct coarse solve
         if hierarchy.n_levels > 2:
             engine = stack.enter_context(_AsyncEngine(
-                hierarchy, bound, assignment, sched, top_level=1, trace=trace,
+                hierarchy, bound, sched, top_level=1, trace=trace,
                 watchdog_seconds=watchdog_seconds))
             finest = hierarchy.levels[0]
 
             def coarse(r):
-                sub = engine.solve(spmv(finest.restriction, r),
-                                   np.zeros(hierarchy.levels[1].n_dofs))
+                sub = engine.run_level(1, spmv(finest.restriction, r),
+                                       np.zeros(hierarchy.levels[1].n_dofs))
                 return spmv(finest.prolongation, sub.x)
 
         return solve_level(hierarchy, 0, b, x0, bound, multiplicative_body, history,

@@ -269,15 +269,21 @@ def test_criterion_6_staleness_tolerance():
             om.SchedulerMode.realtime(), coarse_delay_seconds=delay,
         )
 
+    def sweeps(result):
+        return result.history.kinds().count("smoother")
+
     prompt = run(0.0)
     stale = run(10.0 * sweep)
     assert prompt.converged and stale.converged
-    assert stale.iterations <= 2 * prompt.iterations, (
-        f"cycles grew {prompt.iterations} -> {stale.iterations} "
+    # a late coarse side packs more sweeps into fewer cycles, so the work
+    # bound counts finest-level smoother steps, not cycles
+    assert sweeps(stale) <= 2 * sweeps(prompt), (
+        f"smoother steps grew {sweeps(prompt)} -> {sweeps(stale)} "
         f"under a {10 * sweep * 1e3:.1f} ms delay"
     )
-    return (f"sweep {sweep * 1e3:.1f} ms; cycles "
-            f"{prompt.iterations} -> {stale.iterations} with 10x delay")
+    return (f"sweep {sweep * 1e3:.1f} ms; smoother steps {sweeps(prompt)} -> "
+            f"{sweeps(stale)}, cycles {prompt.iterations} -> {stale.iterations} "
+            f"with 10x delay")
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,18 @@
 """Task-parallel engine tests: worker groups, message protocol, equivalence."""
 
 import io
+import os
+import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import orthomg as om
+import orthomg.taskpar as taskpar
 from helpers import benchmark_setup, cycle_config
 
 
@@ -50,10 +54,6 @@ def test_scheduler_mode_factories_and_validation():
 def test_group_assignment_validation_and_sizes():
     ga = om.GroupAssignment((3, 2, 1), 2)
     assert ga.total_workers == 8
-    # coarse side of boundary 0 owns everything below the finest level
-    assert ga.coarse_group_size(0) == 5
-    assert ga.coarse_group_size(1) == 3
-    assert ga.coarse_group_size(2) == 2
     with pytest.raises(ValueError, match="coarsest group"):
         om.GroupAssignment((1,), 0)
     with pytest.raises(ValueError, match="every smoother level"):
@@ -145,8 +145,8 @@ def test_deterministic_single_sweep_matches_additive_sync_two_levels():
 
 
 def test_deterministic_single_sweep_matches_additive_sync_three_levels():
-    # with one worker per coarse boundary the chain degrades level by
-    # level to the synchronous recursion, record for record
+    # both boundaries run asynchronously, the lower one solving directly;
+    # one sweep per cycle still reproduces the additive recursion exactly
     h, b, smoothers = three_level()
     cfg = cycle_config("additive_sync", smoothers)
     x0 = np.zeros(h.finest.n_dofs)
@@ -315,6 +315,45 @@ def test_watchdog_breaks_a_stalled_exchange():
     assert coarse_threads() == []
 
 
+def test_stalled_coarse_task_raises_within_watchdog_and_join_bound(monkeypatch):
+    # the coarse task outlives the join bound; the error must not wait for it
+    monkeypatch.setattr(taskpar, "JOIN_SECONDS", 0.2)
+    h, b, smoothers = two_level()
+    cfg = cycle_config("additive_task_parallel", smoothers)
+    started = time.perf_counter()
+    with pytest.raises(om.ExchangeTimeoutError, match="level boundary 0"):
+        om.async_solve(h, b, np.zeros(h.finest.n_dofs), cfg,
+                       om.assign_groups(h, 2), om.SchedulerMode.deterministic(1),
+                       watchdog_seconds=0.05, coarse_delay_seconds=1.0)
+    elapsed = time.perf_counter() - started
+    # 0.25 s of slack for the one sweep and thread start-up on a loaded host
+    assert elapsed < 0.05 + 0.2 + 0.25
+    for thread in coarse_threads():
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
+
+
+def test_stalled_coarse_task_does_not_block_interpreter_exit():
+    script = (
+        "import sys, numpy as np, orthomg as om\n"
+        "from helpers import benchmark_setup, cycle_config\n"
+        "om.taskpar.JOIN_SECONDS = 0.1\n"
+        "_, h, b, sm = benchmark_setup(cells=16, l_min=64)\n"
+        "try:\n"
+        "    om.async_solve(h, b, np.zeros(h.finest.n_dofs),\n"
+        "                   cycle_config('additive_task_parallel', sm),\n"
+        "                   om.assign_groups(h, 2), om.SchedulerMode.deterministic(1),\n"
+        "                   watchdog_seconds=0.05, coarse_delay_seconds=60.0)\n"
+        "except om.ExchangeTimeoutError:\n"
+        "    sys.exit(0)\n"
+        "sys.exit(1)\n"
+    )
+    path = [str(p) for p in (Path(taskpar.__file__).parents[1], Path(__file__).parent)]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    done = subprocess.run([sys.executable, "-c", script], env=env, timeout=30)
+    assert done.returncode == 0
+
+
 # ---------------------------------------------------------------------------
 # hybrid cycle
 
@@ -413,8 +452,8 @@ class _SlowSmoother:
 
 
 def test_hybrid_engine_idles_through_a_slow_finest_step():
-    # the servants wait between coarse calls longer than watchdog_seconds;
-    # only a receive inside a running coarse solve may time out
+    # the coarse workers idle between coarse calls longer than
+    # watchdog_seconds; only a wait for a correction may time out
     h, b, smoothers = three_level()
     slow = (_SlowSmoother(smoothers[0], 0.25),) + smoothers[1:]
     cfg = cycle_config("hybrid", slow, criteria=om.ConvergenceCriteria(eps_rel=1e-4))
