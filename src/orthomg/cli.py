@@ -11,9 +11,9 @@ import statistics
 import sys
 import time
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from csv import DictWriter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -33,12 +33,19 @@ from .sync import (
     VARIANT_ADDITIVE_SYNC,
     VARIANT_ADDITIVE_TASK_PARALLEL,
     VARIANT_HYBRID,
-    VARIANT_MULTIPLICATIVE_SYNC,
     CycleConfig,
+    _bound_smoothers,
     orthomg_solve_additive,
     orthomg_solve_multiplicative,
 )
-from .taskpar import MessageTrace, SchedulerMode, assign_groups, async_solve, hybrid_solve
+from .taskpar import (
+    MessageTrace,
+    SchedulerMode,
+    assign_groups,
+    async_solve,
+    hybrid_solve,
+    minimum_workers,
+)
 
 __all__ = ["main", "prepare_problem", "execute_run"]
 
@@ -46,12 +53,6 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_BAD_CONFIG = 2
 EXIT_NOT_CONVERGED = 3
-
-_SYNC_SOLVERS = {
-    VARIANT_ADDITIVE_SYNC: orthomg_solve_additive,
-    VARIANT_MULTIPLICATIVE_SYNC: orthomg_solve_multiplicative,
-}
-
 
 @dataclass(eq=False)
 class PreparedProblem:
@@ -75,17 +76,31 @@ def execute_run(cfg, prepared, variant, workers):
     """One timed solve.  Returns ``(record, result, trace)``.
 
     The timer wraps only the solver call; assembly, smoother setup, and
-    thread-pool creation happen outside it.
+    the sync variants' thread pools happen outside it.  ``workers`` sizes
+    each level's smoother pool for the sync variants and is the total
+    that :func:`assign_groups` splits for the task-parallel ones.
     """
     hierarchy = prepared.hierarchy
     spec = prepared.spec
     notes = []
-    cpu_count = os.cpu_count() or 1
-    x0 = np.zeros(hierarchy.finest.n_dofs)
     task_parallel = variant in (VARIANT_ADDITIVE_TASK_PARALLEL, VARIANT_HYBRID)
     trace = MessageTrace() if (cfg.trace_enabled and task_parallel) else None
     if cfg.trace_enabled and not task_parallel:
         notes.append("message tracing applies to task-parallel variants only")
+    used = workers
+    if task_parallel:
+        used = max(workers, minimum_workers(hierarchy, cfg.coarsest_workers))
+    if used != workers:
+        notes.append(
+            f"workers raised from {workers} to {used},"
+            f" the minimum for {hierarchy.n_levels} levels"
+        )
+    cpu_count = os.cpu_count() or 1
+    if used > cpu_count:
+        notes.append(
+            f"{used} workers exceed the machine's parallelism"
+            f" ({cpu_count} available)"
+        )
     cycle_cfg = CycleConfig(
         variant=variant,
         criteria=build_criteria(cfg),
@@ -95,54 +110,23 @@ def execute_run(cfg, prepared, variant, workers):
     )
 
     if task_parallel:
-        minimum = 1
-        if hierarchy.n_levels > 1:
-            minimum = (hierarchy.n_levels - 1) + cfg.coarsest_workers
-        used = max(workers, minimum)
-        if used != workers:
-            notes.append(
-                f"workers raised from {workers} to {used},"
-                f" the minimum for {hierarchy.n_levels} levels"
-            )
-        if used > cpu_count:
-            notes.append(
-                f"{used} workers exceed the machine's parallelism"
-                f" ({cpu_count} available)"
-            )
-        assignment = assign_groups(hierarchy, used, cfg.coarsest_workers)
-        sched = SchedulerMode(cfg.scheduler.mode, cfg.scheduler.sweeps_per_cycle)
-        solve = async_solve if variant == VARIANT_ADDITIVE_TASK_PARALLEL else hybrid_solve
-        start = time.perf_counter()
-        result = solve(
-            hierarchy, prepared.rhs, x0, cycle_cfg, assignment, sched,
-            trace=trace, watchdog_seconds=cfg.watchdog_seconds,
+        solve = partial(
+            async_solve if variant == VARIANT_ADDITIVE_TASK_PARALLEL else hybrid_solve,
+            assignment=assign_groups(hierarchy, used, cfg.coarsest_workers),
+            sched=SchedulerMode(cfg.scheduler.mode, cfg.scheduler.sweeps_per_cycle),
+            trace=trace,
+            watchdog_seconds=cfg.watchdog_seconds,
         )
-        seconds = time.perf_counter() - start
+        pool_workers = ()  # the solver binds its own pools from the assignment
     else:
-        used = workers
-        if used > cpu_count:
-            notes.append(
-                f"{used} workers exceed the machine's parallelism"
-                f" ({cpu_count} available)"
-            )
-        pool = None
-        try:
-            if used >= 2:
-                pool = ThreadPoolExecutor(max_workers=used, thread_name_prefix="smoother")
-                cycle_cfg = replace(
-                    cycle_cfg,
-                    smoothers=tuple(
-                        s.with_executor(pool, used) if s is not None else None
-                        for s in prepared.smoothers
-                    ),
-                )
-            solve = _SYNC_SOLVERS[variant]
-            start = time.perf_counter()
-            result = solve(hierarchy, prepared.rhs, x0, cycle_cfg)
-            seconds = time.perf_counter() - start
-        finally:
-            if pool is not None:
-                pool.shutdown(wait=True)
+        solve = (orthomg_solve_additive if variant == VARIANT_ADDITIVE_SYNC
+                 else orthomg_solve_multiplicative)
+        pool_workers = (used,) * hierarchy.n_levels
+    x0 = np.zeros(hierarchy.finest.n_dofs)
+    with _bound_smoothers(cycle_cfg, pool_workers) as bound:
+        start = time.perf_counter()
+        result = solve(hierarchy, prepared.rhs, x0, bound)
+        seconds = time.perf_counter() - start
 
     initial_norm = norm2(prepared.rhs)
     record = {
@@ -183,7 +167,6 @@ def _write_summary(outdir, payload):
 
 def cmd_solve(cfg):
     outdir = Path(cfg.output)
-    outdir.mkdir(parents=True, exist_ok=True)
     prepared = prepare_problem(cfg)
     record, result, trace = execute_run(cfg, prepared, cfg.solver.variant, cfg.workers)
     record["config_digest"] = config_digest(cfg)
@@ -211,180 +194,128 @@ _RUN_COLUMNS = [
 ]
 
 
-def _run_repetitions(cfg, prepared, variant, workers, repetitions, run_rows):
-    """Execute ``repetitions`` solves, append raw rows, return the records."""
-    records = []
-    for rep in range(repetitions):
-        try:
-            record, _, _ = execute_run(cfg, prepared, variant, workers)
-        except Exception as exc:  # a failing variant must not stop the sweep
-            run_rows.append({
-                "variant": variant,
-                "cells_per_axis": prepared.spec.cells_per_axis,
-                "workers_requested": workers,
-                "workers_used": "",
-                "repetition": rep,
-                "converged": False,
-                "iterations": "",
-                "residual_norm": "",
-                "seconds": "",
-                "note": f"failed: {exc}",
-            })
-            continue
-        records.append(record)
-        run_rows.append({
-            "variant": variant,
-            "cells_per_axis": record["cells_per_axis"],
-            "workers_requested": workers,
-            "workers_used": record["workers_used"],
-            "repetition": rep,
-            "converged": record["converged"],
-            "iterations": record["iterations"],
-            "residual_norm": repr(record["residual_norm"]),
-            "seconds": f"{record['seconds']:.6f}",
-            "note": "; ".join(record["notes"]),
-        })
-    return records
+def _sweep(cfg, problems, variants, worker_counts, run_rows):
+    """Time every variant at every worker count on each prepared problem.
+
+    Each point runs ``cfg.compare.repetitions`` solves and appends one
+    ``runs.csv`` row per solve to ``run_rows``; a solve that raises is
+    recorded there and left out of the point's records.  Yields
+    ``(cells, variant, workers, records)`` as each point completes.
+    """
+    for prepared in problems:
+        cells = prepared.spec.cells_per_axis
+        for variant in variants:
+            for workers in worker_counts:
+                records = []
+                for rep in range(cfg.compare.repetitions):
+                    row = {"variant": variant, "cells_per_axis": cells,
+                           "workers_requested": workers, "repetition": rep}
+                    try:
+                        record, _, _ = execute_run(cfg, prepared, variant, workers)
+                    except Exception as exc:  # a failing variant must not stop the sweep
+                        row.update(converged=False, note=f"failed: {exc}")
+                    else:
+                        records.append(record)
+                        row.update(
+                            workers_used=record["workers_used"],
+                            converged=record["converged"],
+                            iterations=record["iterations"],
+                            residual_norm=repr(record["residual_norm"]),
+                            seconds=f"{record['seconds']:.6f}",
+                            note="; ".join(record["notes"]),
+                        )
+                    run_rows.append(row)
+                yield cells, variant, workers, records
 
 
-def cmd_compare(cfg):
+def _aggregate(records):
+    """``(converged, mean_iterations, note)`` of one sweep point's records."""
+    converged = [rec for rec in records if rec["converged"]]
+    if not converged:
+        return converged, "", "" if records else "all repetitions failed"
+    mean_iterations = statistics.mean(rec["iterations"] for rec in converged)
+    return converged, f"{mean_iterations:.2f}", "; ".join(converged[0]["notes"])
+
+
+_COMPARE_COLUMNS = [
+    "variant", "smoother", "repetitions", "converged_runs",
+    "mean_iterations", "mean_seconds", "min_seconds", "max_seconds", "note",
+]
+_SCALING_COLUMNS = [
+    "variant", "cells_per_axis", "workers_requested", "workers_used",
+    "mean_seconds", "ideal_seconds", "speedup", "mean_iterations", "note",
+]
+
+
+def _write_reports(cfg, command, run_rows, table, columns, **summary):
+    """Write ``runs.csv``, ``<command>.csv`` and the summary; return the exit code."""
     outdir = Path(cfg.output)
-    outdir.mkdir(parents=True, exist_ok=True)
-    prepared = prepare_problem(cfg)
-    run_rows = []
-    table = []
-    for variant in cfg.compare.variants:
-        records = _run_repetitions(
-            cfg, prepared, variant, cfg.workers, cfg.compare.repetitions, run_rows
-        )
-        converged = [rec for rec in records if rec["converged"]]
-        row = {
-            "variant": variant,
-            "smoother": cfg.smoother.kind,
-            "repetitions": cfg.compare.repetitions,
-            "converged_runs": len(converged),
-            "mean_iterations": "",
-            "mean_seconds": "",
-            "min_seconds": "",
-            "max_seconds": "",
-            "note": "" if records else "all repetitions failed",
-        }
-        if converged:
-            secs = [rec["seconds"] for rec in converged]
-            row["mean_iterations"] = f"{statistics.mean(rec['iterations'] for rec in converged):.2f}"
-            row["mean_seconds"] = f"{statistics.mean(secs):.6f}"
-            row["min_seconds"] = f"{min(secs):.6f}"
-            row["max_seconds"] = f"{max(secs):.6f}"
-            row["note"] = "; ".join(converged[0]["notes"])
-        table.append(row)
-        print(
-            f"{variant}: converged {row['converged_runs']}/{cfg.compare.repetitions}"
-            + (
-                f", mean {row['mean_iterations']} iterations"
-                f" in {row['mean_seconds']}s"
-                if converged
-                else ""
-            )
-        )
     _write_csv(outdir / "runs.csv", run_rows, _RUN_COLUMNS)
-    _write_csv(
-        outdir / "compare.csv",
-        table,
-        [
-            "variant", "smoother", "repetitions", "converged_runs",
-            "mean_iterations", "mean_seconds", "min_seconds", "max_seconds", "note",
-        ],
-    )
+    _write_csv(outdir / f"{command}.csv", table, columns)
     _write_summary(outdir, {
-        "command": "compare",
-        "config_digest": config_digest(cfg),
-        "dofs": prepared.hierarchy.finest.n_dofs,
-        "levels": prepared.hierarchy.n_levels,
-        "rows": table,
-    })
-    all_ok = all(row["converged_runs"] > 0 for row in table)
-    return EXIT_OK if all_ok else EXIT_NOT_CONVERGED
-
-
-def cmd_scaling(cfg):
-    outdir = Path(cfg.output)
-    outdir.mkdir(parents=True, exist_ok=True)
-    run_rows = []
-    table = []
-    for cells in cfg.scaling.sizes:
-        prepared = prepare_problem(cfg, cells_per_axis=cells)
-        for variant in cfg.scaling.variants:
-            reference = None  # (workers, mean_seconds) at the first worker count
-            for workers in cfg.scaling.workers:
-                records = _run_repetitions(
-                    cfg, prepared, variant, workers, cfg.compare.repetitions, run_rows
-                )
-                converged = [rec for rec in records if rec["converged"]]
-                row = {
-                    "variant": variant,
-                    "cells_per_axis": cells,
-                    "workers_requested": workers,
-                    "workers_used": records[0]["workers_used"] if records else "",
-                    "mean_seconds": "",
-                    "ideal_seconds": "",
-                    "speedup": "",
-                    "mean_iterations": "",
-                    "note": "" if records else "all repetitions failed",
-                }
-                if converged:
-                    mean_secs = statistics.mean(rec["seconds"] for rec in converged)
-                    if reference is None:
-                        reference = (workers, mean_secs)
-                    row["mean_seconds"] = f"{mean_secs:.6f}"
-                    row["ideal_seconds"] = f"{reference[1] * reference[0] / workers:.6f}"
-                    row["speedup"] = f"{reference[1] / mean_secs:.3f}"
-                    row["mean_iterations"] = (
-                        f"{statistics.mean(rec['iterations'] for rec in converged):.2f}"
-                    )
-                    row["note"] = "; ".join(converged[0]["notes"])
-                table.append(row)
-                print(
-                    f"{variant} n={cells} workers={workers}:"
-                    + (
-                        f" mean {row['mean_seconds']}s"
-                        f" (ideal {row['ideal_seconds']}s, speedup {row['speedup']})"
-                        if converged
-                        else " all repetitions failed"
-                    )
-                )
-    _write_csv(outdir / "runs.csv", run_rows, _RUN_COLUMNS)
-    _write_csv(
-        outdir / "scaling.csv",
-        table,
-        [
-            "variant", "cells_per_axis", "workers_requested", "workers_used",
-            "mean_seconds", "ideal_seconds", "speedup", "mean_iterations", "note",
-        ],
-    )
-    _write_summary(outdir, {
-        "command": "scaling",
-        "config_digest": config_digest(cfg),
-        "rows": table,
+        "command": command, "config_digest": config_digest(cfg), **summary, "rows": table,
     })
     all_ok = all(row["mean_seconds"] != "" for row in table)
     return EXIT_OK if all_ok else EXIT_NOT_CONVERGED
 
 
+def cmd_compare(cfg):
+    prepared = prepare_problem(cfg)
+    repetitions = cfg.compare.repetitions
+    run_rows = []
+    table = []
+    points = _sweep(cfg, (prepared,), cfg.compare.variants, (cfg.workers,), run_rows)
+    for _, variant, _, records in points:
+        converged, mean_iterations, note = _aggregate(records)
+        row = dict.fromkeys(_COMPARE_COLUMNS, "")
+        row.update(variant=variant, smoother=cfg.smoother.kind, repetitions=repetitions,
+                   converged_runs=len(converged), mean_iterations=mean_iterations, note=note)
+        detail = ""
+        if converged:
+            secs = [rec["seconds"] for rec in converged]
+            row.update(mean_seconds=f"{statistics.mean(secs):.6f}",
+                       min_seconds=f"{min(secs):.6f}", max_seconds=f"{max(secs):.6f}")
+            detail = f", mean {mean_iterations} iterations in {row['mean_seconds']}s"
+        table.append(row)
+        print(f"{variant}: converged {len(converged)}/{repetitions}{detail}")
+    return _write_reports(cfg, "compare", run_rows, table, _COMPARE_COLUMNS,
+                          dofs=prepared.hierarchy.finest.n_dofs,
+                          levels=prepared.hierarchy.n_levels)
+
+
+def cmd_scaling(cfg):
+    run_rows = []
+    table = []
+    references = {}  # (cells, variant) -> (workers, mean_seconds) at the first converged count
+    problems = (prepare_problem(cfg, cells_per_axis=cells) for cells in cfg.scaling.sizes)
+    points = _sweep(cfg, problems, cfg.scaling.variants, cfg.scaling.workers, run_rows)
+    for cells, variant, workers, records in points:
+        converged, mean_iterations, note = _aggregate(records)
+        row = dict.fromkeys(_SCALING_COLUMNS, "")
+        row.update(variant=variant, cells_per_axis=cells, workers_requested=workers,
+                   workers_used=records[0]["workers_used"] if records else "",
+                   mean_iterations=mean_iterations, note=note)
+        detail = "all repetitions failed"
+        if converged:
+            mean_secs = statistics.mean(rec["seconds"] for rec in converged)
+            ref_workers, ref_secs = references.setdefault((cells, variant), (workers, mean_secs))
+            row.update(mean_seconds=f"{mean_secs:.6f}",
+                       ideal_seconds=f"{ref_secs * ref_workers / workers:.6f}",
+                       speedup=f"{ref_secs / mean_secs:.3f}")
+            detail = (f"mean {row['mean_seconds']}s"
+                      f" (ideal {row['ideal_seconds']}s, speedup {row['speedup']})")
+        table.append(row)
+        print(f"{variant} n={cells} workers={workers}: {detail}")
+    return _write_reports(cfg, "scaling", run_rows, table, _SCALING_COLUMNS)
+
+
 def _load_config(args):
-    if args.config is not None:
-        cfg = parse_config_file(args.config)
-    else:
-        cfg = validate_config(RunConfig())
-    if getattr(args, "workers", None) is not None:
+    cfg = parse_config_file(args.config) if args.config is not None else RunConfig()
+    if args.workers is not None:
         cfg.workers = args.workers
-    env_workers = os.environ.get("ORTHOMG_WORKERS")
-    if env_workers is not None:
-        cfg.workers = int(env_workers)
-    if cfg.workers < 1:
-        raise ValueError("workers must be at least 1")
     if args.output is not None:
         cfg.output = args.output
-    return cfg
+    return validate_config(cfg)
 
 
 def main(argv=None):
@@ -401,10 +332,7 @@ def main(argv=None):
         cmd = sub.add_parser(name, help=text)
         cmd.add_argument("--config", help="path to a 'key = value' config file")
         cmd.add_argument("--output", help="output directory (overrides the config)")
-        cmd.add_argument(
-            "--workers", type=int,
-            help="worker count (ORTHOMG_WORKERS takes precedence)",
-        )
+        cmd.add_argument("--workers", type=int, help="worker count (overrides the config)")
         cmd.set_defaults(func=func)
     args = parser.parse_args(argv)
 
@@ -415,6 +343,7 @@ def main(argv=None):
         return EXIT_BAD_CONFIG
 
     try:
+        Path(cfg.output).mkdir(parents=True, exist_ok=True)
         return args.func(cfg)
     except Exception:
         traceback.print_exc()

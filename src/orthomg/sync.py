@@ -19,6 +19,8 @@ and the coarsest level is always solved directly.
 import csv
 import io
 import weakref
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -160,6 +162,22 @@ class CycleConfig:
             )
         if self.max_outer_iterations < 1:
             raise ValueError("max_outer_iterations must be at least 1")
+
+
+@contextmanager
+def _bound_smoothers(cfg, workers_per_level):
+    """``cfg`` with a thread pool bound to every smoother of two or more workers.
+
+    ``workers_per_level`` holds one count per level, finest first.
+    """
+    with ExitStack() as stack:
+        bound = list(cfg.smoothers)
+        for level, (smoother, workers) in enumerate(zip(bound, workers_per_level)):
+            if smoother is not None and workers >= 2:
+                pool = stack.enter_context(ThreadPoolExecutor(
+                    max_workers=workers, thread_name_prefix=f"smoother-l{level}"))
+                bound[level] = smoother.with_executor(pool, workers)
+        yield replace(cfg, smoothers=bound)
 
 
 @dataclass(frozen=True)

@@ -21,10 +21,10 @@ cycle, reduces the protocol to the synchronous additive cycle.
 import queue
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from contextlib import ExitStack, contextmanager
-from dataclasses import dataclass, replace
+from contextlib import ExitStack
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,6 +37,7 @@ from .sync import (
     KIND_COARSE,
     KIND_SMOOTHER,
     ConvergenceHistory,
+    _bound_smoothers,
     _check_solve_inputs,
     coarsest_solve,
     level_loop,
@@ -57,6 +58,7 @@ __all__ = [
     "TraceRow",
     "MessageTrace",
     "assign_groups",
+    "minimum_workers",
     "async_solve",
     "hybrid_solve",
 ]
@@ -123,6 +125,11 @@ class GroupAssignment:
         return sum(self.smoother_workers) + self.coarsest_workers
 
 
+def minimum_workers(hierarchy, coarsest_workers=1):
+    """Fewest workers :func:`assign_groups` accepts: one per smoother level plus the coarsest."""
+    return 1 if hierarchy.n_levels == 1 else (hierarchy.n_levels - 1) + coarsest_workers
+
+
 def assign_groups(hierarchy, total_workers, coarsest_workers=1):
     """Split ``total_workers`` across the hierarchy's levels.
 
@@ -138,7 +145,7 @@ def assign_groups(hierarchy, total_workers, coarsest_workers=1):
     n_levels = hierarchy.n_levels
     if n_levels == 1:
         return GroupAssignment((), total_workers)
-    minimum = (n_levels - 1) + coarsest_workers
+    minimum = minimum_workers(hierarchy, coarsest_workers)
     if total_workers < minimum:
         raise ValueError(
             f"{n_levels} levels require at least {minimum} workers "
@@ -329,19 +336,6 @@ class _AsyncEngine:
         return level_loop(self.hierarchy, level, b, x0, self.cfg, body, history)
 
 
-@contextmanager
-def _bound_smoothers(cfg, assignment):
-    """``cfg`` with a thread pool bound to every smoother of two or more workers."""
-    with ExitStack() as stack:
-        bound = list(cfg.smoothers)
-        for level, (smoother, workers) in enumerate(zip(bound, assignment.smoother_workers)):
-            if smoother is not None and workers >= 2:
-                pool = stack.enter_context(ThreadPoolExecutor(
-                    max_workers=workers, thread_name_prefix=f"smoother-l{level}"))
-                bound[level] = smoother.with_executor(pool, workers)
-        yield replace(cfg, smoothers=bound)
-
-
 def async_solve(hierarchy, b, x0, cfg, assignment, sched, *, trace=None,
                 watchdog_seconds=60.0, coarse_delay_seconds=0.0):
     """Solve ``A x = b`` with the semi-asynchronous additive cycle.
@@ -371,7 +365,7 @@ def async_solve(hierarchy, b, x0, cfg, assignment, sched, *, trace=None,
     b, x0 = _check_solve_inputs(hierarchy, b, x0, cfg)
     if hierarchy.n_levels == 1:
         return orthomg_solve_additive(hierarchy, b, x0, cfg)
-    with _bound_smoothers(cfg, assignment) as bound, \
+    with _bound_smoothers(cfg, assignment.smoother_workers) as bound, \
             _AsyncEngine(hierarchy, bound, sched, trace=trace,
                          watchdog_seconds=watchdog_seconds,
                          coarse_delay_seconds=coarse_delay_seconds) as engine:
@@ -387,16 +381,15 @@ def hybrid_solve(hierarchy, b, x0, cfg, assignment, sched=None, *, trace=None,
     each coarse correction is a solve of the next level by one
     task-parallel engine, started once for the whole solve.  With a
     two-level hierarchy the coarse call is a direct solve and the run
-    coincides with the synchronous multiplicative cycle.
+    coincides with the synchronous multiplicative cycle; a one-level
+    hierarchy is solved directly.
     """
-    if hierarchy.n_levels < 2:
-        raise ValueError("the hybrid cycle needs at least two levels")
     b, x0 = _check_solve_inputs(hierarchy, b, x0, cfg)
     if sched is None:
         sched = SchedulerMode.realtime()
     history = ConvergenceHistory(cfg.history_enabled)
-    with _bound_smoothers(cfg, assignment) as bound, ExitStack() as stack:
-        coarse = None  # two levels: the synchronous direct coarse solve
+    with _bound_smoothers(cfg, assignment.smoother_workers) as bound, ExitStack() as stack:
+        coarse = None  # one or two levels: solve_level's direct coarsest solve
         if hierarchy.n_levels > 2:
             engine = stack.enter_context(_AsyncEngine(
                 hierarchy, bound, sched, top_level=1, trace=trace,

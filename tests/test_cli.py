@@ -1,4 +1,4 @@
-"""Command-line driver tests: artifacts, exit codes, worker precedence."""
+"""Command-line driver tests: artifacts, report shapes, exit codes, worker counts."""
 
 import csv
 import json
@@ -13,11 +13,6 @@ problem.cells_per_axis = 16
 hierarchy.l_min = 64
 smoother.subdomain_cells = 64
 """
-
-
-@pytest.fixture(autouse=True)
-def _isolated_workers(monkeypatch):
-    monkeypatch.delenv("ORTHOMG_WORKERS", raising=False)
 
 
 def write_config(tmp_path, extra=""):
@@ -41,6 +36,17 @@ def read_summary(outdir):
 def read_rows(path):
     with open(path, newline="") as handle:
         return list(csv.DictReader(handle))
+
+
+def read_header(path):
+    with open(path, newline="") as handle:
+        return next(csv.reader(handle))
+
+
+RUN_COLUMNS = [
+    "variant", "cells_per_axis", "workers_requested", "workers_used",
+    "repetition", "converged", "iterations", "residual_norm", "seconds", "note",
+]
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +119,41 @@ def test_solve_reports_non_convergence(tmp_path):
     assert read_summary(out)["converged"] is False
 
 
+def test_solve_summary_keys(tmp_path):
+    code, out = run(tmp_path, "solve")
+    assert code == cli.EXIT_OK
+    assert set(read_summary(out)) == {
+        "command", "config_digest", "variant", "smoother", "precision",
+        "dimension", "cells_per_axis", "dofs", "levels", "workers_requested",
+        "workers_used", "iterations", "converged", "residual_norm",
+        "initial_residual_norm", "relative_residual", "seconds", "notes",
+    }
+
+
+@pytest.mark.parametrize("smoother", ["schwarz", "block_jacobi"])
+@pytest.mark.parametrize("variant", ["additive_sync", "multiplicative_sync"])
+def test_sync_smoother_pool_changes_no_number(tmp_path, variant, smoother):
+    extra = f"solver.variant = {variant}\nsmoother.kind = {smoother}\n"
+    histories = []
+    for workers in ("1", "4"):
+        (tmp_path / workers).mkdir()
+        code, out = run(tmp_path / workers, "solve", extra, flags=("--workers", workers))
+        assert code == cli.EXIT_OK
+        assert read_summary(out)["workers_used"] == int(workers)
+        histories.append((out / "history.csv").read_bytes())
+    assert histories[0] == histories[1]
+
+
+@pytest.mark.parametrize("variant", ["additive_task_parallel", "hybrid"])
+def test_solve_task_parallel_on_one_level(tmp_path, variant):
+    code, out = run(tmp_path, "solve", f"hierarchy.l_min = 1024\nsolver.variant = {variant}\n")
+    assert code == cli.EXIT_OK
+    summary = read_summary(out)
+    assert summary["levels"] == 1
+    assert summary["converged"] is True
+    assert summary["iterations"] == 1
+
+
 def test_solve_deterministic_task_parallel_matches_additive(tmp_path):
     _, out_sync = run(tmp_path, "solve", "solver.variant = additive_sync\n")
     sync_summary = read_summary(out_sync)
@@ -129,7 +170,7 @@ def test_solve_deterministic_task_parallel_matches_additive(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# configuration errors and worker precedence
+# configuration errors and worker counts
 
 
 def test_missing_config_file_is_a_config_error(tmp_path, capsys):
@@ -150,15 +191,6 @@ def test_zero_workers_is_a_config_error(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert cli.main(["solve", "--config", cfg, "--workers", "0"]) == cli.EXIT_BAD_CONFIG
     assert "workers must be at least 1" in capsys.readouterr().err
-
-
-def test_environment_workers_beat_the_flag(tmp_path, monkeypatch):
-    monkeypatch.setenv("ORTHOMG_WORKERS", "3")
-    code, out = run(tmp_path, "solve", flags=("--workers", "2"))
-    assert code == cli.EXIT_OK
-    summary = read_summary(out)
-    assert summary["workers_requested"] == 3
-    assert summary["workers_used"] == 3
 
 
 def test_workers_flag_overrides_the_config(tmp_path):
@@ -195,6 +227,23 @@ def test_compare_times_every_variant(tmp_path):
     summary = read_summary(out)
     assert summary["command"] == "compare"
     assert len(summary["rows"]) == 2
+
+
+def test_compare_report_shapes(tmp_path):
+    code, out = run(
+        tmp_path, "compare",
+        "compare.variants = additive_sync, hybrid\ncompare.repetitions = 1\n",
+    )
+    assert code == cli.EXIT_OK
+    columns = [
+        "variant", "smoother", "repetitions", "converged_runs",
+        "mean_iterations", "mean_seconds", "min_seconds", "max_seconds", "note",
+    ]
+    assert read_header(out / "runs.csv") == RUN_COLUMNS
+    assert read_header(out / "compare.csv") == columns
+    summary = read_summary(out)
+    assert set(summary) == {"command", "config_digest", "dofs", "levels", "rows"}
+    assert [set(row) for row in summary["rows"]] == [set(columns)] * 2
 
 
 def test_compare_flags_variants_that_never_converge(tmp_path):
@@ -258,6 +307,32 @@ def test_scaling_sweeps_workers_and_reports_speedup(tmp_path):
     assert len(summary["rows"]) == 2
     runs = read_rows(out / "runs.csv")
     assert len(runs) == 2
+
+
+def test_scaling_report_shapes(tmp_path):
+    code, out = run(
+        tmp_path, "scaling",
+        "scaling.sizes = 8, 16\nscaling.workers = 1, 2\n"
+        "scaling.variants = additive_sync, additive_task_parallel\n"
+        "compare.repetitions = 1\n",
+    )
+    assert code == cli.EXIT_OK
+    columns = [
+        "variant", "cells_per_axis", "workers_requested", "workers_used",
+        "mean_seconds", "ideal_seconds", "speedup", "mean_iterations", "note",
+    ]
+    assert read_header(out / "runs.csv") == RUN_COLUMNS
+    assert read_header(out / "scaling.csv") == columns
+    summary = read_summary(out)
+    assert set(summary) == {"command", "config_digest", "rows"}
+    assert [set(row) for row in summary["rows"]] == [set(columns)] * 8
+    runs = read_rows(out / "runs.csv")
+    assert [(r["cells_per_axis"], r["variant"], r["workers_requested"]) for r in runs] == [
+        (n, v, w)
+        for n in ("8", "16")
+        for v in ("additive_sync", "additive_task_parallel")
+        for w in ("1", "2")
+    ]
 
 
 def test_scaling_config_converges_in_every_repetition(tmp_path):

@@ -465,11 +465,14 @@ def test_hybrid_engine_idles_through_a_slow_finest_step():
     assert coarse_threads() == []
 
 
-def test_hybrid_needs_two_levels():
+def test_hybrid_solves_one_level_directly():
     spec = om.ProblemSpec(dimension=2, cells_per_axis=8)
     h = om.build_hierarchy(spec, l_min=10_000)
     _, b = om.assemble_poisson(spec)
-    with pytest.raises(ValueError, match="at least two levels"):
-        om.hybrid_solve(h, b, np.zeros(h.finest.n_dofs),
-                        cycle_config("hybrid", (None,)),
-                        om.assign_groups(h, 1))
+    assert h.n_levels == 1
+    x0 = np.zeros(h.finest.n_dofs)
+    res = om.hybrid_solve(h, b, x0, cycle_config("hybrid", (None,)), om.assign_groups(h, 1))
+    ref = om.orthomg_solve_additive(h, b, x0, cycle_config("additive_sync", (None,)))
+    assert res.converged
+    assert res.iterations == 1
+    assert np.array_equal(res.x, ref.x)
