@@ -16,21 +16,16 @@ from .sparse import norm2, spmv
 
 __all__ = ["SearchSpace", "rm_init", "rm_update"]
 
-# Directions whose operator image nearly vanishes after projection carry
-# no new information; they are discarded rather than normalized.
-BREAKDOWN_TOLERANCE = 1e-13
+# A direction is rejected when Gram-Schmidt leaves less than this share
+# of its operator image, about the square root of machine epsilon.
+# Normalizing a smaller remainder amplifies rounding so far that the
+# stored pairs (w, z) no longer satisfy A z = w, and the carried residual
+# drifts away from the true one.
+BREAKDOWN_TOLERANCE = 1.5e-8
 
 # A second orthogonalization pass is run when cancellation removed most
 # of the vector's mass in the first one.
 REORTHOGONALIZE_THRESHOLD = 0.1
-
-# A step that would raise the residual is rounding noise on a useless
-# direction while the stored pairs are consistent, that is while the
-# explicit image A z of the orthonormalized direction matches its basis
-# vector w.  Consistent pairs give |A z - w| of about 3e-16; pairs that
-# drifted apart after repeated heavy cancellation gave 2.6e-6 to 2.0 on
-# the realtime task-parallel cycle.
-DRIFT_TOLERANCE = 1e-8
 
 DEFAULT_RESTART_CAP = 200
 
@@ -43,8 +38,7 @@ class SearchSpace:
     orthonormal.  The iterate and its residual advance together as an
     exact pair: ``x`` gains ``coeff * direction`` while ``r`` loses
     ``coeff * (A @ direction)``.  ``breakdown_count`` counts rejected
-    directions and ``reanchor_count`` the restarts forced by drift of the
-    stored pairs; neither is reset by a restart.
+    directions and is not reset by a restart.
     """
 
     __slots__ = (
@@ -52,7 +46,6 @@ class SearchSpace:
         "basis",
         "directions",
         "breakdown_count",
-        "reanchor_count",
         "restart_cap",
         "_x",
         "_r",
@@ -68,7 +61,6 @@ class SearchSpace:
             raise ValueError("restart_cap must be at least 1")
         self.restart_cap = int(restart_cap)
         self.breakdown_count = 0
-        self.reanchor_count = 0
         self._set_anchor(x0, r0)
 
     def _set_anchor(self, x0, r0):
@@ -82,10 +74,6 @@ class SearchSpace:
     @property
     def size(self):
         return len(self.basis)
-
-    def current_solution(self):
-        """Current minimizer and its residual (the anchors before any update)."""
-        return self._x, self._r
 
 
 def rm_init(x0, r0, restart_cap=DEFAULT_RESTART_CAP):
@@ -109,13 +97,13 @@ def rm_update(space, a, z):
     -------
     (x, r)
         Residual-norm minimizer over every accepted direction and its
-        residual.  If the direction breaks down (its operator image
-        lies in the span of the existing basis, or the anchor residual
-        is already zero) the previous minimizer is returned unchanged
-        and ``space.breakdown_count`` is incremented.  If the stored
-        pairs have drifted so far that the minimizing step would raise
-        the residual, the space restarts from the current minimizer and
-        folds ``z`` in again, counted in ``space.reanchor_count``.
+        residual.  A direction breaks down when the anchor residual is
+        already zero, when Gram-Schmidt leaves no more than
+        ``BREAKDOWN_TOLERANCE`` of its operator image, or when its step
+        would raise the residual; the previous minimizer is then
+        returned unchanged and ``space.breakdown_count`` is incremented.
+        A full space restarts from the current minimizer before ``z`` is
+        folded in.
     """
     z = np.asarray(z, dtype=np.float64)
     if z.shape != space.anchor_x.shape:
@@ -128,16 +116,7 @@ def rm_update(space, a, z):
     if space.size >= space.restart_cap:
         # Re-anchor at the current minimizer so the basis stays small.
         space._set_anchor(space._x, space._r)
-    accepted = _fold(space, a, z)
-    if accepted is None:
-        # The stored pairs (w_i, A z_i) have drifted apart.  Rejecting the
-        # direction would leave (x, r) as they are, and the next sweeps
-        # would propose the same directions again, so restart from the
-        # current minimizer and fold ``z`` in once more.
-        space.reanchor_count += 1
-        space._set_anchor(space._x, space._r)
-        accepted = _fold(space, a, z)
-    if not accepted:
+    if not _fold(space, a, z):
         space.breakdown_count += 1
     return space._x, space._r
 
@@ -145,10 +124,9 @@ def rm_update(space, a, z):
 def _fold(space, a, z):
     """Orthonormalize ``z`` against the basis and take the minimizing step.
 
-    Returns True when the direction joined the basis, False when its image
-    vanished, lies in the span of the basis, or gives a step that would
-    raise the residual by rounding noise, and None when that step would
-    raise it because the stored pairs have drifted.
+    Returns True when the direction joined the basis, and False when its
+    image vanished, lies numerically in the span of the basis, or gives a
+    step that would raise the residual.
     """
     w = spmv(a, z)
     image_norm = norm2(w)
@@ -186,8 +164,7 @@ def _fold(space, a, z):
     image = spmv(a, z)
     r = space._r - coeff * image
     if norm2(r) > norm2(space._r):
-        drifted = space.size > 0 and norm2(image - w) > DRIFT_TOLERANCE
-        return None if drifted else False
+        return False
     space.basis.append(w)
     space.directions.append(z)
     space._x = x
