@@ -10,12 +10,8 @@ from .errors import (
 from .sparse import (
     SparseMatrixCsr,
     norm2,
-    read_matrix_market,
-    read_vector_market,
     spmv,
     triple_product,
-    write_matrix_market,
-    write_vector_market,
 )
 from .problem import (
     GridHierarchy,
@@ -26,6 +22,7 @@ from .problem import (
     build_prolongation,
     build_restriction,
     coefficient_at,
+    hierarchy_from_matrix,
 )
 from .resmin import SearchSpace, rm_init, rm_update
 from .smoothers import (
@@ -92,12 +89,10 @@ __all__ = [
     "ExchangeTimeoutError", "WorkerError",
     # sparse kernels
     "SparseMatrixCsr", "spmv", "norm2", "triple_product",
-    "write_matrix_market", "read_matrix_market",
-    "write_vector_market", "read_vector_market",
     # benchmark problem
     "ProblemSpec", "GridLevel", "GridHierarchy", "coefficient_at",
     "assemble_poisson", "build_prolongation", "build_restriction",
-    "build_hierarchy",
+    "build_hierarchy", "hierarchy_from_matrix",
     # residual minimization
     "SearchSpace", "rm_init", "rm_update",
     # smoothers

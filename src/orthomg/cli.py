@@ -12,11 +12,12 @@ import sys
 import time
 import traceback
 from csv import DictWriter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import partial
 from pathlib import Path
 
 import numpy as np
+import scipy.io
 
 from .config import (
     RunConfig,
@@ -27,8 +28,8 @@ from .config import (
     parse_config_file,
     validate_config,
 )
-from .problem import assemble_poisson, build_hierarchy
-from .sparse import norm2, write_matrix_market, write_vector_market
+from .problem import assemble_poisson, hierarchy_from_matrix
+from .sparse import norm2
 from .sync import (
     VARIANT_ADDITIVE_SYNC,
     VARIANT_ADDITIVE_TASK_PARALLEL,
@@ -41,6 +42,7 @@ from .sync import (
 from .taskpar import (
     MessageTrace,
     SchedulerMode,
+    TraceRow,
     assign_groups,
     async_solve,
     hybrid_solve,
@@ -66,8 +68,9 @@ class PreparedProblem:
 
 def prepare_problem(cfg, cells_per_axis=None):
     spec = build_problem_spec(cfg, cells_per_axis)
-    hierarchy = build_hierarchy(spec, cfg.l_min)
-    _, rhs = assemble_poisson(spec)
+    matrix, rhs = assemble_poisson(spec)
+    hierarchy = hierarchy_from_matrix(matrix, spec.cells_per_axis, spec.spacing,
+                                      spec.dimension, cfg.l_min)
     smoothers = build_level_smoothers(hierarchy, cfg, spec.dimension)
     return PreparedProblem(spec, hierarchy, rhs, smoothers)
 
@@ -106,7 +109,6 @@ def execute_run(cfg, prepared, variant, workers):
         criteria=build_criteria(cfg),
         smoothers=tuple(prepared.smoothers),
         max_outer_iterations=cfg.solver.max_outer_iterations,
-        history_enabled=cfg.history_enabled,
     )
 
     if task_parallel:
@@ -153,9 +155,10 @@ def execute_run(cfg, prepared, variant, workers):
     return record, result, trace
 
 
-def _write_csv(path, rows, columns):
+def _write_csv(path, rows, columns, lineterminator="\r\n"):
     with open(path, "w", newline="") as handle:
-        writer = DictWriter(handle, fieldnames=columns, extrasaction="ignore")
+        writer = DictWriter(handle, fieldnames=columns, extrasaction="ignore",
+                            lineterminator=lineterminator)
         writer.writeheader()
         writer.writerows(rows)
 
@@ -172,12 +175,16 @@ def cmd_solve(cfg):
     record, result, trace = execute_run(cfg, prepared, cfg.solver.variant, cfg.workers)
     record["config_digest"] = config_digest(cfg)
     if cfg.history_enabled:
-        result.history.to_csv(outdir / "history.csv")
+        _write_csv(outdir / "history.csv",
+                   ({"step": rec.step, "residual": rec.residual, "type": rec.kind}
+                    for rec in result.history), ["step", "residual", "type"])
     if trace is not None:
-        trace.to_csv(outdir / "trace.csv")
+        _write_csv(outdir / "trace.csv",
+                   map(asdict, trace.rows),
+                   [field.name for field in fields(TraceRow)], lineterminator="\n")
     if cfg.export_matrix:
-        write_matrix_market(prepared.hierarchy.finest.matrix, outdir / "system.mtx")
-        write_vector_market(prepared.rhs, outdir / "rhs.mtx")
+        scipy.io.mmwrite(outdir / "system.mtx", prepared.hierarchy.finest.matrix._scipy)
+        scipy.io.mmwrite(outdir / "rhs.mtx", prepared.rhs.reshape(-1, 1))
     _write_summary(outdir, {"command": "solve", **record})
     for note in record["notes"]:
         print(f"note: {note}")

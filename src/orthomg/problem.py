@@ -31,6 +31,7 @@ __all__ = [
     "build_prolongation",
     "build_restriction",
     "build_hierarchy",
+    "hierarchy_from_matrix",
 ]
 
 
@@ -261,7 +262,14 @@ def build_restriction(prolongation, dimension):
 
 
 def build_hierarchy(spec, l_min=1024):
-    """Coarsen the assembled benchmark until the level size drops to ``l_min``.
+    """Assemble the benchmark and coarsen it with :func:`hierarchy_from_matrix`."""
+    matrix, _ = assemble_poisson(spec)
+    return hierarchy_from_matrix(matrix, spec.cells_per_axis, spec.spacing,
+                                 spec.dimension, l_min)
+
+
+def hierarchy_from_matrix(matrix, cells, spacing, dimension, l_min=1024):
+    """Coarsen ``matrix`` on its ``cells**dimension`` grid down to ``l_min`` unknowns.
 
     Coarsening halts once the coarsest level has at most ``l_min``
     unknowns or only two cells per axis remain.  Coarse operators are
@@ -269,14 +277,13 @@ def build_hierarchy(spec, l_min=1024):
     """
     if l_min < 4:
         raise ValueError("l_min must be at least 4")
-    matrix, _ = assemble_poisson(spec)
+    if matrix.shape != (cells**dimension,) * 2:
+        raise ValueError(f"matrix must be square on the {cells}^{dimension} grid")
     levels = []
-    cells = spec.cells_per_axis
-    spacing = spec.spacing
     index = 0
     while matrix.n_rows > l_min and cells >= 4:
-        prolongation = build_prolongation(cells, spec.dimension)
-        restriction = build_restriction(prolongation, spec.dimension)
+        prolongation = build_prolongation(cells, dimension)
+        restriction = build_restriction(prolongation, dimension)
         levels.append(
             GridLevel(index, matrix, restriction, prolongation, cells, spacing)
         )

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.io
 import scipy.sparse
 
 __all__ = [
@@ -19,10 +18,6 @@ __all__ = [
     "spmv",
     "norm2",
     "triple_product",
-    "write_matrix_market",
-    "read_matrix_market",
-    "write_vector_market",
-    "read_vector_market",
 ]
 
 @dataclass(eq=False)
@@ -167,23 +162,3 @@ def triple_product(r, a, p):
         product.data[~keep] = 0.0
         product.eliminate_zeros()
     return SparseMatrixCsr.from_scipy(product)
-
-
-def write_matrix_market(a, target):
-    """Write a CSR matrix to MatrixMarket coordinate format (ASCII, 1-based)."""
-    scipy.io.mmwrite(target, a._scipy)
-
-
-def read_matrix_market(source):
-    """Read a MatrixMarket file into a CSR matrix."""
-    return SparseMatrixCsr.from_scipy(scipy.io.mmread(source))
-
-
-def write_vector_market(x, target):
-    """Write a vector to MatrixMarket array format (one dense column)."""
-    scipy.io.mmwrite(target, np.asarray(x, dtype=np.float64).reshape(-1, 1))
-
-
-def read_vector_market(source):
-    """Read a one-column MatrixMarket array file back into a 1-D vector."""
-    return np.asarray(scipy.io.mmread(source), dtype=np.float64).ravel()

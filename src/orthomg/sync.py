@@ -16,8 +16,6 @@ stops after a fixed residual-reduction factor or a small iteration cap,
 and the coarsest level is always solved directly.
 """
 
-import csv
-import io
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack, contextmanager
@@ -153,7 +151,6 @@ class CycleConfig:
     criteria: ConvergenceCriteria
     smoothers: list
     max_outer_iterations: int = 100
-    history_enabled: bool = True
 
     def __post_init__(self):
         if self.variant not in SOLVER_VARIANTS:
@@ -190,13 +187,11 @@ class HistoryRecord:
 class ConvergenceHistory:
     """Residual norm after every finest-level minimization step."""
 
-    def __init__(self, enabled=True):
-        self.enabled = enabled
+    def __init__(self):
         self.records = []
 
     def append(self, kind, residual):
-        if self.enabled:
-            self.records.append(HistoryRecord(len(self.records), float(residual), kind))
+        self.records.append(HistoryRecord(len(self.records), float(residual), kind))
 
     def residuals(self):
         return np.array([rec.residual for rec in self.records])
@@ -209,25 +204,6 @@ class ConvergenceHistory:
 
     def __iter__(self):
         return iter(self.records)
-
-    def to_csv(self, target):
-        """Write ``step,residual,type`` rows to a path or file object."""
-        if hasattr(target, "write"):
-            self._write(target)
-        else:
-            with open(target, "w", newline="") as handle:
-                self._write(handle)
-
-    def _write(self, handle):
-        writer = csv.writer(handle)
-        writer.writerow(["step", "residual", "type"])
-        for rec in self.records:
-            writer.writerow([rec.step, repr(rec.residual), rec.kind])
-
-    def to_csv_text(self):
-        buf = io.StringIO()
-        self._write(buf)
-        return buf.getvalue()
 
 
 @dataclass(eq=False)
@@ -393,7 +369,7 @@ def orthomg_solve_multiplicative(hierarchy, b, x0, cfg):
     reported.
     """
     b, x0 = _check_solve_inputs(hierarchy, b, x0, cfg)
-    history = ConvergenceHistory(cfg.history_enabled)
+    history = ConvergenceHistory()
     return solve_level(hierarchy, 0, b, x0, cfg, multiplicative_body, history)
 
 
@@ -405,5 +381,5 @@ def orthomg_solve_additive(hierarchy, b, x0, cfg):
     first; the recursion applies the same ordering on every level.
     """
     b, x0 = _check_solve_inputs(hierarchy, b, x0, cfg)
-    history = ConvergenceHistory(cfg.history_enabled)
+    history = ConvergenceHistory()
     return solve_level(hierarchy, 0, b, x0, cfg, additive_body, history)

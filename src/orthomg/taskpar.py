@@ -186,22 +186,13 @@ class MessageTrace:
         self._start = time.perf_counter()
 
     def record(self, level, role, kind, cycle_index):
-        row = TraceRow(time.perf_counter() - self._start, level, role, kind, cycle_index)
+        # Stamped under the lock, so rows stay in timestamp order.
         with self._lock:
-            self.rows.append(row)
+            self.rows.append(TraceRow(time.perf_counter() - self._start,
+                                      level, role, kind, cycle_index))
 
     def rows_of_kind(self, *kinds):
         return [row for row in self.rows if row.kind in kinds]
-
-    def to_csv(self, target):
-        if not hasattr(target, "write"):
-            with open(target, "w", newline="") as handle:
-                return self.to_csv(handle)
-        target.write("seconds,level,role,kind,cycle_index\n")
-        for row in self.rows:
-            target.write(
-                f"{row.seconds!r},{row.level},{row.role},{row.kind},{row.cycle_index}\n"
-            )
 
 
 class _Worker:
@@ -369,7 +360,7 @@ def async_solve(hierarchy, b, x0, cfg, assignment, sched, *, trace=None,
             _AsyncEngine(hierarchy, bound, sched, trace=trace,
                          watchdog_seconds=watchdog_seconds,
                          coarse_delay_seconds=coarse_delay_seconds) as engine:
-        return engine.run_level(0, b, x0, ConvergenceHistory(cfg.history_enabled))
+        return engine.run_level(0, b, x0, ConvergenceHistory())
 
 
 def hybrid_solve(hierarchy, b, x0, cfg, assignment, sched=None, *, trace=None,
@@ -387,7 +378,7 @@ def hybrid_solve(hierarchy, b, x0, cfg, assignment, sched=None, *, trace=None,
     b, x0 = _check_solve_inputs(hierarchy, b, x0, cfg)
     if sched is None:
         sched = SchedulerMode.realtime()
-    history = ConvergenceHistory(cfg.history_enabled)
+    history = ConvergenceHistory()
     with _bound_smoothers(cfg, assignment.smoother_workers) as bound, ExitStack() as stack:
         coarse = None  # one or two levels: solve_level's direct coarsest solve
         if hierarchy.n_levels > 2:

@@ -4,9 +4,10 @@ import csv
 import json
 
 import pytest
+import scipy.io
 
+import orthomg as om
 import orthomg.cli as cli
-from orthomg.sparse import read_matrix_market, read_vector_market
 
 BASE = """\
 problem.cells_per_axis = 16
@@ -64,12 +65,15 @@ def test_solve_writes_history_and_summary(tmp_path):
     assert summary["levels"] == 2
     assert summary["relative_residual"] <= 1e-8
     int(summary["config_digest"], 16)
+    assert (out / "history.csv").read_bytes().startswith(b"step,residual,type\r\n")
     rows = read_rows(out / "history.csv")
-    assert list(rows[0]) == ["step", "residual", "type"]
+    assert [int(r["step"]) for r in rows] == list(range(len(rows)))
     assert rows[0]["type"] == "initial"
     assert rows[-1]["type"] == "final"
     residuals = [float(r["residual"]) for r in rows]
     assert residuals[-1] <= residuals[0]
+    # the residual column round-trips exactly
+    assert residuals[-1] == summary["residual_norm"]
 
 
 def test_solve_skips_history_when_disabled(tmp_path):
@@ -91,8 +95,12 @@ def test_solve_task_parallel_traces_and_clamps_workers(tmp_path, capsys):
     assert any("workers raised from 1 to 2" in note for note in summary["notes"])
     printed = capsys.readouterr().out
     assert "note: workers raised from 1 to 2" in printed
+    text = (out / "trace.csv").read_bytes()
+    assert text.startswith(b"seconds,level,role,kind,cycle_index\n")
+    assert b"\r" not in text
     rows = read_rows(out / "trace.csv")
-    assert list(rows[0]) == ["seconds", "level", "role", "kind", "cycle_index"]
+    seconds = [float(r["seconds"]) for r in rows]
+    assert seconds == sorted(seconds)
     assert rows[-1]["kind"] == "terminate"
 
 
@@ -107,10 +115,13 @@ def test_solve_trace_flag_is_inert_for_sync_variants(tmp_path):
 def test_solve_exports_the_linear_system(tmp_path):
     code, out = run(tmp_path, "solve", "export.matrix = true\n")
     assert code == cli.EXIT_OK
-    a = read_matrix_market(out / "system.mtx")
-    b = read_vector_market(out / "rhs.mtx")
-    assert a.n_rows == a.n_cols == 256
-    assert b.shape == (256,)
+    spec = om.build_problem_spec(om.parse_config_file(tmp_path / "run.cfg"))
+    matrix, rhs = om.assemble_poisson(spec)
+    a = scipy.io.mmread(out / "system.mtx").toarray()
+    b = scipy.io.mmread(out / "rhs.mtx")
+    assert a == pytest.approx(matrix.to_dense(), rel=1e-15, abs=0)
+    assert b.shape == (256, 1)
+    assert b.ravel() == pytest.approx(rhs, rel=1e-15, abs=0)
 
 
 def test_solve_reports_non_convergence(tmp_path):

@@ -229,3 +229,19 @@ def test_hierarchy_validation():
         om.GridHierarchy(list(reversed(good.levels)), l_min=4)
     with pytest.raises(ValueError):
         om.GridHierarchy([], l_min=4)
+
+
+@pytest.mark.parametrize("dimension,cells", [(2, 32), (3, 8)])
+def test_hierarchy_from_assembled_matrix_matches_build_hierarchy(dimension, cells):
+    spec = om.ProblemSpec(dimension=dimension, cells_per_axis=cells)
+    matrix, _ = om.assemble_poisson(spec)
+    direct = om.build_hierarchy(spec, l_min=16)
+    reused = om.hierarchy_from_matrix(matrix, cells, spec.spacing, dimension, l_min=16)
+    assert reused.finest.matrix is matrix
+    assert reused.n_levels == direct.n_levels >= 2
+    for mine, theirs in zip(reused.levels, direct.levels):
+        assert (mine.cells_per_axis, mine.spacing) == (theirs.cells_per_axis, theirs.spacing)
+        for name in ("row_offsets", "col_indices", "values"):
+            assert np.array_equal(getattr(mine.matrix, name), getattr(theirs.matrix, name))
+    with pytest.raises(ValueError, match="grid"):
+        om.hierarchy_from_matrix(matrix, cells // 2, spec.spacing, dimension)

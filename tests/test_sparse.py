@@ -190,25 +190,3 @@ def test_triple_product_shape_mismatch():
     b = om.SparseMatrixCsr.identity(4)
     with pytest.raises(ValueError, match="dimension mismatch"):
         om.triple_product(a, b, a)
-
-
-# ---------------------------------------------------------------------------
-# MatrixMarket round trips
-
-
-def test_matrix_market_round_trip(tmp_path):
-    rng = np.random.default_rng(29)
-    a = random_sparse(rng, 7, 5, density=0.4)
-    path = tmp_path / "a.mtx"
-    om.write_matrix_market(a, path)
-    back = om.read_matrix_market(path)
-    assert back.shape == a.shape
-    assert back.to_dense() == pytest.approx(a.to_dense(), rel=1e-15, abs=0)
-
-
-def test_vector_market_round_trip(tmp_path):
-    rng = np.random.default_rng(31)
-    x = rng.standard_normal(12)
-    path = tmp_path / "x.mtx"
-    om.write_vector_market(x, path)
-    assert om.read_vector_market(path) == pytest.approx(x, rel=1e-15)

@@ -1,7 +1,5 @@
 """Synchronous cycle tests: convergence rules, history, both variants."""
 
-import csv
-import io
 from dataclasses import replace
 
 import numpy as np
@@ -208,14 +206,6 @@ def test_iteration_cap_reports_non_convergence():
     assert res.residual_norm > 1e-8 * om.norm2(b)
 
 
-def test_disabled_history_collects_nothing():
-    _, h, b, smoothers = benchmark_setup(cells=8, l_min=16)
-    cfg = cycle_config("additive_sync", smoothers, history_enabled=False)
-    res = om.orthomg_solve_additive(h, b, np.zeros(h.finest.n_dofs), cfg)
-    assert res.converged
-    assert len(res.history) == 0
-
-
 def test_input_validation():
     _, h, b, smoothers = benchmark_setup(cells=8, l_min=16)
     cfg = cycle_config("additive_sync", smoothers)
@@ -226,34 +216,6 @@ def test_input_validation():
                                   cycle_config("additive_sync", ()))
     with pytest.raises(ValueError, match="variant"):
         om.CycleConfig("gauss_seidel", om.ConvergenceCriteria(), smoothers)
-
-
-# ---------------------------------------------------------------------------
-# history serialization
-
-
-def test_history_csv_schema():
-    _, h, b, smoothers = benchmark_setup(cells=8, l_min=16)
-    cfg = cycle_config("multiplicative_sync", smoothers)
-    res = om.orthomg_solve_multiplicative(h, b, np.zeros(h.finest.n_dofs), cfg)
-    text = res.history.to_csv_text()
-    rows = list(csv.reader(io.StringIO(text)))
-    assert rows[0] == ["step", "residual", "type"]
-    assert len(rows) == len(res.history) + 1
-    # the residual column round-trips exactly
-    for row, rec in zip(rows[1:], res.history):
-        assert int(row[0]) == rec.step
-        assert float(row[1]) == rec.residual
-        assert row[2] == rec.kind
-
-
-def test_history_csv_to_path(tmp_path):
-    history = om.ConvergenceHistory()
-    history.append("initial", 1.0)
-    history.append("final", 0.5)
-    path = tmp_path / "history.csv"
-    history.to_csv(path)
-    assert path.read_text().splitlines()[0] == "step,residual,type"
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +270,7 @@ def test_solution_matches_direct_solve_at_128(variant, smoother, extra):
     # The residual carried by the minimizer is the true residual of x.  The
     # assembled right-hand side gives a smooth x whose product A x cancels
     # heavily; the two then differ by 1e-12 to 3e-12 of |b| at this size, so
-    # the tight bound is checked on a standard-normal one, as in perfbench.
-    solve(prepared.rhs)
+    # that gap is held to 1e-11 and the tight bound is checked on a
+    # standard-normal one, as in perfbench.
+    assert solve(prepared.rhs) <= 1e-11
     assert solve(np.random.default_rng(1).standard_normal(a.n_rows)) <= 1e-12

@@ -1,6 +1,6 @@
 """Task-parallel engine tests: worker groups, message protocol, equivalence."""
 
-import io
+import importlib.util
 import os
 import subprocess
 import sys
@@ -12,6 +12,10 @@ import numpy as np
 import pytest
 
 import orthomg as om
+import orthomg.config as om_config
+import orthomg.resmin as resmin
+import orthomg.smoothers as smoothers_mod
+import orthomg.sync as sync
 import orthomg.taskpar as taskpar
 from helpers import benchmark_setup, cycle_config
 
@@ -115,16 +119,28 @@ def test_message_trace_records_and_filters():
     assert [(r.level, r.kind) for r in picked] == [(0, "updated_residual"), (1, "restrict")]
 
 
-def test_message_trace_csv_roundtrip():
+def test_message_trace_rows_keep_timestamp_order_across_threads():
+    # four threads recording at once, switched as often as the interpreter
+    # allows: each row is stamped under the lock, so no later row is older
     trace = om.MessageTrace()
-    trace.record(0, "smoother", om.MSG_SMOOTHER_DONE, 4)
-    buf = io.StringIO()
-    trace.to_csv(buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "seconds,level,role,kind,cycle_index"
-    seconds, level, role, kind, cycle = lines[1].split(",")
-    assert float(seconds) == trace.rows[0].seconds
-    assert (int(level), role, kind, int(cycle)) == (0, "smoother", "smoother_done", 4)
+
+    def record_many(level):
+        for cycle in range(2000):
+            trace.record(level, "smoother", om.MSG_SMOOTHER_DONE, cycle)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=record_many, args=(level,)) for level in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    seconds = [row.seconds for row in trace.rows]
+    assert len(seconds) == 8000
+    assert seconds == sorted(seconds)
 
 
 # ---------------------------------------------------------------------------
@@ -401,6 +417,38 @@ def test_hybrid_keeps_one_engine_for_the_whole_solve():
     assert started == list(range(len(started)))
     assert len(started) > res.iterations
     assert coarse_threads() == []
+
+
+def load_perfbench_tracing():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_hybrid_call_sites_match_the_perfbench_tracer():
+    # perfbench/tracing.py rebinds names where taskpar looks them up and
+    # tells the hybrid's coarse calls and exchanges apart by the site
+    tracing = load_perfbench_tracing()
+    h, b, smoothers = three_level()
+    owners = (om_config, sync, taskpar, resmin, smoothers_mod, om.LevelSmoother)
+    before = [dict(vars(owner)) for owner in owners]
+    tracer = tracing.Tracer()
+    with tracing.instrumented(tracer):
+        assert taskpar.spmv is not before[2]["spmv"]
+        tracer.attach(h)
+        res = om.hybrid_solve(h, b, np.zeros(h.finest.n_dofs), cycle_config("hybrid", smoothers),
+                              om.assign_groups(h, 3), om.SchedulerMode.deterministic(1))
+    assert [dict(vars(owner)) for owner in owners] == before
+    assert res.converged
+    driving = [span for span in tracer.spans if span.thread == threading.get_ident()]
+    transfers = [span.op for span in driving
+                 if span.name == tracing.TRANSFER and span.site == "taskpar"]
+    assert transfers == ["restrict", "prolong"] * res.iterations
+    exchanges = [span.level for span in driving
+                 if span.name == tracing.RM_UPDATE and span.site == "taskpar"]
+    assert exchanges and set(exchanges) == {1}
 
 
 def test_back_to_back_deterministic_hybrid_solves_match():
