@@ -169,22 +169,36 @@ def _write_summary(outdir, payload):
         handle.write("\n")
 
 
+def write_history(path, history):
+    """``history.csv``: one ``step,residual,type`` row per record, CRLF line ends."""
+    _write_csv(path,
+               ({"step": rec.step, "residual": rec.residual, "type": rec.kind}
+                for rec in history), ["step", "residual", "type"])
+
+
+def write_trace(path, trace):
+    """``trace.csv``: one row per :class:`TraceRow` of ``trace``, LF line ends."""
+    _write_csv(path, map(asdict, trace.rows),
+               [field.name for field in fields(TraceRow)], lineterminator="\n")
+
+
+def export_system(outdir, matrix, rhs):
+    """``system.mtx`` and ``rhs.mtx`` (one column) in Matrix Market format."""
+    scipy.io.mmwrite(Path(outdir) / "system.mtx", matrix._scipy)
+    scipy.io.mmwrite(Path(outdir) / "rhs.mtx", np.asarray(rhs).reshape(-1, 1))
+
+
 def cmd_solve(cfg):
     outdir = Path(cfg.output)
     prepared = prepare_problem(cfg)
     record, result, trace = execute_run(cfg, prepared, cfg.solver.variant, cfg.workers)
     record["config_digest"] = config_digest(cfg)
     if cfg.history_enabled:
-        _write_csv(outdir / "history.csv",
-                   ({"step": rec.step, "residual": rec.residual, "type": rec.kind}
-                    for rec in result.history), ["step", "residual", "type"])
+        write_history(outdir / "history.csv", result.history)
     if trace is not None:
-        _write_csv(outdir / "trace.csv",
-                   map(asdict, trace.rows),
-                   [field.name for field in fields(TraceRow)], lineterminator="\n")
+        write_trace(outdir / "trace.csv", trace)
     if cfg.export_matrix:
-        scipy.io.mmwrite(outdir / "system.mtx", prepared.hierarchy.finest.matrix._scipy)
-        scipy.io.mmwrite(outdir / "rhs.mtx", prepared.rhs.reshape(-1, 1))
+        export_system(outdir, prepared.hierarchy.finest.matrix, prepared.rhs)
     _write_summary(outdir, {"command": "solve", **record})
     for note in record["notes"]:
         print(f"note: {note}")

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.io
 
 import orthomg as om
+import orthomg.cli as cli
 from helpers import kernel, random_sparse
 
 # ---------------------------------------------------------------------------
@@ -190,3 +192,25 @@ def test_triple_product_shape_mismatch():
     b = om.SparseMatrixCsr.identity(4)
     with pytest.raises(ValueError, match="dimension mismatch"):
         om.triple_product(a, b, a)
+
+
+# ---------------------------------------------------------------------------
+# MatrixMarket round trips (written by the command line)
+
+
+def test_matrix_market_round_trip(tmp_path):
+    rng = np.random.default_rng(29)
+    a = random_sparse(rng, 7, 5, density=0.4)
+    cli.export_system(tmp_path, a, np.zeros(a.n_rows))
+    back = scipy.io.mmread(tmp_path / "system.mtx")
+    assert back.shape == a.shape
+    assert back.toarray() == pytest.approx(a.to_dense(), rel=1e-15, abs=0)
+
+
+def test_vector_market_round_trip(tmp_path):
+    rng = np.random.default_rng(31)
+    x = rng.standard_normal(12)
+    cli.export_system(tmp_path, om.SparseMatrixCsr.identity(12), x)
+    back = scipy.io.mmread(tmp_path / "rhs.mtx")
+    assert back.shape == (12, 1)
+    assert back.ravel() == pytest.approx(x, rel=1e-15)

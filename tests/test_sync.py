@@ -1,5 +1,6 @@
 """Synchronous cycle tests: convergence rules, history, both variants."""
 
+import csv
 from dataclasses import replace
 
 import numpy as np
@@ -216,6 +217,36 @@ def test_input_validation():
                                   cycle_config("additive_sync", ()))
     with pytest.raises(ValueError, match="variant"):
         om.CycleConfig("gauss_seidel", om.ConvergenceCriteria(), smoothers)
+
+
+# ---------------------------------------------------------------------------
+# history serialization (written by the command line)
+
+
+def test_history_csv_schema(tmp_path):
+    _, h, b, smoothers = benchmark_setup(cells=8, l_min=16)
+    cfg = cycle_config("multiplicative_sync", smoothers)
+    res = om.orthomg_solve_multiplicative(h, b, np.zeros(h.finest.n_dofs), cfg)
+    path = tmp_path / "history.csv"
+    cli.write_history(path, res.history)
+    with open(path, newline="") as handle:
+        rows = list(csv.reader(handle))
+    assert rows[0] == ["step", "residual", "type"]
+    assert len(rows) == len(res.history) + 1
+    # the residual column round-trips exactly
+    for row, rec in zip(rows[1:], res.history):
+        assert int(row[0]) == rec.step
+        assert float(row[1]) == rec.residual
+        assert row[2] == rec.kind
+
+
+def test_history_csv_to_path(tmp_path):
+    history = om.ConvergenceHistory()
+    history.append("initial", 1.0)
+    history.append("final", 0.5)
+    path = tmp_path / "history.csv"
+    cli.write_history(path, history)
+    assert path.read_bytes() == b"step,residual,type\r\n0,1.0,initial\r\n1,0.5,final\r\n"
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import orthomg as om
+import orthomg.cli as cli
 import orthomg.config as om_config
 import orthomg.resmin as resmin
 import orthomg.smoothers as smoothers_mod
@@ -117,6 +118,21 @@ def test_message_trace_records_and_filters():
     assert [r.kind for r in trace.rows_of_kind(om.MSG_COARSE_DONE)] == ["coarse_done"]
     picked = trace.rows_of_kind(om.MSG_UPDATED_RESIDUAL, "restrict")
     assert [(r.level, r.kind) for r in picked] == [(0, "updated_residual"), (1, "restrict")]
+
+
+def test_message_trace_csv_roundtrip(tmp_path):
+    trace = om.MessageTrace()
+    trace.record(0, "smoother", om.MSG_SMOOTHER_DONE, 4)
+    path = tmp_path / "trace.csv"
+    cli.write_trace(path, trace)
+    text = path.read_bytes().decode()
+    assert "\r" not in text
+    lines = text.split("\n")
+    assert lines[0] == "seconds,level,role,kind,cycle_index"
+    assert lines[2:] == [""]
+    seconds, level, role, kind, cycle = lines[1].split(",")
+    assert float(seconds) == trace.rows[0].seconds
+    assert (int(level), role, kind, int(cycle)) == (0, "smoother", "smoother_done", 4)
 
 
 def test_message_trace_rows_keep_timestamp_order_across_threads():
