@@ -3,9 +3,12 @@
 Every variant, task-parallel included, runs :func:`level_loop`: it owns
 the initial residual and search space, the history records, the
 level-local convergence test and the outer cap, and it hands each cycle
-to a body that only folds corrections in.  Three bodies live here.  The
-multiplicative body smooths, folds in a coarse correction, and smooths
-again, minimizing after each step.  The additive body computes the
+to a body that only folds corrections in.  A body computes each
+correction from the search space's proposal, the energy-norm residual
+over the directions folded in so far, and reports the 2-norm minimizer
+``rm_update`` returns.  Three bodies live here.  The multiplicative
+body smooths, folds in a coarse correction, and smooths again,
+minimizing after each step.  The additive body computes the
 smoother and coarse corrections from the same cycle-start residual and
 folds them in back to back, which is the ordering the task-parallel
 engine reproduces when its scheduler is pinned to one sweep per cycle.
@@ -263,12 +266,13 @@ def _check_solve_inputs(hierarchy, b, x0, cfg):
 def level_loop(hierarchy, level, b, x0, cfg, body, history=None):
     """Iterate one cycle ``body`` on ``level`` until its criteria pass.
 
-    This is the outer loop of every variant.  ``body(space, r, record)``
-    runs one cycle from residual ``r``: it folds each correction into
-    ``space`` with ``rm_update``, hands every new residual to
-    ``record(kind, r)``, and returns the last ``(x, r)``.  Only the entry
-    level passes a ``history``; the finest level also stops at
-    ``cfg.max_outer_iterations``.
+    This is the outer loop of every variant.  ``body(space, record)``
+    runs one cycle: it computes each correction from ``space.proposal``,
+    the energy-norm residual over the directions so far, folds it into
+    ``space`` with ``rm_update``, hands every least-squares residual
+    ``rm_update`` returns to ``record(kind, r)``, and returns the last
+    ``(x, r)``.  Only the entry level passes a ``history``; the finest
+    level also stops at ``cfg.max_outer_iterations``.
     """
     a = hierarchy.levels[level].matrix
 
@@ -285,7 +289,7 @@ def level_loop(hierarchy, level, b, x0, cfg, body, history=None):
     while not level_converged(level, r_norm, r0_norm, iterations, cfg.criteria):
         if level == 0 and iterations >= cfg.max_outer_iterations:
             break
-        x, r = body(space, r, record)
+        x, r = body(space, record)
         r_norm = norm2(r)
         iterations += 1
     record(KIND_FINAL, r)
@@ -296,8 +300,8 @@ def level_loop(hierarchy, level, b, x0, cfg, body, history=None):
 def direct_body(a):
     """Single-level cycle: a direct solve, minimized like any correction."""
 
-    def body(space, r, record):
-        x, r = rm_update(space, a, coarsest_solve(a, r))
+    def body(space, record):
+        x, r = rm_update(space, a, coarsest_solve(a, space.proposal))
         record(KIND_COARSE, r)
         return x, r
 
@@ -307,12 +311,12 @@ def direct_body(a):
 def multiplicative_body(a, smoother, coarse):
     """Smooth, fold in the coarse correction, smooth again."""
 
-    def body(space, r, record):
-        x, r = rm_update(space, a, smoother.apply(a, r))
+    def body(space, record):
+        x, r = rm_update(space, a, smoother.apply(a, space.proposal))
         record(KIND_SMOOTHER, r)
-        x, r = rm_update(space, a, coarse(r))
+        x, r = rm_update(space, a, coarse(space.proposal))
         record(KIND_COARSE, r)
-        x, r = rm_update(space, a, smoother.apply(a, r))
+        x, r = rm_update(space, a, smoother.apply(a, space.proposal))
         record(KIND_SMOOTHER, r)
         return x, r
 
@@ -322,9 +326,9 @@ def multiplicative_body(a, smoother, coarse):
 def additive_body(a, smoother, coarse):
     """Smoother and coarse corrections from one cycle-start residual."""
 
-    def body(space, r, record):
-        z_smooth = smoother.apply(a, r)
-        z_coarse = coarse(r)
+    def body(space, record):
+        z_smooth = smoother.apply(a, space.proposal)
+        z_coarse = coarse(space.proposal)
         x, r = rm_update(space, a, z_smooth)
         record(KIND_SMOOTHER, r)
         x, r = rm_update(space, a, z_coarse)

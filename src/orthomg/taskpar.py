@@ -2,13 +2,14 @@
 
 Every level boundary separates a smoother side (fine) from a coarse side
 that owns all deeper levels.  Each cycle submits one coarse task, which
-restricts the cycle-start residual, solves the next level, and prolongs
-the correction; its result is a ``concurrent.futures.Future``.  The
-smoother side keeps sweeping and minimizing until it stops and waits for
-that future, then folds the correction in.
+restricts the cycle-start proposal residual (``SearchSpace.proposal``),
+solves the next level, and prolongs the correction; its result is a
+``concurrent.futures.Future``.  The smoother side keeps sweeping from
+the latest proposal and minimizing until it stops and waits for that
+future, then folds the correction in.
 
 Each level runs the shared loop of :func:`orthomg.sync.level_loop`
-with a task-parallel body: submit the cycle-start residual, sweep, fold
+with a task-parallel body: submit the cycle-start proposal, sweep, fold
 in the correction.  An engine starts one coarse-side worker thread per
 boundary and serves any number of solves of its top level, so the
 hybrid cycle keeps one engine for a whole solve.
@@ -303,14 +304,14 @@ class _AsyncEngine:
         sched = self.sched
         worker = self.workers[level]
 
-        def body(space, r, record):
+        def body(space, record):
             self.cycles[level] += 1
             cycle = self.cycles[level]
             self._trace(level, ROLE_SMOOTHER, MSG_UPDATED_RESIDUAL, cycle)
-            future = worker.submit(self._correct, level, r, cycle)
+            future = worker.submit(self._correct, level, space.proposal, cycle)
             sweeps = 0
             while True:
-                x, r = rm_update(space, a, smoother.apply(a, r))
+                x, r = rm_update(space, a, smoother.apply(a, space.proposal))
                 record(KIND_SMOOTHER, r)
                 sweeps += 1
                 if sweeps == 1:

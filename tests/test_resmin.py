@@ -194,3 +194,84 @@ def test_coefficients_track_basis_size():
     for _ in range(4):
         om.rm_update(space, a, rng.standard_normal(7))
     assert space.size == len(space.basis) == len(space.directions) == 4
+
+
+def test_near_dependent_chain_keeps_pairs_consistent():
+    # each direction is the last stored one plus a little noise, so every
+    # projection cancels heavily; a pair accepted from such a direction
+    # inherits the previous pair's mismatch magnified by that cancellation
+    rng = np.random.default_rng(1)
+    n = 30
+    a = random_spd(rng, n)
+    space = om.rm_init(np.zeros(n), rng.standard_normal(n))
+    om.rm_update(space, a, rng.standard_normal(n))
+    for i in range(8):
+        stored = space.directions[-1]
+        noise = rng.standard_normal(n)
+        noise *= (1e-4, 1e-5, 1e-6)[i % 3] * om.norm2(stored) / om.norm2(noise)
+        om.rm_update(space, a, stored + noise)
+    a_dense = a.to_dense()
+    drift = max(om.norm2(a_dense @ z - w) for z, w in zip(space.directions, space.basis))
+    assert drift <= 1e-8
+
+
+def galerkin_residual(a_dense, r0, directions):
+    """``r0 - A Z (Z^T A Z)^{-1} Z^T r0``, solved densely."""
+    z = np.column_stack(directions)
+    az = a_dense @ z
+    return r0 - az @ np.linalg.solve(z.T @ az, z.T @ r0)
+
+
+def test_proposal_is_the_galerkin_residual():
+    rng = np.random.default_rng(52)
+    for _ in range(10):
+        n = int(rng.integers(5, 30))
+        a = random_spd(rng, n)
+        r0 = rng.standard_normal(n)
+        space = om.rm_init(np.zeros(n), r0)
+        assert np.array_equal(space.proposal, r0)
+        directions = []
+        for _ in range(int(rng.integers(1, n))):
+            directions.append(rng.standard_normal(n))
+            om.rm_update(space, a, directions[-1])
+            expected = galerkin_residual(a.to_dense(), r0, directions)
+            assert om.norm2(space.proposal - expected) <= 1e-10 * om.norm2(expected)
+        assert np.array_equal(space.galerkin_matrix, space.galerkin_matrix.T)
+        assert space.breakdown_count == 0
+
+
+def test_proposal_after_breakdown_is_the_least_squares_residual():
+    rng = np.random.default_rng(15)
+    n = 8
+    a = random_spd(rng, n)
+    r0 = rng.standard_normal(n)
+    space = om.rm_init(np.zeros(n), r0)
+    z = rng.standard_normal(n)
+    om.rm_update(space, a, z)
+    _, r = om.rm_update(space, a, rng.standard_normal(n))
+    assert not np.array_equal(space.proposal, r)
+    _, r = om.rm_update(space, a, -3.0 * z)  # in the span: breaks down
+    assert space.breakdown_count == 1
+    assert np.array_equal(space.proposal, r)
+    # the next accepted direction makes the proposal Galerkin again
+    om.rm_update(space, a, rng.standard_normal(n))
+    expected = galerkin_residual(a.to_dense(), r0, space.directions)
+    assert om.norm2(space.proposal - expected) <= 1e-10 * om.norm2(expected)
+
+
+def test_restart_clears_the_galerkin_system():
+    rng = np.random.default_rng(23)
+    n = 12
+    a = random_spd(rng, n)
+    space = om.rm_init(np.zeros(n), rng.standard_normal(n), restart_cap=3)
+    for _ in range(3):
+        _, r = om.rm_update(space, a, rng.standard_normal(n))
+    assert space.galerkin_matrix.shape == (3, 3)
+    assert space.galerkin_rhs.shape == (3,)
+    z = rng.standard_normal(n)
+    om.rm_update(space, a, z)  # restarts from (x, r), then folds z in
+    assert space.size == 1
+    assert space.galerkin_matrix.shape == (1, 1)
+    assert space.galerkin_rhs.shape == (1,)
+    expected = galerkin_residual(a.to_dense(), r, [z])
+    assert om.norm2(space.proposal - expected) <= 1e-10 * om.norm2(expected)
