@@ -19,6 +19,7 @@ stops after a fixed residual-reduction factor or a small iteration cap,
 and the coarsest level is always solved directly.
 """
 
+import os
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack, contextmanager
@@ -164,18 +165,32 @@ class CycleConfig:
             raise ValueError("max_outer_iterations must be at least 1")
 
 
+def _usable_cpus():
+    """CPUs this process may run on (all of them where affinity is unknown)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 @contextmanager
 def _bound_smoothers(cfg, workers_per_level):
     """``cfg`` with a thread pool bound to every smoother of two or more workers.
 
-    ``workers_per_level`` holds one count per level, finest first.
+    ``workers_per_level`` holds one count per level, finest first.  The
+    smoother is split into one chunk per worker, but its pool starts no
+    more threads than the process may run on at once: extra threads only
+    contend for the same cores, and a bound apply then runs slower than a
+    serial one.  The chunks, and so every result, do not depend on it.
     """
+    usable = _usable_cpus()
     with ExitStack() as stack:
         bound = list(cfg.smoothers)
         for level, (smoother, workers) in enumerate(zip(bound, workers_per_level)):
             if smoother is not None and workers >= 2:
                 pool = stack.enter_context(ThreadPoolExecutor(
-                    max_workers=workers, thread_name_prefix=f"smoother-l{level}"))
+                    max_workers=min(workers, usable),
+                    thread_name_prefix=f"smoother-l{level}"))
                 bound[level] = smoother.with_executor(pool, workers)
         yield replace(cfg, smoothers=bound)
 
@@ -269,30 +284,32 @@ def level_loop(hierarchy, level, b, x0, cfg, body, history=None):
     This is the outer loop of every variant.  ``body(space, record)``
     runs one cycle: it computes each correction from ``space.proposal``,
     the energy-norm residual over the directions so far, folds it into
-    ``space`` with ``rm_update``, hands every least-squares residual
-    ``rm_update`` returns to ``record(kind, r)``, and returns the last
-    ``(x, r)``.  Only the entry level passes a ``history``; the finest
-    level also stops at ``cfg.max_outer_iterations``.
+    ``space`` with ``rm_update`` and hands each ``(x, r)`` ``rm_update``
+    returns to ``record(kind, (x, r))``.  The loop keeps no iterate of
+    its own: after each cycle it reads ``space.minimizer``, so no stale
+    ``(x, r)`` stays alive while the next cycle runs.  Only the entry
+    level passes a ``history``; the finest level also stops at
+    ``cfg.max_outer_iterations``.
     """
     a = hierarchy.levels[level].matrix
 
-    def record(kind, r):
+    def record(kind, minimizer):
         if history is not None:
-            history.append(kind, norm2(r))
+            history.append(kind, norm2(minimizer[1]))
 
     r0 = b - spmv(a, x0)
     space = rm_init(x0, r0)
-    x, r = x0, r0
     r0_norm = r_norm = norm2(r0)
-    record(KIND_INITIAL, r0)
+    record(KIND_INITIAL, (x0, r0))
     iterations = 0
     while not level_converged(level, r_norm, r0_norm, iterations, cfg.criteria):
         if level == 0 and iterations >= cfg.max_outer_iterations:
             break
-        x, r = body(space, record)
-        r_norm = norm2(r)
+        body(space, record)
+        r_norm = norm2(space.minimizer[1])
         iterations += 1
-    record(KIND_FINAL, r)
+    x, r = space.minimizer
+    record(KIND_FINAL, (x, r))
     converged = level_converged(level, r_norm, r0_norm, iterations, cfg.criteria)
     return SolveResult(x, r, r_norm, converged, iterations, history, space.breakdown_count)
 
@@ -301,9 +318,7 @@ def direct_body(a):
     """Single-level cycle: a direct solve, minimized like any correction."""
 
     def body(space, record):
-        x, r = rm_update(space, a, coarsest_solve(a, space.proposal))
-        record(KIND_COARSE, r)
-        return x, r
+        record(KIND_COARSE, rm_update(space, a, coarsest_solve(a, space.proposal)))
 
     return body
 
@@ -312,13 +327,9 @@ def multiplicative_body(a, smoother, coarse):
     """Smooth, fold in the coarse correction, smooth again."""
 
     def body(space, record):
-        x, r = rm_update(space, a, smoother.apply(a, space.proposal))
-        record(KIND_SMOOTHER, r)
-        x, r = rm_update(space, a, coarse(space.proposal))
-        record(KIND_COARSE, r)
-        x, r = rm_update(space, a, smoother.apply(a, space.proposal))
-        record(KIND_SMOOTHER, r)
-        return x, r
+        record(KIND_SMOOTHER, rm_update(space, a, smoother.apply(a, space.proposal)))
+        record(KIND_COARSE, rm_update(space, a, coarse(space.proposal)))
+        record(KIND_SMOOTHER, rm_update(space, a, smoother.apply(a, space.proposal)))
 
     return body
 
@@ -329,11 +340,8 @@ def additive_body(a, smoother, coarse):
     def body(space, record):
         z_smooth = smoother.apply(a, space.proposal)
         z_coarse = coarse(space.proposal)
-        x, r = rm_update(space, a, z_smooth)
-        record(KIND_SMOOTHER, r)
-        x, r = rm_update(space, a, z_coarse)
-        record(KIND_COARSE, r)
-        return x, r
+        record(KIND_SMOOTHER, rm_update(space, a, z_smooth))
+        record(KIND_COARSE, rm_update(space, a, z_coarse))
 
     return body
 

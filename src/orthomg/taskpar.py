@@ -311,8 +311,7 @@ class _AsyncEngine:
             future = worker.submit(self._correct, level, space.proposal, cycle)
             sweeps = 0
             while True:
-                x, r = rm_update(space, a, smoother.apply(a, space.proposal))
-                record(KIND_SMOOTHER, r)
+                record(KIND_SMOOTHER, rm_update(space, a, smoother.apply(a, space.proposal)))
                 sweeps += 1
                 if sweeps == 1:
                     self._trace(level, ROLE_SMOOTHER, MSG_SMOOTHER_DONE, cycle)
@@ -321,9 +320,7 @@ class _AsyncEngine:
                         break
                 elif future.done():
                     break
-            x, r = rm_update(space, a, self._wait(level, future))
-            record(KIND_COARSE, r)
-            return x, r
+            record(KIND_COARSE, rm_update(space, a, self._wait(level, future)))
 
         return level_loop(self.hierarchy, level, b, x0, self.cfg, body, history)
 

@@ -1,12 +1,16 @@
 """Search-space tests: optimality against dense least squares, invariants."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import orthomg as om
-from helpers import random_spd
+import orthomg.resmin as resmin
+from helpers import benchmark_setup, random_spd
 
 
 def lstsq_residual_norm(a_dense, r0, directions):
@@ -275,3 +279,93 @@ def test_restart_clears_the_galerkin_system():
     assert space.galerkin_rhs.shape == (1,)
     expected = galerkin_residual(a.to_dense(), r, [z])
     assert om.norm2(space.proposal - expected) <= 1e-10 * om.norm2(expected)
+
+
+def disc_level():
+    """64^2 disc operator, a standard-normal right-hand side and a Schwarz
+    smoother of 4x4-cell subdomains, weak enough that 60 corrections do not
+    reach rounding."""
+    _, h, _, smoothers = benchmark_setup(cells=64, n_subdomains=256)
+    b = np.random.default_rng(1).standard_normal(h.finest.n_dofs)
+    return h.finest.matrix, b, smoothers[0]
+
+
+def fold_smoother_corrections(a, b, smoother, count):
+    space = om.rm_init(np.zeros(a.n_rows), b)
+    for _ in range(count):
+        om.rm_update(space, a, smoother.apply(a, space.proposal))
+    assert space.size == count and space.breakdown_count == 0
+    return space
+
+
+def check_block_storage(space, a, galerkin_tolerance=1e-12):
+    w, z = space.basis, space.directions
+    assert w.shape == z.shape == (space.size, a.n_rows)
+    assert np.abs(w @ w.T - np.eye(space.size)).max() <= 1e-10
+    drift = np.linalg.norm(a.to_dense() @ z.T - w.T, axis=0)
+    assert (drift <= 1e-8 * np.linalg.norm(w, axis=1)).all()
+    h = space.galerkin_matrix
+    assert np.array_equal(h, h.T)
+    assert np.abs(h - z @ w.T).max() <= galerkin_tolerance * np.abs(h).max()
+
+
+@pytest.mark.parametrize("panel_rows", [resmin.PANEL_ROWS, 7])
+def test_block_storage_invariants_at_solve_scale(monkeypatch, panel_rows):
+    # 60 smoother corrections of the 64^2 disc operator, in full panels and
+    # in panels of 7 rows, the last one partly filled
+    monkeypatch.setattr(resmin, "PANEL_ROWS", panel_rows)
+    a, b, smoother = disc_level()
+    space = fold_smoother_corrections(a, b, smoother, 60)
+    assert len(space._w_panels) == -(-60 // panel_rows)
+    check_block_storage(space, a)
+
+
+def test_heavy_cancellation_runs_the_second_gram_schmidt_pass(monkeypatch):
+    a, b, smoother = disc_level()
+    space = fold_smoother_corrections(a, b, smoother, 20)
+    passes = []
+    first_pass = resmin._orthogonalize
+
+    def counting(*args):
+        passes.append(1)
+        return first_pass(*args)
+
+    monkeypatch.setattr(resmin, "_orthogonalize", counting)
+    # a stored direction (image of norm 1) plus 1e-3 of a new correction
+    # scaled to the same image norm keeps about 1e-3 of its image after the
+    # first pass
+    fresh = smoother.apply(a, space.proposal)
+    fresh /= om.norm2(om.spmv(a, fresh))
+    om.rm_update(space, a, space.directions[11] + 1e-3 * fresh)
+    assert len(passes) == 2
+    assert space.size == 21 and space.breakdown_count == 0
+    # the new direction was scaled up by about 1e3, and the mirrored entries
+    # of its row with it
+    check_block_storage(space, a, galerkin_tolerance=1e-9)
+
+
+def test_storage_grows_by_panels_and_a_restart_reuses_it():
+    # restart_cap rows of this length would take 320 MB per matrix
+    n = 200_000
+    a = om.SparseMatrixCsr.from_scipy(scipy.sparse.diags(np.linspace(1.0, 2.0, n)))
+    rng = np.random.default_rng(5)
+    tracemalloc.start()
+    try:
+        space = om.rm_init(np.zeros(n), rng.standard_normal(n), restart_cap=200)
+        for _ in range(3):
+            om.rm_update(space, a, rng.standard_normal(n))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert space.size == 3
+    assert peak <= 20 * 8 * n
+
+    space = om.rm_init(np.zeros(n), rng.standard_normal(n), restart_cap=3)
+    for _ in range(3):
+        om.rm_update(space, a, rng.standard_normal(n))
+    panels = space._w_panels + space._z_panels
+    for _ in range(6):  # two restarts
+        om.rm_update(space, a, rng.standard_normal(n))
+    assert space.size == 3
+    assert all(new is old for new, old in zip(space._w_panels + space._z_panels, panels))
+    assert len(space._w_panels + space._z_panels) == len(panels)

@@ -323,6 +323,11 @@ def test_solution_matches_direct_solve_at_256(variant, smoother, extra):
     check_against_direct_solve(256, variant, smoother, extra)
 
 
+@pytest.mark.parametrize("variant", ["multiplicative_sync", "hybrid"])
+def test_solution_matches_direct_solve_in_3d(variant):
+    check_against_direct_solve(16, variant, "schwarz", "problem.dimension = 3\n")
+
+
 def test_multiplicative_schwarz_iterations_are_mesh_robust():
     # Each correction is computed from the energy-norm residual of the
     # directions so far.  Computed from the 2-norm residual, the count grew
@@ -359,3 +364,22 @@ def test_two_level_additive_schwarz_keeps_pairs_consistent(monkeypatch):
     drift = max(om.norm2(om.spmv(a, z) - w) for z, w in zip(space.directions, space.basis))
     assert drift <= 1e-8
     assert om.norm2(result.r - (b - om.spmv(a, result.x))) <= 1e-12 * om.norm2(b)
+
+
+@pytest.mark.parametrize("usable", [1, 2, 64])
+def test_smoother_pool_threads_are_capped_at_the_usable_cpus(monkeypatch, usable):
+    # the chunks follow the worker count, so results do not depend on the host
+    monkeypatch.setattr(sync_mod.os, "sched_getaffinity", lambda pid: set(range(usable)),
+                        raising=False)
+    _, h, b, smoothers = benchmark_setup(cells=32, n_subdomains=16)
+    cfg = cycle_config("multiplicative_sync", smoothers)
+    x0 = np.zeros(h.finest.n_dofs)
+    serial = om.orthomg_solve_multiplicative(h, b, x0, cfg)
+    workers = 3
+    with sync_mod._bound_smoothers(cfg, (workers,) * h.n_levels) as bound:
+        for smoother in bound.smoothers[:-1]:
+            assert smoother.executor._max_workers == min(workers, usable)
+            assert len(smoother.smoother.chunks) == workers
+        pooled = om.orthomg_solve_multiplicative(h, b, x0, bound)
+    assert np.array_equal(pooled.x, serial.x)
+    assert np.array_equal(pooled.history.residuals(), serial.history.residuals())
