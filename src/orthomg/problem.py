@@ -243,13 +243,7 @@ def build_prolongation(fine_cells_per_axis, dimension):
     idx = np.indices((n,) * d).reshape(d, -1)
     parent = np.ravel_multi_index(idx // 2, (nc,) * d)
     n_fine = n**d
-    return SparseMatrixCsr(
-        n_fine,
-        nc**d,
-        np.arange(n_fine + 1, dtype=np.int64),
-        parent.astype(np.int64),
-        np.ones(n_fine),
-    )
+    return SparseMatrixCsr(n_fine, nc**d, np.arange(n_fine + 1), parent, np.ones(n_fine))
 
 
 def build_restriction(prolongation, dimension):

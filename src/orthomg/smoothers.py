@@ -164,14 +164,17 @@ def partition_cells(cells_per_axis, dimension, n_subdomains, overlap):
 class SubdomainSmoother:
     """Local solves on index sets, summed over ``sweeps`` damped sweeps.
 
-    ``sets`` are the subdomains or tiles and ``idx`` their concatenation:
-    row ``k`` of ``block_diagonal = diag(A[s, s])`` belongs to cell
-    ``idx[k]``.  On the sparse kernel ``block_diagonal`` is that matrix in
-    CSC form; on the dense kernel it is the ``(n_sets, m, m)`` stack of its
-    inverted blocks.  ``chunks`` pairs row slices with a solver for them
-    (a SuperLU factor or a slice of the stack, both with ``solve(v)``),
-    one chunk after set-up and one per worker after :meth:`split`.  The
-    local kernel works in ``precision``; corrections are float64.
+    ``sets`` are the subdomains or tiles of the level ``matrix`` and
+    ``idx`` their concatenation: row ``k`` of the block-diagonal matrix
+    ``diag(A[s, s])`` belongs to cell ``idx[k]``.  ``chunks`` pairs row
+    slices with a solver for them, one chunk after set-up and one per
+    worker after :meth:`split`.  On the sparse kernel each solver is a
+    SuperLU factor and the smoother keeps no block-diagonal matrix:
+    ``matrix`` is the level matrix itself, which :meth:`split` gathers the
+    blocks from again.  On the dense kernel ``inverses`` is the
+    ``(n_sets, m, m)`` stack of inverted blocks and each solver a slice of
+    it; it is ``None`` on the sparse kernel.  The local kernel works in
+    ``precision``; corrections are float64.
     """
 
     sets: list
@@ -179,7 +182,8 @@ class SubdomainSmoother:
     omega: float
     sweeps: int
     precision: str
-    block_diagonal: object
+    matrix: object
+    inverses: object
     chunks: list
 
     def apply(self, a, r, executor=None):
@@ -211,10 +215,11 @@ class SubdomainSmoother:
     def split(self, n_chunks):
         """Copy with up to ``n_chunks`` chunks of whole sets.
 
-        The sparse kernel refactorizes each chunk; the dense kernel slices
-        its stack of inverses.
+        The sparse kernel gathers and factorizes each chunk's blocks
+        again; the dense kernel slices its stack of inverses.
         """
-        return replace(self, chunks=_factor(self.block_diagonal, self.sets, n_chunks))
+        return replace(self, chunks=_factor(self.matrix, self.sets, n_chunks,
+                                            self.precision, self.inverses))
 
 
 @dataclass(eq=False)
@@ -232,49 +237,106 @@ class _BatchedInverse:
         return np.matmul(self.inverses, v.reshape(n_sets, m, 1)).reshape(-1)
 
 
-def _factor(block_diagonal, sets, n_chunks, label="set"):
+# Cells whose blocks one gathering step takes from the level matrix, at
+# most (a larger set is gathered on its own).  Each step forms ``A[g][:, g]``
+# for its cells ``g`` only, so the temporaries do not grow with the level.
+GATHER_CELLS = 2**14
+
+
+def _gathered(a, sets, sizes):
+    """Entries of ``diag(A[s, s])`` over ``sets``, one step of sets at a time.
+
+    Consecutive sets ending in the same run of :data:`GATHER_CELLS` cells
+    form a step.  Yields ``(row0, size, row, col, data)`` per step: its
+    ``size`` cells start at row ``row0`` of the whole block-diagonal
+    matrix, and the COO entries of its blocks count rows and columns from
+    there.
+    """
+    csr = a._scipy
+    step = (np.cumsum(sizes) - 1) // GATHER_CELLS
+    starts = [0, *(np.flatnonzero(np.diff(step)) + 1)]
+    row0 = 0
+    for first, stop in zip(starts, [*starts[1:], len(sets)]):
+        cells = np.concatenate(sets[first:stop])
+        owner = np.repeat(np.arange(stop - first, dtype=np.intc), sizes[first:stop])
+        sub = csr[cells][:, cells]
+        counts = np.diff(sub.indptr)
+        keep = np.repeat(owner, counts) == owner[sub.indices]
+        row = np.repeat(np.arange(cells.size, dtype=np.intc), counts)
+        yield row0, cells.size, row[keep], sub.indices[keep], sub.data[keep]
+        row0 += cells.size
+
+
+def _block_diagonal(a, sets, precision):
+    """``diag(A[s, s])`` over ``sets`` as one CSC matrix in ``precision``.
+
+    Each gathered step is written straight into the result, whose entries
+    are bounded by those of the rows of ``A`` over the sets; no copy of
+    the whole ``A[idx][:, idx]`` is formed.
+    """
+    sizes = np.array([len(s) for s in sets])
+    n = int(sizes.sum())
+    bound = int(np.diff(a._scipy.indptr)[np.concatenate(sets)].sum())
+    data = np.empty(bound, dtype=precision)
+    indices = np.empty(bound, dtype=np.intc)
+    indptr = np.zeros(n + 1, dtype=np.intc)
+    nnz = 0
+    for row0, size, row, col, values in _gathered(a, sets, sizes):
+        block = scipy.sparse.csc_matrix((values, (row, col)), shape=(size, size))
+        end = nnz + block.nnz
+        data[nnz:end] = block.data
+        indices[nnz:end] = block.indices + row0
+        indptr[row0 + 1:row0 + size + 1] = block.indptr[1:] + nnz
+        nnz = end
+    return scipy.sparse.csc_matrix((data[:nnz], indices[:nnz], indptr), shape=(n, n))
+
+
+def _factor(a, sets, n_chunks, precision, inverses=None, label="set"):
     """Solvers for ``n_chunks`` runs of consecutive ``sets``.
 
-    A stack of inverses (dense kernel) is sliced.  A sparse matrix is
-    factorized per chunk with minimum degree on ``A + A^T``; one-column
-    panels and supernodes keep every column's arithmetic inside its block,
-    so chunks of any size solved bitwise equally on every grid tried up
-    to 256^2 and 32^3 (COLAMD and SuperLU's symmetric mode do not, for
-    small blocks).  A singular chunk is refactorized set by set to name
-    the singular set.
+    A stack of ``inverses`` (dense kernel) is sliced.  Otherwise each
+    chunk's blocks are gathered from ``a`` and factorized with minimum
+    degree on ``A + A^T``, and only the factor is kept; one-column panels
+    and supernodes keep every column's arithmetic inside its block, so
+    chunks of any size solved bitwise equally on every grid tried up to
+    256^2 and 32^3 (COLAMD and SuperLU's symmetric mode do not, for small
+    blocks).  A singular chunk is refactorized set by set to name the
+    singular set.
     """
     bounds = np.cumsum([0] + [len(s) for s in sets])
     chunks = []
     for group in np.array_split(np.arange(len(sets)), min(n_chunks, len(sets))):
         first, stop = group[0], group[-1] + 1
         rows = slice(bounds[first], bounds[stop])
-        if isinstance(block_diagonal, np.ndarray):
-            chunks.append((rows, _BatchedInverse(block_diagonal[first:stop])))
+        if inverses is not None:
+            chunks.append((rows, _BatchedInverse(inverses[first:stop])))
             continue
         try:
             lu = scipy.sparse.linalg.splu(
-                block_diagonal[rows, rows], permc_spec="MMD_AT_PLUS_A",
-                diag_pivot_thresh=0.0, relax=1, panel_size=1,
+                _block_diagonal(a, sets[first:stop], precision),
+                permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, relax=1, panel_size=1,
             )
         except RuntimeError:  # SuperLU: "Factor is exactly singular"
             if group.size == 1:
                 raise SingularMatrixError(f"singular {label} {first}") from None
-            return _factor(block_diagonal, sets, len(sets), label)
+            return _factor(a, sets, len(sets), precision, label=label)
         chunks.append((rows, lu))
     return chunks
 
 
-def _inverses(sub, n_sets, m, precision, label):
-    """Stack of the inverted ``m x m`` diagonal blocks of ``sub`` (COO).
+def _inverses(a, sets, m, precision, label):
+    """Stack of the inverted ``m x m`` blocks ``A[s, s]`` over ``sets``.
 
     Where the coefficient is constant, a structured grid repeats the same
     block (106 distinct ones among the 1024 tiles of the 128^2 disc
     level), so each distinct block is inverted once.  A singular block
     raises :class:`SingularMatrixError` naming it.
     """
-    same = sub.row // m == sub.col // m
+    n_sets = len(sets)
     flat = np.zeros((n_sets, m * m), dtype=precision)
-    flat.reshape(-1)[(sub.row.astype(np.int64) * m + sub.col % m)[same]] = sub.data[same]
+    for row0, _, row, col, values in _gathered(a, sets, np.full(n_sets, m)):
+        # a step starts at a block boundary, so ``col % m`` is the block column
+        flat.reshape(-1)[(row0 + row.astype(np.int64)) * m + col % m] = values
     # equal blocks get equal keys; unequal blocks sharing a key fail the check
     keys = flat @ np.sqrt(np.arange(2.0, m * m + 2))
     _, first, which = np.unique(keys, return_index=True, return_inverse=True)
@@ -300,21 +362,13 @@ def _subdomain_smoother(a, sets, omega, sweeps, precision, label):
         raise ValueError(f"unknown precision {precision!r}; expected 'float64' or 'float32'")
     if sweeps < 1:
         raise ValueError("sweeps must be at least 1")
-    idx = np.concatenate(sets)
     sizes = np.array([len(s) for s in sets])
-    sub = a._scipy[idx][:, idx].tocoo()
     m = sizes[0]
+    inverses = None
     if m <= DENSE_MAX_CELLS and (sizes == m).all():
-        block_diagonal = _inverses(sub, len(sets), m, precision, label)
-    else:
-        owner = np.repeat(np.arange(len(sets)), sizes)
-        keep = owner[sub.row] == owner[sub.col]
-        block_diagonal = scipy.sparse.csc_matrix(
-            (sub.data[keep], (sub.row[keep], sub.col[keep])),
-            shape=(idx.size, idx.size), dtype=precision,
-        )
-    return SubdomainSmoother(sets, idx, float(omega), int(sweeps), precision,
-                             block_diagonal, _factor(block_diagonal, sets, 1, label))
+        inverses = _inverses(a, sets, m, precision, label)
+    return SubdomainSmoother(sets, np.concatenate(sets), float(omega), int(sweeps), precision,
+                             a, inverses, _factor(a, sets, 1, precision, inverses, label))
 
 
 def schwarz_setup(a, partition, precision="float64", sweeps=1):

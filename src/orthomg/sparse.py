@@ -7,8 +7,7 @@ products) delegate to scipy behind these interfaces.
 """
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse
@@ -20,18 +19,30 @@ __all__ = [
     "triple_product",
 ]
 
+
+def _index_array(x):
+    """``x`` as a contiguous integer array (int64 unless it already is integer)."""
+    x = np.asarray(x)
+    return np.ascontiguousarray(x, dtype=x.dtype if x.dtype.kind == "i" else np.int64)
+
+
 @dataclass(eq=False)
 class SparseMatrixCsr:
     """Compressed sparse row matrix with float64 values.
+
+    The three arrays are those of ``_scipy``, the scipy CSR matrix every
+    product runs on, so each is stored once.  The index arrays take the
+    integer type scipy picks for them: int32 whenever the shape and the
+    number of stored values fit, else int64.
 
     Attributes
     ----------
     n_rows, n_cols : int
         Matrix shape.
-    row_offsets : ndarray of int64, length n_rows + 1
+    row_offsets : integer ndarray, length n_rows + 1
         Start of each row in ``col_indices``/``values``; first entry 0,
         last entry equals the number of stored values.
-    col_indices : ndarray of int64
+    col_indices : integer ndarray
         Column index per stored value, strictly increasing within a row.
     values : ndarray of float64
         Stored entries, row-major.
@@ -42,10 +53,11 @@ class SparseMatrixCsr:
     row_offsets: np.ndarray
     col_indices: np.ndarray
     values: np.ndarray
+    _scipy: scipy.sparse.csr_matrix = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.row_offsets = np.ascontiguousarray(self.row_offsets, dtype=np.int64)
-        self.col_indices = np.ascontiguousarray(self.col_indices, dtype=np.int64)
+        self.row_offsets = _index_array(self.row_offsets)
+        self.col_indices = _index_array(self.col_indices)
         self.values = np.ascontiguousarray(self.values, dtype=np.float64)
         if self.n_rows < 0 or self.n_cols < 0:
             raise ValueError("matrix shape must be non-negative")
@@ -69,15 +81,13 @@ class SparseMatrixCsr:
             interior[starts[starts < nnz]] = False  # positions that start a row
             if np.any(np.diff(self.col_indices)[interior[1:]] <= 0):
                 raise ValueError("column indices must be strictly increasing per row")
-
-    @cached_property
-    def _scipy(self):
         m = scipy.sparse.csr_matrix(
             (self.values, self.col_indices, self.row_offsets),
             shape=(self.n_rows, self.n_cols),
         )
         m.has_sorted_indices = True
-        return m
+        self._scipy = m
+        self.row_offsets, self.col_indices, self.values = m.indptr, m.indices, m.data
 
     @property
     def nnz(self):

@@ -287,7 +287,8 @@ def level_loop(hierarchy, level, b, x0, cfg, body, history=None):
     ``space`` with ``rm_update`` and hands each ``(x, r)`` ``rm_update``
     returns to ``record(kind, (x, r))``.  The loop keeps no iterate of
     its own: after each cycle it reads ``space.minimizer``, so no stale
-    ``(x, r)`` stays alive while the next cycle runs.  Only the entry
+    ``(x, r)`` stays alive while the next cycle runs.  A zero ``x0``
+    takes ``b`` as its residual without a product.  Only the entry
     level passes a ``history``; the finest level also stops at
     ``cfg.max_outer_iterations``.
     """
@@ -297,7 +298,8 @@ def level_loop(hierarchy, level, b, x0, cfg, body, history=None):
         if history is not None:
             history.append(kind, norm2(minimizer[1]))
 
-    r0 = b - spmv(a, x0)
+    # every coarse visit starts from zero, and so do most callers: no product
+    r0 = b - spmv(a, x0) if x0.any() else b.copy()
     space = rm_init(x0, r0)
     r0_norm = r_norm = norm2(r0)
     record(KIND_INITIAL, (x0, r0))

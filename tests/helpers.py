@@ -1,6 +1,7 @@
 """Shared builders for the test suite."""
 
 import numpy as np
+import scipy.sparse.linalg
 
 import orthomg as om
 
@@ -19,8 +20,23 @@ def random_spd(rng, n):
 
 
 def kernel(smoother):
-    """Local kernel a :class:`~orthomg.SubdomainSmoother` took at set-up."""
-    return "dense" if isinstance(smoother.block_diagonal, np.ndarray) else "sparse"
+    """Local kernel a :class:`~orthomg.SubdomainSmoother` took at set-up.
+
+    The dense kernel keeps its stack of inverses; the sparse kernel keeps
+    one SuperLU factor per chunk and no block-diagonal matrix.
+    """
+    if isinstance(smoother.inverses, np.ndarray):
+        return "dense"
+    assert smoother.inverses is None
+    assert all(isinstance(solver, scipy.sparse.linalg.SuperLU) for _, solver in smoother.chunks)
+    return "sparse"
+
+
+def factor_dtypes(smoother):
+    """Dtypes of every stored local factor: each chunk's inverses or SuperLU ``L`` and ``U``."""
+    if kernel(smoother) == "dense":
+        return {smoother.inverses.dtype} | {solver.inverses.dtype for _, solver in smoother.chunks}
+    return {f.dtype for _, solver in smoother.chunks for f in (solver.L, solver.U)}
 
 
 def benchmark_setup(cells=16, dimension=2, l_min=64, smoother="schwarz",

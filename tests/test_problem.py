@@ -245,3 +245,23 @@ def test_hierarchy_from_assembled_matrix_matches_build_hierarchy(dimension, cell
             assert np.array_equal(getattr(mine.matrix, name), getattr(theirs.matrix, name))
     with pytest.raises(ValueError, match="grid"):
         om.hierarchy_from_matrix(matrix, cells // 2, spec.spacing, dimension)
+
+
+@pytest.mark.parametrize("dimension,cells", [(2, 64), (3, 16)])
+def test_every_matrix_shares_its_arrays_with_scipy(dimension, cells):
+    # one copy of values and indices, in the integer type scipy picks
+    spec = om.ProblemSpec(dimension=dimension, cells_per_axis=cells)
+    assembled, _ = om.assemble_poisson(spec)
+    prolongation = om.build_prolongation(cells, dimension)
+    restriction = om.build_restriction(prolongation, dimension)
+    coarse = om.triple_product(restriction, assembled, prolongation)
+    hierarchy = om.hierarchy_from_matrix(assembled, cells, spec.spacing, dimension, l_min=16)
+    matrices = [assembled, prolongation, restriction, coarse]
+    for level in hierarchy.levels:
+        matrices += [m for m in (level.matrix, level.restriction, level.prolongation) if m]
+    for m in matrices:
+        m_scipy = m._scipy
+        assert np.shares_memory(m.values, m_scipy.data)
+        assert np.shares_memory(m.col_indices, m_scipy.indices)
+        assert np.shares_memory(m.row_offsets, m_scipy.indptr)
+        assert m.col_indices.dtype == m.row_offsets.dtype == np.int32

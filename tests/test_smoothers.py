@@ -1,5 +1,6 @@
 """Partitioner and smoother tests against dense per-subdomain oracles."""
 
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import orthomg as om
-from helpers import kernel
+from helpers import factor_dtypes, kernel
 from orthomg import smoothers
 
 # ---------------------------------------------------------------------------
@@ -187,6 +188,29 @@ def test_schwarz_benchmark_level_matches_dense_oracle():
     assert np.linalg.norm(z - oracle) <= 1e-12 * np.linalg.norm(oracle)
 
 
+@pytest.mark.parametrize("dimension,cells,peak_mib", [(2, 256, 16.0), (3, 32, 20.0)])
+def test_sparse_setup_keeps_only_factors(dimension, cells, peak_mib):
+    # the benchmark's finest disc levels, 256-cell subdomains; numpy-visible
+    # set-up peaks read 12.4 (2D) and 15.6 MiB (3D), and 22.3 and 28.2 MiB
+    # when the whole A[idx][:, idx] and a block-diagonal copy were formed
+    spec = om.ProblemSpec(dimension=dimension, cells_per_axis=cells, k_outer=1000.0)
+    a, _ = om.assemble_poisson(spec)
+    p = om.partition_cells(cells, dimension, a.n_rows // 256, 1)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        sm = om.schwarz_setup(a, p)
+        retained, peak = (m - start for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert peak <= peak_mib * 2**20, peak / 2**20
+    # the sets and their concatenation; SuperLU's factors are not numpy arrays
+    assert retained <= 2 * 2**20, retained / 2**20
+    assert kernel(sm) == "sparse"
+    assert sm.matrix is a
+    assert not any(scipy.sparse.issparse(v) for v in vars(sm).values() if v is not a)
+
+
 def test_schwarz_float32_local_solves():
     a = poisson_matrix(8)
     for (count, overlap), kind in (((16, 0), "dense"), ((4, 1), "sparse")):
@@ -195,7 +219,7 @@ def test_schwarz_float32_local_solves():
         sm32 = om.schwarz_setup(a, p, "float32")
         assert kernel(sm32) == kind
         assert sm32.precision == "float32"
-        assert sm32.block_diagonal.dtype == np.float32
+        assert factor_dtypes(sm32) == {np.dtype(np.float32)}
         rng = np.random.default_rng(11)
         r = rng.standard_normal(64)
         for rows, solver in sm32.chunks:
@@ -363,7 +387,7 @@ def test_dense_kernel_tells_apart_blocks_with_equal_keys():
     diagonal = np.array([x, y, 3.0, 3.0])
     sm = om.bj_setup(om.SparseMatrixCsr.from_dense(np.diag(diagonal)), 1, None)
     assert kernel(sm) == "dense"
-    assert np.array_equal(sm.block_diagonal[:, 0, 0], 1.0 / diagonal)
+    assert np.array_equal(sm.inverses[:, 0, 0], 1.0 / diagonal)
 
 
 def test_kernel_is_chosen_from_set_sizes():

@@ -8,7 +8,7 @@ import scipy.io
 
 import orthomg as om
 import orthomg.cli as cli
-from helpers import kernel, random_sparse
+from helpers import factor_dtypes, kernel, random_sparse
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -144,7 +144,7 @@ def test_lu_float32_precision():
         csr, lu32 = whole_matrix_lu(a, precision="float32")
         assert kernel(lu32) == kind
         assert lu32.precision == "float32"
-        assert lu32.block_diagonal.dtype == np.float32
+        assert factor_dtypes(lu32) == {np.dtype(np.float32)}
         for rows, solver in lu32.chunks:
             assert solver.solve(b[rows].astype(np.float32)).dtype == np.float32
         x32 = lu32.apply(csr, b)

@@ -214,6 +214,22 @@ def test_deterministic_pins_sweeps_per_cycle():
         assert body[4 * i: 4 * i + 4] == ["smoother", "smoother", "smoother", "coarse"]
 
 
+@pytest.mark.parametrize("sweeps,bound", [(1, 34), (2, 22)])
+def test_deterministic_late_coarse_corrections_still_pay(sweeps, bound):
+    # Each coarse correction is computed from the residual at the start of
+    # its cycle and folded in ``sweeps`` smoother steps later.  On the 128^2
+    # disc with 64 Schwarz subdomains the finest level takes 32 cycles at
+    # one sweep and 21 at two; with every coarse correction zeroed it takes
+    # 48 and 24, what the smoother alone needs.  The realtime companion is
+    # acceptance criterion 6.
+    _, h, b, smoothers = benchmark_setup(cells=128, l_min=64, n_subdomains=64)
+    cfg = cycle_config("additive_task_parallel", smoothers)
+    res = om.async_solve(h, b, np.zeros(h.finest.n_dofs), cfg, om.assign_groups(h, h.n_levels),
+                         om.SchedulerMode.deterministic(sweeps))
+    assert res.converged
+    assert res.iterations <= bound, res.iterations
+
+
 # ---------------------------------------------------------------------------
 # realtime mode and the message protocol
 
