@@ -258,7 +258,8 @@ def test_every_matrix_shares_its_arrays_with_scipy(dimension, cells):
     hierarchy = om.hierarchy_from_matrix(assembled, cells, spec.spacing, dimension, l_min=16)
     matrices = [assembled, prolongation, restriction, coarse]
     for level in hierarchy.levels:
-        matrices += [m for m in (level.matrix, level.restriction, level.prolongation) if m]
+        matrices += [m for m in (level.matrix, level.restriction, level.prolongation)
+                     if m is not None]
     for m in matrices:
         m_scipy = m._scipy
         assert np.shares_memory(m.values, m_scipy.data)
