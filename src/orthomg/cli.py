@@ -6,7 +6,6 @@ Exit codes: 0 success, 1 unexpected error, 2 invalid configuration,
 
 import argparse
 import json
-import os
 import statistics
 import sys
 import time
@@ -29,6 +28,7 @@ from .config import (
     validate_config,
 )
 from .problem import assemble_poisson, hierarchy_from_matrix
+from .smoothers import _usable_cpus
 from .sparse import norm2
 from .sync import (
     VARIANT_ADDITIVE_SYNC,
@@ -98,11 +98,11 @@ def execute_run(cfg, prepared, variant, workers):
             f"workers raised from {workers} to {used},"
             f" the minimum for {hierarchy.n_levels} levels"
         )
-    cpu_count = os.cpu_count() or 1
-    if used > cpu_count:
+    usable = _usable_cpus()
+    if used > usable:
         notes.append(
             f"{used} workers exceed the machine's parallelism"
-            f" ({cpu_count} available)"
+            f" ({usable} available)"
         )
     cycle_cfg = CycleConfig(
         variant=variant,

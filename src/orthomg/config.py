@@ -256,6 +256,8 @@ def validate_config(cfg):
         raise ValueError("solver.max_outer_iterations must be at least 1")
     if cfg.scheduler.sweeps_per_cycle < 1:
         raise ValueError("scheduler.sweeps_per_cycle must be at least 1")
+    if cfg.scheduler.mode == "realtime" and cfg.scheduler.sweeps_per_cycle != 1:
+        raise ValueError("scheduler.sweeps_per_cycle applies to scheduler.mode = deterministic only")
     if cfg.watchdog_seconds <= 0.0:
         raise ValueError("watchdog_seconds must be positive")
     build_criteria(cfg)  # level rules carry their own invariants

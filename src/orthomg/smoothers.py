@@ -14,7 +14,8 @@ without damping because the surrounding minimization absorbs any
 overcorrection.
 """
 
-from dataclasses import dataclass, replace
+import os
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
@@ -164,17 +165,15 @@ def partition_cells(cells_per_axis, dimension, n_subdomains, overlap):
 class SubdomainSmoother:
     """Local solves on index sets, summed over ``sweeps`` damped sweeps.
 
-    ``sets`` are the subdomains or tiles of the level ``matrix`` and
-    ``idx`` their concatenation: row ``k`` of the block-diagonal matrix
+    ``sets`` are the subdomains or tiles of the level matrix and ``idx``
+    their concatenation: row ``k`` of the block-diagonal matrix
     ``diag(A[s, s])`` belongs to cell ``idx[k]``.  ``chunks`` pairs row
-    slices with a solver for them, one chunk after set-up and one per
-    worker after :meth:`split`.  On the sparse kernel each solver is a
-    SuperLU factor and the smoother keeps no block-diagonal matrix:
-    ``matrix`` is the level matrix itself, which :meth:`split` gathers the
-    blocks from again.  On the dense kernel ``inverses`` is the
-    ``(n_sets, m, m)`` stack of inverted blocks and each solver a slice of
-    it; it is ``None`` on the sparse kernel.  The local kernel works in
-    ``precision``; corrections are float64.
+    slices with a solver for them, one chunk of whole sets per usable CPU
+    (:func:`_usable_cpus`), cut once at set-up.  On the sparse kernel each
+    solver is a SuperLU factor and the smoother keeps no block-diagonal
+    matrix; on the dense kernel each is a slice of the ``(n_sets, m, m)``
+    stack of inverted blocks.  The local kernel works in ``precision``;
+    corrections are float64.
     """
 
     sets: list
@@ -182,8 +181,6 @@ class SubdomainSmoother:
     omega: float
     sweeps: int
     precision: str
-    matrix: object
-    inverses: object
     chunks: list
 
     def apply(self, a, r, executor=None):
@@ -212,14 +209,13 @@ class SubdomainSmoother:
             z += self.omega * np.bincount(self.idx, weights=solved, minlength=r.size)
         return z
 
-    def split(self, n_chunks):
-        """Copy with up to ``n_chunks`` chunks of whole sets.
 
-        The sparse kernel gathers and factorizes each chunk's blocks
-        again; the dense kernel slices its stack of inverses.
-        """
-        return replace(self, chunks=_factor(self.matrix, self.sets, n_chunks,
-                                            self.precision, self.inverses))
+def _usable_cpus():
+    """CPUs this process may run on (all of them where affinity is unknown)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 @dataclass(eq=False)
@@ -354,7 +350,10 @@ def _subdomain_smoother(a, sets, omega, sweeps, precision, label):
     """Invert or factorize the blocks ``A[s, s]`` over ``sets``.
 
     Equal-size sets of at most :data:`DENSE_MAX_CELLS` cells take the
-    dense kernel, every other partition the sparse one.
+    dense kernel, every other partition the sparse one.  The sets are cut
+    into one chunk per usable CPU; chunks of whole sets solve bitwise
+    equally to one, so their count only sizes the tasks a pool can run
+    at once.
     """
     if a.n_rows != a.n_cols:
         raise ValueError("subdomain smoothers require a square matrix")
@@ -368,7 +367,7 @@ def _subdomain_smoother(a, sets, omega, sweeps, precision, label):
     if m <= DENSE_MAX_CELLS and (sizes == m).all():
         inverses = _inverses(a, sets, m, precision, label)
     return SubdomainSmoother(sets, np.concatenate(sets), float(omega), int(sweeps), precision,
-                             a, inverses, _factor(a, sets, 1, precision, inverses, label))
+                             _factor(a, sets, _usable_cpus(), precision, inverses, label))
 
 
 def schwarz_setup(a, partition, precision="float64", sweeps=1):

@@ -19,7 +19,6 @@ stops after a fixed residual-reduction factor or a small iteration cap,
 and the coarsest level is always solved directly.
 """
 
-import os
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack, contextmanager
@@ -30,6 +29,7 @@ import scipy.sparse.linalg
 
 from .errors import SingularMatrixError
 from .resmin import rm_init, rm_update
+from .smoothers import _usable_cpus
 from .sparse import norm2, spmv
 
 __all__ = [
@@ -142,10 +142,6 @@ class LevelSmoother:
     def apply(self, a, r):
         return self.smoother.apply(a, r, executor=self.executor)
 
-    def with_executor(self, executor, workers):
-        """Bind ``executor``, the smoother split into one chunk per worker."""
-        return replace(self, smoother=self.smoother.split(workers), executor=executor)
-
 
 @dataclass(eq=False)
 class CycleConfig:
@@ -165,23 +161,15 @@ class CycleConfig:
             raise ValueError("max_outer_iterations must be at least 1")
 
 
-def _usable_cpus():
-    """CPUs this process may run on (all of them where affinity is unknown)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 @contextmanager
 def _bound_smoothers(cfg, workers_per_level):
     """``cfg`` with a thread pool bound to every smoother of two or more workers.
 
-    ``workers_per_level`` holds one count per level, finest first.  The
-    smoother is split into one chunk per worker, but its pool starts no
-    more threads than the process may run on at once: extra threads only
-    contend for the same cores, and a bound apply then runs slower than a
-    serial one.  The chunks, and so every result, do not depend on it.
+    ``workers_per_level`` holds one count per level, finest first.  A pool
+    starts no more threads than the process may run on at once: extra
+    threads only contend for the same cores, and a bound apply then runs
+    slower than a serial one.  The smoother keeps the chunks it was set
+    up with, so every result is the same with or without a pool.
     """
     usable = _usable_cpus()
     with ExitStack() as stack:
@@ -191,7 +179,7 @@ def _bound_smoothers(cfg, workers_per_level):
                 pool = stack.enter_context(ThreadPoolExecutor(
                     max_workers=min(workers, usable),
                     thread_name_prefix=f"smoother-l{level}"))
-                bound[level] = smoother.with_executor(pool, workers)
+                bound[level] = replace(smoother, executor=pool)
         yield replace(cfg, smoothers=bound)
 
 

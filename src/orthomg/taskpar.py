@@ -98,6 +98,8 @@ class SchedulerMode:
             raise ValueError(f"unknown scheduler mode {self.kind!r}")
         if self.sweeps_per_cycle < 1:
             raise ValueError("sweeps_per_cycle must be at least 1")
+        if self.kind == "realtime" and self.sweeps_per_cycle != 1:
+            raise ValueError("sweeps_per_cycle applies to the deterministic scheduler only")
 
     @classmethod
     def realtime(cls):

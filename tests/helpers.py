@@ -4,6 +4,7 @@ import numpy as np
 import scipy.sparse.linalg
 
 import orthomg as om
+from orthomg import smoothers
 
 
 def random_sparse(rng, n_rows, n_cols, density=0.3):
@@ -22,20 +23,21 @@ def random_spd(rng, n):
 def kernel(smoother):
     """Local kernel a :class:`~orthomg.SubdomainSmoother` took at set-up.
 
-    The dense kernel keeps its stack of inverses; the sparse kernel keeps
-    one SuperLU factor per chunk and no block-diagonal matrix.
+    The dense kernel keeps a slice of its stack of inverses per chunk; the
+    sparse kernel keeps one SuperLU factor per chunk and no block-diagonal
+    matrix.
     """
-    if isinstance(smoother.inverses, np.ndarray):
+    solvers = [solver for _, solver in smoother.chunks]
+    if all(isinstance(solver, smoothers._BatchedInverse) for solver in solvers):
         return "dense"
-    assert smoother.inverses is None
-    assert all(isinstance(solver, scipy.sparse.linalg.SuperLU) for _, solver in smoother.chunks)
+    assert all(isinstance(solver, scipy.sparse.linalg.SuperLU) for solver in solvers)
     return "sparse"
 
 
 def factor_dtypes(smoother):
     """Dtypes of every stored local factor: each chunk's inverses or SuperLU ``L`` and ``U``."""
     if kernel(smoother) == "dense":
-        return {smoother.inverses.dtype} | {solver.inverses.dtype for _, solver in smoother.chunks}
+        return {solver.inverses.dtype for _, solver in smoother.chunks}
     return {f.dtype for _, solver in smoother.chunks for f in (solver.L, solver.U)}
 
 

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import os
 
 import pytest
 import scipy.io
@@ -153,6 +154,21 @@ def test_sync_smoother_pool_changes_no_number(tmp_path, variant, smoother):
         assert read_summary(out)["workers_used"] == int(workers)
         histories.append((out / "history.csv").read_bytes())
     assert histories[0] == histories[1]
+
+
+def test_oversubscription_note_counts_the_usable_cpus(tmp_path, monkeypatch):
+    # the note counts the CPUs the process may run on, as the smoother
+    # pools do, not every CPU of the machine
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+    notes = {}
+    for workers in ("3", "4"):
+        (tmp_path / workers).mkdir()
+        code, out = run(tmp_path / workers, "solve", flags=("--workers", workers))
+        assert code == cli.EXIT_OK
+        notes[workers] = read_summary(out)["notes"]
+    assert not any("exceed" in note for note in notes["3"])
+    assert "4 workers exceed the machine's parallelism (3 available)" in notes["4"]
 
 
 @pytest.mark.parametrize("variant", ["additive_task_parallel", "hybrid"])

@@ -127,6 +127,7 @@ def test_digest_is_stable_and_sensitive():
     ("smoother.omega = 0.0", "omega"),
     ("solver.max_outer_iterations = 0", "max_outer_iterations"),
     ("scheduler.sweeps_per_cycle = 0", "sweeps_per_cycle"),
+    ("scheduler.sweeps_per_cycle = 2", "deterministic only"),
     ("watchdog_seconds = 0.0", "watchdog_seconds"),
     ("compare.repetitions = 0", "repetitions"),
     ("compare.variants = additive_sync, cg", "unknown variant"),

@@ -2,6 +2,7 @@
 
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 import pytest
@@ -159,18 +160,36 @@ def test_schwarz_is_linear():
     assert combined == pytest.approx(separate, abs=1e-12)
 
 
-def test_schwarz_executor_matches_serial_exactly():
-    a = poisson_matrix(8)
-    # 16 disjoint 4-cell subdomains (dense kernel), 4 with overlap (sparse LU)
-    for (count, overlap), kind in (((16, 0), "dense"), ((4, 1), "sparse")):
-        sm = om.schwarz_setup(a, om.partition_cells(8, 2, count, overlap), sweeps=2)
-        assert kernel(sm) == kind
-        rng = np.random.default_rng(9)
-        r = rng.standard_normal(64)
+def assert_chunking_changes_no_bit(monkeypatch, build, a, r):
+    """Smoothers set up under 1, 2, 3 and 64 usable CPUs apply bitwise alike.
+
+    Set-up cuts the sets into one chunk per usable CPU; every chunk count,
+    applied serially or on a pool, gives the one-chunk correction.
+    """
+    reference = None
+    for usable in (1, 2, 3, 64):
+        monkeypatch.setattr(smoothers, "_usable_cpus", lambda: usable)
+        sm = build()
+        assert len(sm.chunks) == min(len(sm.sets), usable)
         serial = sm.apply(a, r)
         with ThreadPoolExecutor(max_workers=3) as pool:
-            threaded = sm.split(3).apply(a, r, executor=pool)
-        assert np.array_equal(serial, threaded), kind
+            pooled = sm.apply(a, r, executor=pool)
+        if reference is None:
+            reference = serial
+        assert np.array_equal(serial, reference), usable
+        assert np.array_equal(pooled, reference), usable
+    return kernel(sm)
+
+
+def test_schwarz_executor_matches_serial_exactly(monkeypatch):
+    a = poisson_matrix(8)
+    r = np.random.default_rng(9).standard_normal(64)
+    # 16 disjoint 4-cell subdomains (dense kernel), 4 with overlap (sparse LU)
+    for (count, overlap), kind in (((16, 0), "dense"), ((4, 1), "sparse")):
+        p = om.partition_cells(8, 2, count, overlap)
+        for precision in ("float64", "float32"):
+            build = partial(om.schwarz_setup, a, p, precision, sweeps=2)
+            assert assert_chunking_changes_no_bit(monkeypatch, build, a, r) == kind
 
 
 def test_schwarz_benchmark_level_matches_dense_oracle():
@@ -207,8 +226,8 @@ def test_sparse_setup_keeps_only_factors(dimension, cells, peak_mib):
     # the sets and their concatenation; SuperLU's factors are not numpy arrays
     assert retained <= 2 * 2**20, retained / 2**20
     assert kernel(sm) == "sparse"
-    assert sm.matrix is a
-    assert not any(scipy.sparse.issparse(v) for v in vars(sm).values() if v is not a)
+    assert not any(scipy.sparse.issparse(v) or isinstance(v, om.SparseMatrixCsr)
+                   for v in vars(sm).values())
 
 
 def test_schwarz_float32_local_solves():
@@ -334,18 +353,14 @@ def test_bj_singular_block_is_named():
             om.bj_setup(a, tile, None)
 
 
-def test_bj_executor_matches_serial_exactly():
+def test_bj_executor_matches_serial_exactly(monkeypatch):
     # 4x4 tiles take the dense kernel, 8x8 tiles the sparse LU
     for cells, tile, kind in ((8, 4, "dense"), (16, 8, "sparse")):
         a = poisson_matrix(cells)
-        sm = om.bj_setup(a, tile, (cells, 2))
-        assert kernel(sm) == kind
-        rng = np.random.default_rng(23)
-        r = rng.standard_normal(cells**2)
-        serial = sm.apply(a, r)
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            threaded = sm.split(2).apply(a, r, executor=pool)
-        assert np.array_equal(serial, threaded), kind
+        r = np.random.default_rng(23).standard_normal(cells**2)
+        for precision in ("float64", "float32"):
+            build = partial(om.bj_setup, a, tile, (cells, 2), precision=precision)
+            assert assert_chunking_changes_no_bit(monkeypatch, build, a, r) == kind
 
 
 def test_bj_benchmark_level_matches_dense_oracle():
@@ -387,7 +402,8 @@ def test_dense_kernel_tells_apart_blocks_with_equal_keys():
     diagonal = np.array([x, y, 3.0, 3.0])
     sm = om.bj_setup(om.SparseMatrixCsr.from_dense(np.diag(diagonal)), 1, None)
     assert kernel(sm) == "dense"
-    assert np.array_equal(sm.inverses[:, 0, 0], 1.0 / diagonal)
+    inverses = np.concatenate([solver.inverses for _, solver in sm.chunks])
+    assert np.array_equal(inverses[:, 0, 0], 1.0 / diagonal)
 
 
 def test_kernel_is_chosen_from_set_sizes():
@@ -413,17 +429,18 @@ class CountingExecutor:
         return map(fn, items)
 
 
-def test_bound_smoother_submits_one_task_per_worker():
-    # 1024 tiles on the 128^2 level: one task per worker chunk, not per tile
+def test_bound_smoother_submits_one_task_per_worker(monkeypatch):
+    # 1024 tiles on the 128^2 level: one task per chunk, and set-up cuts
+    # one chunk per usable CPU, not one per tile
+    monkeypatch.setattr(smoothers, "_usable_cpus", lambda: 3)
     a = poisson_matrix(128)
     sm = om.bj_setup(a, 4, (128, 2), sweeps=1)
     assert len(sm.sets) == 1024
+    assert len(sm.chunks) == 3
     executor = CountingExecutor()
-    bound = om.LevelSmoother(sm).with_executor(executor, 3)
     r = np.random.default_rng(31).standard_normal(a.n_rows)
-    z = bound.apply(a, r)
-    assert 1 <= executor.tasks <= 3
-    assert len(bound.smoother.chunks) == 3
+    z = om.LevelSmoother(sm, executor).apply(a, r)
+    assert executor.tasks == 3
     assert np.array_equal(z, sm.apply(a, r))
 
 

@@ -18,7 +18,7 @@ import orthomg.resmin as resmin
 import orthomg.smoothers as smoothers_mod
 import orthomg.sync as sync
 import orthomg.taskpar as taskpar
-from helpers import benchmark_setup, cycle_config
+from helpers import benchmark_setup, cycle_config, kernel
 
 
 def history_records(res):
@@ -54,6 +54,8 @@ def test_scheduler_mode_factories_and_validation():
         om.SchedulerMode("eager")
     with pytest.raises(ValueError, match="at least 1"):
         om.SchedulerMode.deterministic(0)
+    with pytest.raises(ValueError, match="deterministic scheduler only"):
+        om.SchedulerMode("realtime", 2)
 
 
 def test_group_assignment_validation_and_sizes():
@@ -200,6 +202,28 @@ def test_deterministic_runs_are_reproducible():
     assert history_records(first) == history_records(second)
 
 
+def test_pooled_levels_solve_with_their_set_up_factors(monkeypatch):
+    # a level of two or more workers gets a thread pool, not new chunks:
+    # no sparse-kernel level is gathered or factorized again in the solve
+    h, b, smoothers = three_level()
+    assert kernel(smoothers[0].smoother) == "sparse"
+    cfg = cycle_config("additive_sync", smoothers)
+    x0 = np.zeros(h.finest.n_dofs)
+    ga = om.assign_groups(h, 4)
+    assert ga.smoother_workers[0] >= 2
+    calls = []
+    factor = smoothers_mod._factor
+
+    def counting_factor(*args, **kwargs):
+        calls.append(args)
+        return factor(*args, **kwargs)
+
+    monkeypatch.setattr(smoothers_mod, "_factor", counting_factor)
+    res = om.async_solve(h, b, x0, cfg, ga, om.SchedulerMode.deterministic(1))
+    assert calls == []
+    assert history_records(res) == history_records(om.orthomg_solve_additive(h, b, x0, cfg))
+
+
 def test_deterministic_pins_sweeps_per_cycle():
     h, b, smoothers = two_level()
     cfg = cycle_config("additive_task_parallel", smoothers)
@@ -333,9 +357,6 @@ def test_async_solve_validates_inputs():
 class _ExplodingSmoother:
     def apply(self, a, r):
         raise RuntimeError("kaboom")
-
-    def with_executor(self, pool):
-        return self
 
 
 def test_worker_failure_surfaces_with_level_and_cause():
