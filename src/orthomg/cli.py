@@ -28,7 +28,6 @@ from .config import (
     validate_config,
 )
 from .problem import assemble_poisson, hierarchy_from_matrix
-from .smoothers import _usable_cpus
 from .sparse import norm2
 from .sync import (
     VARIANT_ADDITIVE_SYNC,
@@ -36,6 +35,7 @@ from .sync import (
     VARIANT_HYBRID,
     CycleConfig,
     _bound_smoothers,
+    _usable_cpus,
     orthomg_solve_additive,
     orthomg_solve_multiplicative,
 )

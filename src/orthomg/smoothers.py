@@ -6,20 +6,24 @@ sets themselves choose the local kernel, once per level: when every set
 has the same size ``m <= DENSE_MAX_CELLS`` (16), the blocks are inverted
 explicitly and a sweep is one batched product with the stack of inverses
 (the batched block-Jacobi form of Anzt, Dongarra, Flegar and
-Quintana-Orti, Parallel Computing 81, 2019); otherwise they are
-factorized together as one block-diagonal sparse LU.  An application
-always starts from a zero correction, so smoothers are linear operators
-on the residual; overlap contributions in the Schwarz sweep are summed
-without damping because the surrounding minimization absorbs any
+Quintana-Orti, Parallel Computing 81, 2019); otherwise each distinct
+block is factorized once by sparse LU, and one triangular solve takes
+all copies of the blocks that share a factor.  An application always
+starts from a zero correction, so smoothers are linear operators on the
+residual; overlap contributions in the Schwarz sweep are summed without
+damping because the surrounding minimization absorbs any
 overcorrection.
 """
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
-import scipy.sparse.linalg
+from scipy.sparse.linalg import splu
+# SuperLU's triangular solve is private to scipy (``spsolve_triangular``
+# calls it); the scipy floor in pyproject.toml is the release whose
+# ``gstrs`` signature was checked.
+from scipy.sparse.linalg._dsolve._superlu import gstrs
 
 from .errors import NumericalFailureError, SingularMatrixError
 from .sparse import spmv
@@ -34,15 +38,15 @@ __all__ = [
 
 # Largest set size, in cells, that takes the dense kernel: equal-size sets of
 # at most this many cells store their block inverses and solve a chunk with
-# one batched matmul; larger or unequal sets keep the block-diagonal sparse
-# LU.  One sweep with either kernel and its factor memory on the disc problem,
-# measured on a 2-thread Xeon host:
+# one batched matmul; larger or unequal sets take the sparse kernel.  One
+# block-Jacobi sweep with either kernel and its factor memory on the disc
+# problem, measured on a 2-thread Xeon host:
 #
-#   cells per set m     SuperLU / dense per sweep    memory sparse / dense
-#   4   (2D, 128^2)     1.69 / 0.42 ms               0.8 / 0.5 MiB
-#   16  (2D, 128^2)     0.87 / 0.22 ms               1.4 / 2.0 MiB
-#   64  (3D, 32^3)      2.61 / 1.46 ms               6.5 / 16 MiB
-#   256 (2D, 128^2)     1.18 / 3.91 ms               3.1 / 32 MiB
+#   cells per set m     sparse / dense per sweep    memory sparse / dense
+#   4   (2D, 128^2)     0.34 / 0.27 ms              0.03 / 0.5 MiB
+#   16  (2D, 128^2)     0.34 / 0.23 ms              0.2 / 2.0 MiB
+#   64  (3D, 32^3)      1.03 / 1.01 ms              2.1 / 16 MiB
+#   256 (2D, 128^2)     0.67 / 1.46 ms              1.5 / 32 MiB
 #
 # At m = 64 a whole 3D block-Jacobi solve gained no solve time, while its
 # set-up rose from about 0.09 to 0.15 s and resident memory by 30-40 MiB.
@@ -167,12 +171,14 @@ class SubdomainSmoother:
 
     ``sets`` are the subdomains or tiles of the level matrix and ``idx``
     their concatenation: row ``k`` of the block-diagonal matrix
-    ``diag(A[s, s])`` belongs to cell ``idx[k]``.  ``chunks`` pairs row
-    slices with a solver for them, one chunk of whole sets per usable CPU
-    (:func:`_usable_cpus`), cut once at set-up.  On the sparse kernel each
-    solver is a SuperLU factor and the smoother keeps no block-diagonal
-    matrix; on the dense kernel each is a slice of the ``(n_sets, m, m)``
-    stack of inverted blocks.  The local kernel works in ``precision``;
+    ``diag(A[s, s])`` belongs to cell ``idx[k]``.  ``chunks`` pairs rows
+    of that matrix with a solver for them, cut once at set-up into
+    pieces of at most :data:`PIECE_CELLS` cells.  On the dense kernel the
+    rows are a slice and the solver a slice of the ``(n_sets, m, m)``
+    stack of inverted blocks; on the sparse kernel the rows are every
+    copy of a few distinct blocks, in factor order, and the solver their
+    one LU factor (:class:`_StackedLU`).  The smoother keeps no
+    block-diagonal matrix.  The local kernel works in ``precision``;
     corrections are float64.
     """
 
@@ -188,7 +194,8 @@ class SubdomainSmoother:
 
         Each sweep gathers the defect on every set, solves all chunks
         (concurrently, one task each, given an ``executor``) and adds
-        ``omega`` times the local solutions back.
+        ``omega`` times the local solutions back.  Overlapping solutions
+        are summed in set order, so the chunks change no bit of the sum.
         """
         r = np.asarray(r, dtype=np.float64)
         if r.shape != (a.n_rows,):
@@ -199,23 +206,24 @@ class SubdomainSmoother:
             if not np.isfinite(defect).all():
                 raise NumericalFailureError("non-finite defect in smoother sweep")
             local = defect[self.idx].astype(self.precision, copy=False)
+            solved = np.empty_like(local)
 
             def solve(chunk):
                 rows, solver = chunk
-                return solver.solve(local[rows])
+                solved[rows] = solver.solve(local[rows])
 
             mapper = map if executor is None else executor.map
-            solved = np.concatenate(list(mapper(solve, self.chunks)))
+            list(mapper(solve, self.chunks))
             z += self.omega * np.bincount(self.idx, weights=solved, minlength=r.size)
         return z
 
 
-def _usable_cpus():
-    """CPUs this process may run on (all of them where affinity is unknown)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
+# Cells of one chunk, at most (a larger set is a chunk on its own): a run
+# of whole blocks on the dense kernel, the distinct blocks factorized
+# together on the sparse one.  The bound keeps SuperLU's working memory
+# small and gives a pool several tasks per level; the chunks change no
+# bit of a correction.
+PIECE_CELLS = 2**12
 
 
 @dataclass(eq=False)
@@ -231,6 +239,34 @@ class _BatchedInverse:
     def solve(self, v):
         n_sets, m, _ = self.inverses.shape
         return np.matmul(self.inverses, v.reshape(n_sets, m, 1)).reshape(-1)
+
+
+@dataclass(eq=False)
+class _StackedLU:
+    """Sparse-kernel solver: one LU factor of a few distinct blocks.
+
+    Every block of the factor has the same number ``c`` of copies on the
+    level, and a right-hand side holds the rows of copy 1, then copy 2,
+    and so on, each in factor order; one triangular solve takes all ``c``
+    as columns.  ``lower`` is the unit-lower factor with the diagonal of
+    the upper one written over its unit diagonal, and ``upper`` the upper
+    factor with a zero diagonal: the CSC arrays SuperLU's ``gstrs`` takes
+    to solve with one supernode per column.  Each column's arithmetic
+    stays inside its block.
+    """
+
+    lower: scipy.sparse.csc_matrix
+    upper: scipy.sparse.csc_matrix
+
+    def solve(self, v):
+        lower, upper = self.lower, self.upper
+        n = lower.shape[0]
+        x, info = gstrs("N", n, lower.nnz, lower.data, lower.indices, lower.indptr,
+                        n, upper.nnz, upper.data, upper.indices, upper.indptr,
+                        v.reshape(-1, n).T)
+        if info:
+            raise NumericalFailureError(f"SuperLU triangular solve failed (info {info})")
+        return x.T.reshape(-1)
 
 
 # Cells whose blocks one gathering step takes from the level matrix, at
@@ -263,61 +299,132 @@ def _gathered(a, sets, sizes):
         row0 += cells.size
 
 
-def _block_diagonal(a, sets, precision):
-    """``diag(A[s, s])`` over ``sets`` as one CSC matrix in ``precision``.
+def _distinct_blocks(a, sets, bounds, precision):
+    """Each distinct block ``A[s, s]`` over ``sets`` once, in ``precision``.
 
-    Each gathered step is written straight into the result, whose entries
-    are bounded by those of the rows of ``A`` over the sets; no copy of
-    the whole ``A[idx][:, idx]`` is formed.
+    ``bounds`` are the first rows of the sets in ``diag(A[s, s])``, plus
+    its size.  A structured grid repeats blocks wherever the coefficient
+    is constant (54 distinct ones among the 256 subdomains of the 256^2
+    disc level).  Returns the distinct blocks as CSC ``(indptr, indices,
+    data)`` triples in order of first appearance and, per set, the index
+    of its block.  Blocks are keyed by the bytes of those arrays, so only
+    bitwise-equal blocks of the same size and structure share one: the
+    dict confirms every hash match by comparing the keys whole.
     """
-    sizes = np.array([len(s) for s in sets])
-    n = int(sizes.sum())
-    bound = int(np.diff(a._scipy.indptr)[np.concatenate(sets)].sum())
-    data = np.empty(bound, dtype=precision)
-    indices = np.empty(bound, dtype=np.intc)
-    indptr = np.zeros(n + 1, dtype=np.intc)
-    nnz = 0
-    for row0, size, row, col, values in _gathered(a, sets, sizes):
-        block = scipy.sparse.csc_matrix((values, (row, col)), shape=(size, size))
-        end = nnz + block.nnz
-        data[nnz:end] = block.data
-        indices[nnz:end] = block.indices + row0
-        indptr[row0 + 1:row0 + size + 1] = block.indptr[1:] + nnz
-        nnz = end
-    return scipy.sparse.csc_matrix((data[:nnz], indices[:nnz], indptr), shape=(n, n))
+    keys = {}
+    which = np.empty(len(sets), dtype=np.intp)
+    for row0, size, row, col, values in _gathered(a, sets, np.diff(bounds)):
+        step = scipy.sparse.csc_matrix((values.astype(precision), (row, col)), shape=(size, size))
+        first, stop = np.searchsorted(bounds, [row0, row0 + size])
+        for k in range(first, stop):
+            lo, hi = bounds[k] - row0, bounds[k + 1] - row0
+            ptr = step.indptr[lo:hi + 1]
+            key = ((ptr - ptr[0]).astype(np.intc).tobytes(),
+                   (step.indices[ptr[0]:ptr[-1]] - lo).astype(np.intc).tobytes(),
+                   step.data[ptr[0]:ptr[-1]].tobytes())
+            which[k] = keys.setdefault(key, len(keys))
+    blocks = [(np.frombuffer(indptr, dtype=np.intc), np.frombuffer(indices, dtype=np.intc),
+               np.frombuffer(data, dtype=precision)) for indptr, indices, data in keys]
+    return blocks, which
 
 
-def _factor(a, sets, n_chunks, precision, inverses=None, label="set"):
-    """Solvers for ``n_chunks`` runs of consecutive ``sets``.
+def _block_diagonal(blocks):
+    """``diag(blocks)`` as one CSC matrix, from CSC ``(indptr, indices, data)`` triples."""
+    offsets = np.cumsum([0, *(indptr.size - 1 for indptr, _, _ in blocks)])
+    starts = np.cumsum([0, *(indices.size for _, indices, _ in blocks)])
+    indptr = np.concatenate([[0], *(p[1:] + s for (p, _, _), s in zip(blocks, starts))])
+    indices = np.concatenate([i + o for (_, i, _), o in zip(blocks, offsets)])
+    data = np.concatenate([d for _, _, d in blocks])
+    return scipy.sparse.csc_matrix((data, indices, indptr.astype(np.intc)),
+                                   shape=(offsets[-1], offsets[-1]))
 
-    A stack of ``inverses`` (dense kernel) is sliced.  Otherwise each
-    chunk's blocks are gathered from ``a`` and factorized with minimum
-    degree on ``A + A^T``, and only the factor is kept; one-column panels
-    and supernodes keep every column's arithmetic inside its block, so
-    chunks of any size solved bitwise equally on every grid tried up to
-    256^2 and 32^3 (COLAMD and SuperLU's symmetric mode do not, for small
-    blocks).  A singular chunk is refactorized set by set to name the
-    singular set.
+
+def _pieces(sizes, counts):
+    """Distinct blocks cut into pieces that share a copy count.
+
+    Blocks of ``sizes`` cells with the same count in ``counts`` are
+    stacked in order, and each stack is cut into runs of at most
+    :data:`PIECE_CELLS` cells.
     """
-    bounds = np.cumsum([0] + [len(s) for s in sets])
+    for c in np.unique(counts):
+        piece, cells = [], 0
+        for j in np.flatnonzero(counts == c):
+            if piece and cells + sizes[j] > PIECE_CELLS:
+                yield piece
+                piece, cells = [], 0
+            piece.append(j)
+            cells += sizes[j]
+        yield piece
+
+
+# One-column panels and supernodes with minimum degree on ``A + A^T`` keep
+# every column's arithmetic inside its block, so a block factorizes
+# bitwise alike in any piece on every grid tried up to 256^2 and 32^3
+# (COLAMD and SuperLU's symmetric mode do not, for small blocks).
+_SPLU_OPTIONS = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, relax=1, panel_size=1)
+
+
+def _stacked_lu(blocks, names, label):
+    """:class:`_StackedLU` of ``diag(blocks)`` and its row order.
+
+    Row ``k`` of the factor is row ``order[k]`` of ``diag(blocks)``.  A
+    singular stack is factorized block by block to raise
+    :class:`SingularMatrixError` naming the first singular set, ``names``
+    holding each block's first set.
+    """
+    try:
+        lu = splu(_block_diagonal(blocks), **_SPLU_OPTIONS)
+    except RuntimeError:  # SuperLU: "Factor is exactly singular"
+        for k in np.argsort(names):
+            try:
+                splu(_block_diagonal(blocks[k:k + 1]), **_SPLU_OPTIONS)
+            except RuntimeError:
+                raise SingularMatrixError(f"singular {label} {names[k]}") from None
+        raise NumericalFailureError(f"{label}s {sorted(names)} factorize alone but not together")
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise NumericalFailureError(f"LU of {label}s {sorted(names)} pivoted off the diagonal")
+    lower, upper = lu.L, lu.U
+    n = lower.shape[0]
+    # scipy stores each column's diagonal first in L and last in U
+    head, tail = lower.indptr[:-1], upper.indptr[1:] - 1
+    if not (np.array_equal(lower.indices[head], np.arange(n))
+            and np.array_equal(upper.indices[tail], np.arange(n))):
+        raise NumericalFailureError("SuperLU factors lack a diagonal entry in some column")
+    lower.data[head] = upper.data[tail]
+    upper.data[tail] = 0.0
+    return _StackedLU(lower, upper), np.argsort(lu.perm_r)
+
+
+def _factor(a, sets, precision, label):
+    """Sparse-kernel chunks: each distinct block factorized once.
+
+    The distinct blocks are cut into pieces (:func:`_pieces`), and each
+    piece is factorized with minimum degree on ``A + A^T``.  Its rows are
+    those of all its copies, copy by copy, each copy listing its blocks'
+    rows in factor order, so one solve of a gathered defect takes them
+    all and the permutation costs no extra step.
+    """
+    bounds = np.cumsum([0, *map(len, sets)])
+    blocks, which = _distinct_blocks(a, sets, bounds, precision)
+    sizes = [indptr.size - 1 for indptr, _, _ in blocks]
     chunks = []
-    for group in np.array_split(np.arange(len(sets)), min(n_chunks, len(sets))):
-        first, stop = group[0], group[-1] + 1
-        rows = slice(bounds[first], bounds[stop])
-        if inverses is not None:
-            chunks.append((rows, _BatchedInverse(inverses[first:stop])))
-            continue
-        try:
-            lu = scipy.sparse.linalg.splu(
-                _block_diagonal(a, sets[first:stop], precision),
-                permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, relax=1, panel_size=1,
-            )
-        except RuntimeError:  # SuperLU: "Factor is exactly singular"
-            if group.size == 1:
-                raise SingularMatrixError(f"singular {label} {first}") from None
-            return _factor(a, sets, len(sets), precision, label=label)
-        chunks.append((rows, lu))
+    for piece in _pieces(sizes, np.bincount(which)):
+        copies = [np.flatnonzero(which == j) for j in piece]
+        solver, order = _stacked_lu([blocks[j] for j in piece], [s[0] for s in copies], label)
+        # row t: the rows of the t-th copy of every block of the piece
+        rows = np.concatenate([bounds[s][:, None] + np.arange(sizes[j])
+                               for j, s in zip(piece, copies)], axis=1)
+        chunks.append((rows[:, order].reshape(-1), solver))
     return chunks
+
+
+def _slices(inverses):
+    """Dense-kernel chunks: runs of whole blocks of the stack of ``inverses``."""
+    n_sets, m, _ = inverses.shape
+    per = max(1, PIECE_CELLS // m)
+    return [(slice(first * m, min(first + per, n_sets) * m),
+             _BatchedInverse(inverses[first:first + per]))
+            for first in range(0, n_sets, per)]
 
 
 def _inverses(a, sets, m, precision, label):
@@ -350,10 +457,9 @@ def _subdomain_smoother(a, sets, omega, sweeps, precision, label):
     """Invert or factorize the blocks ``A[s, s]`` over ``sets``.
 
     Equal-size sets of at most :data:`DENSE_MAX_CELLS` cells take the
-    dense kernel, every other partition the sparse one.  The sets are cut
-    into one chunk per usable CPU; chunks of whole sets solve bitwise
-    equally to one, so their count only sizes the tasks a pool can run
-    at once.
+    dense kernel, every other partition the sparse one.  Either is cut
+    into chunks of at most :data:`PIECE_CELLS` cells; the cut depends on
+    the sets alone, not on the CPUs a solve may use.
     """
     if a.n_rows != a.n_cols:
         raise ValueError("subdomain smoothers require a square matrix")
@@ -363,11 +469,12 @@ def _subdomain_smoother(a, sets, omega, sweeps, precision, label):
         raise ValueError("sweeps must be at least 1")
     sizes = np.array([len(s) for s in sets])
     m = sizes[0]
-    inverses = None
     if m <= DENSE_MAX_CELLS and (sizes == m).all():
-        inverses = _inverses(a, sets, m, precision, label)
+        chunks = _slices(_inverses(a, sets, m, precision, label))
+    else:
+        chunks = _factor(a, sets, precision, label)
     return SubdomainSmoother(sets, np.concatenate(sets), float(omega), int(sweeps), precision,
-                             _factor(a, sets, _usable_cpus(), precision, inverses, label))
+                             chunks)
 
 
 def schwarz_setup(a, partition, precision="float64", sweeps=1):

@@ -19,6 +19,7 @@ stops after a fixed residual-reduction factor or a small iteration cap,
 and the coarsest level is always solved directly.
 """
 
+import os
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack, contextmanager
@@ -29,7 +30,6 @@ import scipy.sparse.linalg
 
 from .errors import SingularMatrixError
 from .resmin import rm_init, rm_update
-from .smoothers import _usable_cpus
 from .sparse import norm2, spmv
 
 __all__ = [
@@ -159,6 +159,14 @@ class CycleConfig:
             )
         if self.max_outer_iterations < 1:
             raise ValueError("max_outer_iterations must be at least 1")
+
+
+def _usable_cpus():
+    """CPUs this process may run on (all of them where affinity is unknown)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 @contextmanager

@@ -1,7 +1,6 @@
 """Shared builders for the test suite."""
 
 import numpy as np
-import scipy.sparse.linalg
 
 import orthomg as om
 from orthomg import smoothers
@@ -24,21 +23,38 @@ def kernel(smoother):
     """Local kernel a :class:`~orthomg.SubdomainSmoother` took at set-up.
 
     The dense kernel keeps a slice of its stack of inverses per chunk; the
-    sparse kernel keeps one SuperLU factor per chunk and no block-diagonal
-    matrix.
+    sparse kernel keeps the triangular factors of a few distinct blocks
+    per chunk and no block-diagonal matrix.
     """
     solvers = [solver for _, solver in smoother.chunks]
     if all(isinstance(solver, smoothers._BatchedInverse) for solver in solvers):
         return "dense"
-    assert all(isinstance(solver, scipy.sparse.linalg.SuperLU) for solver in solvers)
+    assert all(isinstance(solver, smoothers._StackedLU) for solver in solvers)
     return "sparse"
 
 
+def factor_arrays(smoother):
+    """Every array a smoother keeps for its local solves, chunk by chunk."""
+    if kernel(smoother) == "dense":
+        return [solver.inverses for _, solver in smoother.chunks]
+    return [array for _, solver in smoother.chunks for f in (solver.lower, solver.upper)
+            for array in (f.data, f.indices, f.indptr)]
+
+
+def same_setup(first, second):
+    """Whether two smoothers hold bitwise-equal chunks: rows and factors."""
+    def layout(sm):
+        return [np.arange(sm.idx.size)[rows] for rows, _ in sm.chunks] + factor_arrays(sm)
+
+    ours, theirs = layout(first), layout(second)
+    return len(ours) == len(theirs) and all(map(np.array_equal, ours, theirs))
+
+
 def factor_dtypes(smoother):
-    """Dtypes of every stored local factor: each chunk's inverses or SuperLU ``L`` and ``U``."""
+    """Dtypes of every stored local factor: each chunk's inverses or ``L`` and ``U``."""
     if kernel(smoother) == "dense":
         return {solver.inverses.dtype for _, solver in smoother.chunks}
-    return {f.dtype for _, solver in smoother.chunks for f in (solver.L, solver.U)}
+    return {f.dtype for _, solver in smoother.chunks for f in (solver.lower, solver.upper)}
 
 
 def benchmark_setup(cells=16, dimension=2, l_min=64, smoother="schwarz",

@@ -1,17 +1,21 @@
 """Partitioner and smoother tests against dense per-subdomain oracles."""
 
+import os
+import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import orthomg as om
-from helpers import factor_dtypes, kernel
+from helpers import factor_arrays, factor_dtypes, kernel, same_setup
 from orthomg import smoothers
 
 # ---------------------------------------------------------------------------
@@ -161,31 +165,36 @@ def test_schwarz_is_linear():
 
 
 def assert_chunking_changes_no_bit(monkeypatch, build, a, r):
-    """Smoothers set up under 1, 2, 3 and 64 usable CPUs apply bitwise alike.
+    """Set-up ignores the usable CPUs, and no chunking changes a bit.
 
-    Set-up cuts the sets into one chunk per usable CPU; every chunk count,
-    applied serially or on a pool, gives the one-chunk correction.
+    Smoothers set up under 1, 2, 3 and 64 usable CPUs keep the same
+    chunks and factors.  Under piece bounds of 1 cell, 700 cells and
+    none, serial and pooled applies give the default set-up's correction.
     """
-    reference = None
+    reference = build()
     for usable in (1, 2, 3, 64):
-        monkeypatch.setattr(smoothers, "_usable_cpus", lambda: usable)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(usable)),
+                            raising=False)
+        assert same_setup(build(), reference), usable
+    expected = reference.apply(a, r)
+    for bound in (1, 700, smoothers.PIECE_CELLS, sys.maxsize):
+        monkeypatch.setattr(smoothers, "PIECE_CELLS", bound)
         sm = build()
-        assert len(sm.chunks) == min(len(sm.sets), usable)
         serial = sm.apply(a, r)
         with ThreadPoolExecutor(max_workers=3) as pool:
             pooled = sm.apply(a, r, executor=pool)
-        if reference is None:
-            reference = serial
-        assert np.array_equal(serial, reference), usable
-        assert np.array_equal(pooled, reference), usable
+        assert np.array_equal(serial, expected), bound
+        assert np.array_equal(pooled, expected), bound
     return kernel(sm)
 
 
 def test_schwarz_executor_matches_serial_exactly(monkeypatch):
     a = poisson_matrix(8)
     r = np.random.default_rng(9).standard_normal(64)
-    # 16 disjoint 4-cell subdomains (dense kernel), 4 with overlap (sparse LU)
-    for (count, overlap), kind in (((16, 0), "dense"), ((4, 1), "sparse")):
+    # 16 disjoint 4-cell subdomains (dense kernel), 4 or 16 with overlap
+    # (sparse LU); the 16 unequal ones repeat blocks, so a piece lists
+    # their copies out of set order
+    for (count, overlap), kind in (((16, 0), "dense"), ((4, 1), "sparse"), ((16, 1), "sparse")):
         p = om.partition_cells(8, 2, count, overlap)
         for precision in ("float64", "float32"):
             build = partial(om.schwarz_setup, a, p, precision, sweeps=2)
@@ -210,8 +219,10 @@ def test_schwarz_benchmark_level_matches_dense_oracle():
 @pytest.mark.parametrize("dimension,cells,peak_mib", [(2, 256, 16.0), (3, 32, 20.0)])
 def test_sparse_setup_keeps_only_factors(dimension, cells, peak_mib):
     # the benchmark's finest disc levels, 256-cell subdomains; numpy-visible
-    # set-up peaks read 12.4 (2D) and 15.6 MiB (3D), and 22.3 and 28.2 MiB
-    # when the whole A[idx][:, idx] and a block-diagonal copy were formed
+    # set-up peaks read 12.4 (2D) and 15.6 MiB (3D) when SuperLU kept the
+    # factors, and 22.3 and 28.2 MiB when the whole A[idx][:, idx] and a
+    # block-diagonal copy were formed.  Both bounds count beyond the
+    # factor arrays, which are numpy arrays now
     spec = om.ProblemSpec(dimension=dimension, cells_per_axis=cells, k_outer=1000.0)
     a, _ = om.assemble_poisson(spec)
     p = om.partition_cells(cells, dimension, a.n_rows // 256, 1)
@@ -222,12 +233,38 @@ def test_sparse_setup_keeps_only_factors(dimension, cells, peak_mib):
         retained, peak = (m - start for m in tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
-    assert peak <= peak_mib * 2**20, peak / 2**20
-    # the sets and their concatenation; SuperLU's factors are not numpy arrays
-    assert retained <= 2 * 2**20, retained / 2**20
+    factors = sum(array.nbytes for array in factor_arrays(sm))
+    assert peak - factors <= peak_mib * 2**20, (peak - factors) / 2**20
+    # the sets, their concatenation and the rows of every chunk
+    assert retained - factors <= 2 * 2**20, (retained - factors) / 2**20
     assert kernel(sm) == "sparse"
     assert not any(scipy.sparse.issparse(v) or isinstance(v, om.SparseMatrixCsr)
                    for v in vars(sm).values())
+    if dimension == 2:
+        # 54 distinct blocks of 256 are factorized: 3.5 MiB of factor
+        # arrays, where SuperLU held 16 MiB factorizing every block
+        assert factors <= 4 * 2**20, factors / 2**20
+
+
+def test_stacked_lu_matches_superlu_on_copied_blocks():
+    # two distinct 20-cell blocks, nonsymmetric and diagonally dominant, with
+    # three copies each: one piece whose triangular solve takes c = 3
+    # right-hand sides, against SuperLU's own solve of the two-block matrix
+    rng = np.random.default_rng(43)
+    pattern = sum(np.eye(20, k=k) for k in (-5, -1, 1, 5))
+    blocks = [np.where(pattern, rng.uniform(-1, 1, (20, 20)), 0) + 6 * np.eye(20)
+              for _ in range(2)]
+    a = om.SparseMatrixCsr.from_dense(scipy.linalg.block_diag(*blocks * 3))
+    sm = om.bj_setup(a, 20, None, sweeps=1)
+    [(rows, solver)] = sm.chunks
+    assert kernel(sm) == "sparse" and solver.lower.shape == (40, 40)
+    r = rng.standard_normal(a.n_rows)
+    solved = np.empty_like(r)
+    solved[rows] = solver.solve(r[rows])  # the tiles are the ranges of 20 rows
+    pair = scipy.sparse.csc_matrix(scipy.linalg.block_diag(*blocks))
+    oracle = scipy.sparse.linalg.splu(pair).solve(r.reshape(3, 40).T).T.reshape(-1)
+    assert np.linalg.norm(solved - oracle) <= 1e-14 * np.linalg.norm(oracle)
+    assert np.array_equal(sm.apply(a, r), solved)
 
 
 def test_schwarz_float32_local_solves():
@@ -429,18 +466,17 @@ class CountingExecutor:
         return map(fn, items)
 
 
-def test_bound_smoother_submits_one_task_per_worker(monkeypatch):
+def test_bound_smoother_submits_one_task_per_chunk():
     # 1024 tiles on the 128^2 level: one task per chunk, and set-up cuts
-    # one chunk per usable CPU, not one per tile
-    monkeypatch.setattr(smoothers, "_usable_cpus", lambda: 3)
+    # chunks of PIECE_CELLS cells, not one per tile or per usable CPU
     a = poisson_matrix(128)
     sm = om.bj_setup(a, 4, (128, 2), sweeps=1)
     assert len(sm.sets) == 1024
-    assert len(sm.chunks) == 3
+    assert len(sm.chunks) == a.n_rows // smoothers.PIECE_CELLS == 4
     executor = CountingExecutor()
     r = np.random.default_rng(31).standard_normal(a.n_rows)
     z = om.LevelSmoother(sm, executor).apply(a, r)
-    assert executor.tasks == 3
+    assert executor.tasks == 4
     assert np.array_equal(z, sm.apply(a, r))
 
 

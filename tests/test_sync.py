@@ -12,7 +12,7 @@ import scipy.sparse.linalg
 import orthomg as om
 import orthomg.cli as cli
 from orthomg import sync as sync_mod
-from helpers import benchmark_setup, cycle_config
+from helpers import benchmark_setup, cycle_config, same_setup
 
 # ---------------------------------------------------------------------------
 # level-local convergence rules
@@ -458,7 +458,9 @@ def test_two_level_additive_schwarz_keeps_pairs_consistent(monkeypatch):
 
 @pytest.mark.parametrize("usable", [1, 2, 64])
 def test_smoother_pool_threads_are_capped_at_the_usable_cpus(monkeypatch, usable):
-    # set-up fixes the chunks; a pool only sizes threads and changes no number
+    # set-up ignores the usable CPUs; a pool only sizes threads and changes no number
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    single = benchmark_setup(cells=32, n_subdomains=16)[3]
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(usable)), raising=False)
     _, h, b, smoothers = benchmark_setup(cells=32, n_subdomains=16)
     cfg = cycle_config("multiplicative_sync", smoothers)
@@ -466,10 +468,10 @@ def test_smoother_pool_threads_are_capped_at_the_usable_cpus(monkeypatch, usable
     serial = om.orthomg_solve_multiplicative(h, b, x0, cfg)
     workers = 3
     with sync_mod._bound_smoothers(cfg, (workers,) * h.n_levels) as bound:
-        for smoother, unbound in zip(bound.smoothers[:-1], smoothers):
+        for smoother, unbound, one_cpu in zip(bound.smoothers[:-1], smoothers, single):
             assert smoother.executor._max_workers == min(workers, usable)
             assert smoother.smoother is unbound.smoother
-            assert len(smoother.smoother.chunks) == min(len(unbound.smoother.sets), usable)
+            assert same_setup(smoother.smoother, one_cpu.smoother)
         pooled = om.orthomg_solve_multiplicative(h, b, x0, bound)
     assert np.array_equal(pooled.x, serial.x)
     assert np.array_equal(pooled.history.residuals(), serial.history.residuals())

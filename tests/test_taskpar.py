@@ -204,7 +204,7 @@ def test_deterministic_runs_are_reproducible():
 
 def test_pooled_levels_solve_with_their_set_up_factors(monkeypatch):
     # a level of two or more workers gets a thread pool, not new chunks:
-    # no sparse-kernel level is gathered or factorized again in the solve
+    # no sparse-kernel block is factorized again in the solve
     h, b, smoothers = three_level()
     assert kernel(smoothers[0].smoother) == "sparse"
     cfg = cycle_config("additive_sync", smoothers)
@@ -212,16 +212,18 @@ def test_pooled_levels_solve_with_their_set_up_factors(monkeypatch):
     ga = om.assign_groups(h, 4)
     assert ga.smoother_workers[0] >= 2
     calls = []
-    factor = smoothers_mod._factor
+    splu = smoothers_mod.splu
 
-    def counting_factor(*args, **kwargs):
+    def counting_splu(*args, **kwargs):
         calls.append(args)
-        return factor(*args, **kwargs)
+        return splu(*args, **kwargs)
 
-    monkeypatch.setattr(smoothers_mod, "_factor", counting_factor)
+    monkeypatch.setattr(smoothers_mod, "splu", counting_splu)
     res = om.async_solve(h, b, x0, cfg, ga, om.SchedulerMode.deterministic(1))
     assert calls == []
     assert history_records(res) == history_records(om.orthomg_solve_additive(h, b, x0, cfg))
+    three_level()  # the counter does see set-up factorize
+    assert calls
 
 
 def test_deterministic_pins_sweeps_per_cycle():
