@@ -270,33 +270,49 @@ class _StackedLU:
 
 
 # Cells whose blocks one gathering step takes from the level matrix, at
-# most (a larger set is gathered on its own).  Each step forms ``A[g][:, g]``
-# for its cells ``g`` only, so the temporaries do not grow with the level.
+# most, and the slots of its lookup table (a larger set is gathered on its
+# own).  Each step forms the rows ``A[g]`` for its cells ``g`` only, so the
+# temporaries do not grow with the level.
 GATHER_CELLS = 2**14
+GATHER_SLOTS = 2**18
 
 
 def _gathered(a, sets, sizes):
     """Entries of ``diag(A[s, s])`` over ``sets``, one step of sets at a time.
 
-    Consecutive sets ending in the same run of :data:`GATHER_CELLS` cells
-    form a step.  Yields ``(row0, size, row, col, data)`` per step: its
-    ``size`` cells start at row ``row0`` of the whole block-diagonal
-    matrix, and the COO entries of its blocks count rows and columns from
-    there.
+    Each set owns a window of table slots, one per matrix index from its
+    smallest cell to its largest, holding the step row of each of its
+    cells; an entry of a gathered row is kept when its column hits a
+    filled slot in the window of the row's own set.  Consecutive sets
+    whose cells and windows fit in :data:`GATHER_CELLS` cells and
+    :data:`GATHER_SLOTS` slots form a step.  Yields ``(row0, size, row,
+    col, data)`` per step: its ``size`` cells start at row ``row0`` of the
+    whole block-diagonal matrix, and the COO entries of its blocks count
+    rows and columns from there.
     """
     csr = a._scipy
-    step = (np.cumsum(sizes) - 1) // GATHER_CELLS
-    starts = [0, *(np.flatnonzero(np.diff(step)) + 1)]
-    row0 = 0
+    heads = np.cumsum(sizes) - sizes
+    cells = np.concatenate(sets)
+    lo = np.minimum.reduceat(cells, heads)
+    width = np.maximum.reduceat(cells, heads) - lo + 1
+    ends = (np.cumsum(sizes) - 1) // GATHER_CELLS + (np.cumsum(width) - 1) // GATHER_SLOTS
+    starts = [0, *(np.flatnonzero(np.diff(ends)) + 1)]
     for first, stop in zip(starts, [*starts[1:], len(sets)]):
-        cells = np.concatenate(sets[first:stop])
-        owner = np.repeat(np.arange(stop - first, dtype=np.intc), sizes[first:stop])
-        sub = csr[cells][:, cells]
-        counts = np.diff(sub.indptr)
-        keep = np.repeat(owner, counts) == owner[sub.indices]
-        row = np.repeat(np.arange(cells.size, dtype=np.intc), counts)
-        yield row0, cells.size, row[keep], sub.indices[keep], sub.data[keep]
-        row0 += cells.size
+        row0, size = heads[first], heads[stop - 1] + sizes[stop - 1] - heads[first]
+        owner = np.repeat(np.arange(stop - first), sizes[first:stop])
+        # slot of index j for a row of set o: shift[o] + j, past a -1 guard
+        # slot at each end of the table
+        window = np.cumsum(width[first:stop]) - width[first:stop] + 1
+        shift = window - lo[first:stop]
+        slots = np.full(window[-1] + width[stop - 1] + 1, -1)
+        slots[shift[owner] + cells[row0:row0 + size]] = np.arange(size)
+        sub = csr[cells[row0:row0 + size]]
+        row = np.repeat(np.arange(size), np.diff(sub.indptr))
+        col = slots[np.clip(shift[owner[row]] + sub.indices, 0, slots.size - 1)]
+        # a column outside the row's window lands on a guard, an empty slot
+        # or another set's cell
+        keep = (col >= 0) & (owner[col] == owner[row])
+        yield row0, size, row[keep], col[keep], sub.data[keep]
 
 
 def _distinct_blocks(a, sets, bounds, precision):
@@ -439,7 +455,7 @@ def _inverses(a, sets, m, precision, label):
     flat = np.zeros((n_sets, m * m), dtype=precision)
     for row0, _, row, col, values in _gathered(a, sets, np.full(n_sets, m)):
         # a step starts at a block boundary, so ``col % m`` is the block column
-        flat.reshape(-1)[(row0 + row.astype(np.int64)) * m + col % m] = values
+        flat.reshape(-1)[(row0 + row) * m + col % m] = values
     # equal blocks get equal keys; unequal blocks sharing a key fail the check
     keys = flat @ np.sqrt(np.arange(2.0, m * m + 2))
     _, first, which = np.unique(keys, return_index=True, return_inverse=True)
