@@ -426,7 +426,8 @@ def _factor(a, sets, precision, label):
     chunks = []
     for piece in _pieces(sizes, np.bincount(which)):
         copies = [np.flatnonzero(which == j) for j in piece]
-        solver, order = _stacked_lu([blocks[j] for j in piece], [s[0] for s in copies], label)
+        names = [int(s[0]) for s in copies]
+        solver, order = _stacked_lu([blocks[j] for j in piece], names, label)
         # row t: the rows of the t-th copy of every block of the piece
         rows = np.concatenate([bounds[s][:, None] + np.arange(sizes[j])
                                for j, s in zip(piece, copies)], axis=1)

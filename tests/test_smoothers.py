@@ -168,8 +168,9 @@ def assert_chunking_changes_no_bit(monkeypatch, build, a, r):
     """Set-up ignores the usable CPUs, and no chunking changes a bit.
 
     Smoothers set up under 1, 2, 3 and 64 usable CPUs keep the same
-    chunks and factors.  Under piece bounds of 1 cell, 700 cells and
-    none, serial and pooled applies give the default set-up's correction.
+    chunks and factors.  Under piece bounds of 1 cell, 700 cells, the
+    default and none, serial and pooled applies give the default set-up's
+    correction.
     """
     reference = build()
     for usable in (1, 2, 3, 64):
@@ -218,11 +219,12 @@ def test_schwarz_benchmark_level_matches_dense_oracle():
 
 @pytest.mark.parametrize("dimension,cells,peak_mib", [(2, 256, 16.0), (3, 32, 20.0)])
 def test_sparse_setup_keeps_only_factors(dimension, cells, peak_mib):
-    # the benchmark's finest disc levels, 256-cell subdomains; numpy-visible
-    # set-up peaks read 12.4 (2D) and 15.6 MiB (3D) when SuperLU kept the
-    # factors, and 22.3 and 28.2 MiB when the whole A[idx][:, idx] and a
-    # block-diagonal copy were formed.  Both bounds count beyond the
-    # factor arrays, which are numpy arrays now
+    # the benchmark's finest disc levels, 256-cell subdomains.  Both bounds
+    # count beyond the factor arrays, which are numpy arrays now: the
+    # set-up peak reads 5.2 (2D) and 4.5 MiB (3D) beyond them; it read
+    # 12.4 and 15.6 MiB when SuperLU kept the factors, and 22.3 and
+    # 28.2 MiB when the whole A[idx][:, idx] and a block-diagonal copy
+    # were formed
     spec = om.ProblemSpec(dimension=dimension, cells_per_axis=cells, k_outer=1000.0)
     a, _ = om.assemble_poisson(spec)
     p = om.partition_cells(cells, dimension, a.n_rows // 256, 1)
