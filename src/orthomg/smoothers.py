@@ -1,14 +1,15 @@
 """Additive Schwarz and block-Jacobi smoothers on structured grids.
 
 Both are one :class:`SubdomainSmoother`, summing local solves over
-overlapping subdomains (Schwarz) or disjoint tiles (block Jacobi).  The
-sets themselves choose the local kernel, once per level: when every set
-has the same size ``m <= DENSE_MAX_CELLS`` (16), the blocks are inverted
-explicitly and a sweep is one batched product with the stack of inverses
-(the batched block-Jacobi form of Anzt, Dongarra, Flegar and
-Quintana-Orti, Parallel Computing 81, 2019); otherwise each distinct
-block is factorized once by sparse LU, and one triangular solve takes
-all copies of the blocks that share a factor.  An application always
+overlapping subdomains (Schwarz) or disjoint tiles (block Jacobi).  Set-up
+finds the distinct blocks ``A[s, s]``, stacks those with the same number
+of copies into pieces, and gives each piece one solver for all its
+copies.  The sets choose the solver, once per level: when every set has
+the same size ``m <= DENSE_MAX_CELLS`` (16), a piece's blocks are
+inverted explicitly and its solve is one batched product (the batched
+block-Jacobi form of Anzt, Dongarra, Flegar and Quintana-Orti, Parallel
+Computing 81, 2019); otherwise they are factorized together by sparse
+LU, and its solve is one triangular solve.  An application always
 starts from a zero correction, so smoothers are linear operators on the
 residual; overlap contributions in the Schwarz sweep are summed without
 damping because the surrounding minimization absorbs any
@@ -37,19 +38,20 @@ __all__ = [
 ]
 
 # Largest set size, in cells, that takes the dense kernel: equal-size sets of
-# at most this many cells store their block inverses and solve a chunk with
-# one batched matmul; larger or unequal sets take the sparse kernel.  One
-# block-Jacobi sweep with either kernel and its factor memory on the disc
-# problem, measured on a 2-thread Xeon host:
+# at most this many cells store the inverses of their distinct blocks and
+# solve a piece with one batched matmul; larger or unequal sets take the
+# sparse kernel.  One block-Jacobi sweep with either kernel and its factor
+# memory on the disc problem, measured on a 2-thread Xeon host:
 #
 #   cells per set m     sparse / dense per sweep    memory sparse / dense
-#   4   (2D, 128^2)     0.34 / 0.27 ms              0.03 / 0.5 MiB
-#   16  (2D, 128^2)     0.34 / 0.23 ms              0.2 / 2.0 MiB
-#   64  (3D, 32^3)      1.03 / 1.01 ms              2.1 / 16 MiB
-#   256 (2D, 128^2)     0.67 / 1.46 ms              1.5 / 32 MiB
+#   4   (2D, 128^2)     0.36 / 0.32 ms              0.02 / 0.01 MiB
+#   16  (2D, 128^2)     0.33 / 0.20 ms              0.15 / 0.21 MiB
+#   64  (3D, 32^3)      1.01 / 0.72 ms              2.1 / 4.9 MiB
+#   256 (2D, 128^2)     0.55 / 1.23 ms              1.5 / 15 MiB
 #
-# At m = 64 a whole 3D block-Jacobi solve gained no solve time, while its
-# set-up rose from about 0.09 to 0.15 s and resident memory by 30-40 MiB.
+# A whole 3D block-Jacobi solve at m = 64 (32^3, multiplicative) took
+# 0.18 s to solve and 0.055 s to set up on the sparse kernel, 0.13 s and
+# 0.075 s on the dense one, with 2.9 against 6.8 MiB of factors.
 DENSE_MAX_CELLS = 16
 
 
@@ -172,11 +174,11 @@ class SubdomainSmoother:
     ``sets`` are the subdomains or tiles of the level matrix and ``idx``
     their concatenation: row ``k`` of the block-diagonal matrix
     ``diag(A[s, s])`` belongs to cell ``idx[k]``.  ``chunks`` pairs rows
-    of that matrix with a solver for them, cut once at set-up into
-    pieces of at most :data:`PIECE_CELLS` cells.  On the dense kernel the
-    rows are a slice and the solver a slice of the ``(n_sets, m, m)``
-    stack of inverted blocks; on the sparse kernel the rows are every
-    copy of a few distinct blocks, in factor order, and the solver their
+    of that matrix with a solver for them, one chunk per piece: a few
+    distinct blocks with the same number of copies, of at most
+    :data:`PIECE_CELLS` cells together.  The rows are those of every
+    copy, copy by copy, in the solver's order; the solver holds the
+    inverses of the piece's blocks (:class:`_BatchedInverse`) or their
     one LU factor (:class:`_StackedLU`).  The smoother keeps no
     block-diagonal matrix.  The local kernel works in ``precision``;
     corrections are float64.
@@ -218,32 +220,33 @@ class SubdomainSmoother:
         return z
 
 
-# Cells of one chunk, at most (a larger set is a chunk on its own): a run
-# of whole blocks on the dense kernel, the distinct blocks factorized
-# together on the sparse one.  The bound keeps SuperLU's working memory
-# small and gives a pool several tasks per level; the chunks change no
-# bit of a correction.
+# Cells of a piece's distinct blocks, at most (a larger block is a piece on
+# its own).  A piece and every copy of its blocks form one chunk; the bound
+# keeps SuperLU's working memory small and gives a pool several tasks per
+# level.  The pieces change no bit of a correction.
 PIECE_CELLS = 2**12
 
 
 @dataclass(eq=False)
 class _BatchedInverse:
-    """Dense-kernel solver: one batched product with a stack of inverses.
+    """Dense-kernel solver: the inverses of a piece's distinct blocks.
 
-    Each block's product does not depend on the rest of the batch, so a
-    slice of the stack solves its sets bitwise equally to the whole.
+    A right-hand side holds the rows of copy 1 of every block, then copy
+    2, and so on; one batched product applies each inverse to all its
+    copies.  Each block's product does not depend on the rest of the
+    batch, so any cut into pieces solves a set bitwise alike.
     """
 
     inverses: np.ndarray
 
     def solve(self, v):
-        n_sets, m, _ = self.inverses.shape
-        return np.matmul(self.inverses, v.reshape(n_sets, m, 1)).reshape(-1)
+        d, m, _ = self.inverses.shape
+        return np.matmul(self.inverses, v.reshape(-1, d, m, 1)).reshape(-1)
 
 
 @dataclass(eq=False)
 class _StackedLU:
-    """Sparse-kernel solver: one LU factor of a few distinct blocks.
+    """Sparse-kernel solver: one LU factor of a piece's distinct blocks.
 
     Every block of the factor has the same number ``c`` of copies on the
     level, and a right-hand side holds the rows of copy 1, then copy 2,
@@ -278,17 +281,17 @@ GATHER_SLOTS = 2**18
 
 
 def _gathered(a, sets, sizes):
-    """Entries of ``diag(A[s, s])`` over ``sets``, one step of sets at a time.
+    """Entries of each block ``A[s, s]`` over ``sets``, one step of sets at a time.
 
     Each set owns a window of table slots, one per matrix index from its
     smallest cell to its largest, holding the step row of each of its
     cells; an entry of a gathered row is kept when its column hits a
     filled slot in the window of the row's own set.  Consecutive sets
     whose cells and windows fit in :data:`GATHER_CELLS` cells and
-    :data:`GATHER_SLOTS` slots form a step.  Yields ``(row0, size, row,
-    col, data)`` per step: its ``size`` cells start at row ``row0`` of the
-    whole block-diagonal matrix, and the COO entries of its blocks count
-    rows and columns from there.
+    :data:`GATHER_SLOTS` slots form a step.  Yields ``(first, nnz, row,
+    col, data)`` per step: its sets start at set ``first``, and the
+    ``k``-th of them holds the next ``nnz[k]`` entries, in row order, with
+    rows and columns counted from its own first cell.
     """
     csr = a._scipy
     heads = np.cumsum(sizes) - sizes
@@ -304,55 +307,52 @@ def _gathered(a, sets, sizes):
         # slot at each end of the table
         window = np.cumsum(width[first:stop]) - width[first:stop] + 1
         shift = window - lo[first:stop]
-        slots = np.full(window[-1] + width[stop - 1] + 1, -1)
+        slots = np.full(window[-1] + width[stop - 1] + 1, -1, dtype=np.intc)
         slots[shift[owner] + cells[row0:row0 + size]] = np.arange(size)
         sub = csr[cells[row0:row0 + size]]
-        row = np.repeat(np.arange(size), np.diff(sub.indptr))
-        col = slots[np.clip(shift[owner[row]] + sub.indices, 0, slots.size - 1)]
+        per_row = np.diff(sub.indptr)
+        set_of = np.repeat(owner, per_row)
+        col = slots[np.clip(shift[set_of] + sub.indices, 0, slots.size - 1)]
         # a column outside the row's window lands on a guard, an empty slot
         # or another set's cell
-        keep = (col >= 0) & (owner[col] == owner[row])
-        yield row0, size, row[keep], col[keep], sub.data[keep]
+        keep = (col >= 0) & (owner[col] == set_of)
+        base = heads[first:stop] - row0  # step row of each set's first cell
+        row = np.repeat(np.arange(size) - base[owner], per_row)[keep]
+        set_of = set_of[keep]
+        yield (first, np.bincount(set_of, minlength=stop - first), row, col[keep] - base[set_of],
+               sub.data[keep])
 
 
-def _distinct_blocks(a, sets, bounds, precision):
+def _distinct_blocks(a, sets, sizes, precision):
     """Each distinct block ``A[s, s]`` over ``sets`` once, in ``precision``.
 
-    ``bounds`` are the first rows of the sets in ``diag(A[s, s])``, plus
-    its size.  A structured grid repeats blocks wherever the coefficient
-    is constant (54 distinct ones among the 256 subdomains of the 256^2
-    disc level).  Returns the distinct blocks as CSC ``(indptr, indices,
-    data)`` triples in order of first appearance and, per set, the index
-    of its block.  Blocks are keyed by the bytes of those arrays, so only
-    bitwise-equal blocks of the same size and structure share one: the
-    dict confirms every hash match by comparing the keys whole.
+    A structured grid repeats blocks wherever the coefficient is constant
+    (54 distinct ones among the 256 subdomains of the 256^2 disc level,
+    106 among the 1024 tiles of the 128^2 one).  A set is keyed by its
+    size and the bytes of its entries, so only bitwise-equal blocks share
+    one: the dict confirms every hash match by comparing the keys whole.
+    Returns the distinct blocks in order of first appearance, each as its
+    size and its entries (``row``, ``col`` and ``data`` records, in row
+    order), and per set the index of its block.
     """
+    entry = np.dtype([("row", np.intc), ("col", np.intc), ("data", precision)])
     keys = {}
-    which = np.empty(len(sets), dtype=np.intp)
-    for row0, size, row, col, values in _gathered(a, sets, np.diff(bounds)):
-        step = scipy.sparse.csc_matrix((values.astype(precision), (row, col)), shape=(size, size))
-        first, stop = np.searchsorted(bounds, [row0, row0 + size])
-        for k in range(first, stop):
-            lo, hi = bounds[k] - row0, bounds[k + 1] - row0
-            ptr = step.indptr[lo:hi + 1]
-            key = ((ptr - ptr[0]).astype(np.intc).tobytes(),
-                   (step.indices[ptr[0]:ptr[-1]] - lo).astype(np.intc).tobytes(),
-                   step.data[ptr[0]:ptr[-1]].tobytes())
-            which[k] = keys.setdefault(key, len(keys))
-    blocks = [(np.frombuffer(indptr, dtype=np.intc), np.frombuffer(indices, dtype=np.intc),
-               np.frombuffer(data, dtype=precision)) for indptr, indices, data in keys]
-    return blocks, which
+    which = []
+    for first, nnz, row, col, data in _gathered(a, sets, sizes):
+        records = np.empty(row.size, entry)
+        records["row"], records["col"], records["data"] = row, col, data
+        flat = records.tobytes()
+        ends = np.cumsum(nnz) * entry.itemsize
+        which += [keys.setdefault((size, flat[lo:hi]), len(keys)) for size, lo, hi
+                  in zip(sizes[first:first + nnz.size].tolist(),
+                         (ends - nnz * entry.itemsize).tolist(), ends.tolist())]
+    return [(size, np.frombuffer(key, entry)) for size, key in keys], np.array(which)
 
 
-def _block_diagonal(blocks):
-    """``diag(blocks)`` as one CSC matrix, from CSC ``(indptr, indices, data)`` triples."""
-    offsets = np.cumsum([0, *(indptr.size - 1 for indptr, _, _ in blocks)])
-    starts = np.cumsum([0, *(indices.size for _, indices, _ in blocks)])
-    indptr = np.concatenate([[0], *(p[1:] + s for (p, _, _), s in zip(blocks, starts))])
-    indices = np.concatenate([i + o for (_, i, _), o in zip(blocks, offsets)])
-    data = np.concatenate([d for _, _, d in blocks])
-    return scipy.sparse.csc_matrix((data, indices, indptr.astype(np.intc)),
-                                   shape=(offsets[-1], offsets[-1]))
+def _stacked(blocks):
+    """The entries of ``(size, entries)`` blocks in one array, and each one's block."""
+    return (np.frombuffer(b"".join(entries for _, entries in blocks), blocks[0][1].dtype),
+            np.repeat(np.arange(len(blocks)), [entries.size for _, entries in blocks]))
 
 
 def _pieces(sizes, counts):
@@ -373,6 +373,18 @@ def _pieces(sizes, counts):
         yield piece
 
 
+def _batched_inverse(blocks):
+    """:class:`_BatchedInverse` of equal-size ``(size, entries)`` blocks, and its row order."""
+    m = blocks[0][0]
+    entries, owner = _stacked(blocks)
+    stack = np.zeros((len(blocks), m, m), dtype=entries["data"].dtype)
+    stack[owner, entries["row"], entries["col"]] = entries["data"]
+    try:
+        return _BatchedInverse(np.linalg.inv(stack)), slice(None)
+    except np.linalg.LinAlgError:  # raised once for the whole stack
+        raise SingularMatrixError("singular block among a stack") from None
+
+
 # One-column panels and supernodes with minimum degree on ``A + A^T`` keep
 # every column's arithmetic inside its block, so a block factorizes
 # bitwise alike in any piece on every grid tried up to 256^2 and 32^3
@@ -380,27 +392,24 @@ def _pieces(sizes, counts):
 _SPLU_OPTIONS = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, relax=1, panel_size=1)
 
 
-def _stacked_lu(blocks, names, label):
-    """:class:`_StackedLU` of ``diag(blocks)`` and its row order.
+def _stacked_lu(blocks):
+    """:class:`_StackedLU` of ``diag(blocks)``, from ``(size, entries)`` blocks, and its row order.
 
-    Row ``k`` of the factor is row ``order[k]`` of ``diag(blocks)``.  A
-    singular stack is factorized block by block to raise
-    :class:`SingularMatrixError` naming the first singular set, ``names``
-    holding each block's first set.
+    Row ``k`` of the factor is row ``order[k]`` of ``diag(blocks)``.
     """
+    entries, owner = _stacked(blocks)
+    sizes = np.array([size for size, _ in blocks])
+    offset = (np.cumsum(sizes) - sizes)[owner]
+    n = sizes.sum()
+    matrix = scipy.sparse.csc_matrix(
+        (entries["data"], (entries["row"] + offset, entries["col"] + offset)), shape=(n, n))
     try:
-        lu = splu(_block_diagonal(blocks), **_SPLU_OPTIONS)
+        lu = splu(matrix, **_SPLU_OPTIONS)
     except RuntimeError:  # SuperLU: "Factor is exactly singular"
-        for k in np.argsort(names):
-            try:
-                splu(_block_diagonal(blocks[k:k + 1]), **_SPLU_OPTIONS)
-            except RuntimeError:
-                raise SingularMatrixError(f"singular {label} {names[k]}") from None
-        raise NumericalFailureError(f"{label}s {sorted(names)} factorize alone but not together")
+        raise SingularMatrixError("singular block among a stack") from None
     if not np.array_equal(lu.perm_r, lu.perm_c):
-        raise NumericalFailureError(f"LU of {label}s {sorted(names)} pivoted off the diagonal")
+        raise NumericalFailureError("sparse LU of a stack of blocks pivoted off the diagonal")
     lower, upper = lu.L, lu.U
-    n = lower.shape[0]
     # scipy stores each column's diagonal first in L and last in U
     head, tail = lower.indptr[:-1], upper.indptr[1:] - 1
     if not (np.array_equal(lower.indices[head], np.arange(n))
@@ -411,72 +420,18 @@ def _stacked_lu(blocks, names, label):
     return _StackedLU(lower, upper), np.argsort(lu.perm_r)
 
 
-def _factor(a, sets, precision, label):
-    """Sparse-kernel chunks: each distinct block factorized once.
+def _subdomain_smoother(a, sets, omega, sweeps, precision, label):
+    """Invert or factorize each distinct block ``A[s, s]`` over ``sets`` once.
 
     The distinct blocks are cut into pieces (:func:`_pieces`), and each
-    piece is factorized with minimum degree on ``A + A^T``.  Its rows are
-    those of all its copies, copy by copy, each copy listing its blocks'
-    rows in factor order, so one solve of a gathered defect takes them
-    all and the permutation costs no extra step.
-    """
-    bounds = np.cumsum([0, *map(len, sets)])
-    blocks, which = _distinct_blocks(a, sets, bounds, precision)
-    sizes = [indptr.size - 1 for indptr, _, _ in blocks]
-    chunks = []
-    for piece in _pieces(sizes, np.bincount(which)):
-        copies = [np.flatnonzero(which == j) for j in piece]
-        names = [int(s[0]) for s in copies]
-        solver, order = _stacked_lu([blocks[j] for j in piece], names, label)
-        # row t: the rows of the t-th copy of every block of the piece
-        rows = np.concatenate([bounds[s][:, None] + np.arange(sizes[j])
-                               for j, s in zip(piece, copies)], axis=1)
-        chunks.append((rows[:, order].reshape(-1), solver))
-    return chunks
-
-
-def _slices(inverses):
-    """Dense-kernel chunks: runs of whole blocks of the stack of ``inverses``."""
-    n_sets, m, _ = inverses.shape
-    per = max(1, PIECE_CELLS // m)
-    return [(slice(first * m, min(first + per, n_sets) * m),
-             _BatchedInverse(inverses[first:first + per]))
-            for first in range(0, n_sets, per)]
-
-
-def _inverses(a, sets, m, precision, label):
-    """Stack of the inverted ``m x m`` blocks ``A[s, s]`` over ``sets``.
-
-    Where the coefficient is constant, a structured grid repeats the same
-    block (106 distinct ones among the 1024 tiles of the 128^2 disc
-    level), so each distinct block is inverted once.  A singular block
-    raises :class:`SingularMatrixError` naming it.
-    """
-    n_sets = len(sets)
-    flat = np.zeros((n_sets, m * m), dtype=precision)
-    for row0, _, row, col, values in _gathered(a, sets, np.full(n_sets, m)):
-        # a step starts at a block boundary, so ``col % m`` is the block column
-        flat.reshape(-1)[(row0 + row) * m + col % m] = values
-    # equal blocks get equal keys; unequal blocks sharing a key fail the check
-    keys = flat @ np.sqrt(np.arange(2.0, m * m + 2))
-    _, first, which = np.unique(keys, return_index=True, return_inverse=True)
-    repeats = first.size < n_sets and np.array_equal(flat, flat[first[which]])
-    blocks = flat.reshape(n_sets, m, m)
-    try:
-        return np.linalg.inv(blocks[first])[which] if repeats else np.linalg.inv(blocks)
-    except np.linalg.LinAlgError:  # raised once for the whole stack
-        # the same LU pivots vanish: a zero determinant sign marks the block
-        singular = np.flatnonzero(np.linalg.slogdet(blocks)[0] == 0)[0]
-        raise SingularMatrixError(f"singular {label} {singular}") from None
-
-
-def _subdomain_smoother(a, sets, omega, sweeps, precision, label):
-    """Invert or factorize the blocks ``A[s, s]`` over ``sets``.
-
-    Equal-size sets of at most :data:`DENSE_MAX_CELLS` cells take the
-    dense kernel, every other partition the sparse one.  Either is cut
-    into chunks of at most :data:`PIECE_CELLS` cells; the cut depends on
-    the sets alone, not on the CPUs a solve may use.
+    piece gets one solver: the inverses of its blocks when every set has
+    the same size of at most :data:`DENSE_MAX_CELLS` cells, their sparse
+    LU factor otherwise.  A chunk's rows are those of every copy of its
+    piece, copy by copy, each listing its blocks' rows in the solver's
+    order, so one solve of a gathered defect takes them all.  The cut
+    depends on the sets alone, not on the CPUs a solve may use.  A
+    singular block raises :class:`SingularMatrixError` naming the
+    lowest-numbered singular set.
     """
     if a.n_rows != a.n_cols:
         raise ValueError("subdomain smoothers require a square matrix")
@@ -485,11 +440,34 @@ def _subdomain_smoother(a, sets, omega, sweeps, precision, label):
     if sweeps < 1:
         raise ValueError("sweeps must be at least 1")
     sizes = np.array([len(s) for s in sets])
-    m = sizes[0]
-    if m <= DENSE_MAX_CELLS and (sizes == m).all():
-        chunks = _slices(_inverses(a, sets, m, precision, label))
-    else:
-        chunks = _factor(a, sets, precision, label)
+    dense = sizes[0] <= DENSE_MAX_CELLS and (sizes == sizes[0]).all()
+    build = _batched_inverse if dense else _stacked_lu
+    blocks, which = _distinct_blocks(a, sets, sizes, precision)
+    counts = np.bincount(which)
+    # the sets of block j, in set order: by_block[heads[j]:heads[j] + counts[j]]
+    by_block = np.argsort(which, kind="stable")
+    heads = np.cumsum(counts) - counts
+    block_sizes = sizes[by_block[heads]]
+    set_rows = np.cumsum(sizes) - sizes
+    chunks = []
+    for piece in _pieces(block_sizes, counts):
+        try:
+            solver, order = build([blocks[j] for j in piece])
+        except SingularMatrixError:
+            # blocks are numbered in order of their first set
+            for j, block in enumerate(blocks):
+                try:
+                    build([block])
+                except SingularMatrixError:
+                    raise SingularMatrixError(f"singular {label} {by_block[heads[j]]}") from None
+            raise NumericalFailureError(f"{label}s factorize alone but not together") from None
+        # row t: the rows of the t-th copy of every block of the piece
+        cells = block_sizes[piece]
+        block = np.repeat(np.arange(len(piece)), cells)
+        offset = np.arange(cells.sum()) - np.repeat(np.cumsum(cells) - cells, cells)
+        copies = by_block[heads[piece][:, None] + np.arange(counts[piece[0]])]
+        rows = set_rows[copies[block].T] + offset
+        chunks.append((rows[:, order].reshape(-1), solver))
     return SubdomainSmoother(sets, np.concatenate(sets), float(omega), int(sweeps), precision,
                              chunks)
 

@@ -22,9 +22,9 @@ def random_spd(rng, n):
 def kernel(smoother):
     """Local kernel a :class:`~orthomg.SubdomainSmoother` took at set-up.
 
-    The dense kernel keeps a slice of its stack of inverses per chunk; the
-    sparse kernel keeps the triangular factors of a few distinct blocks
-    per chunk and no block-diagonal matrix.
+    Each chunk holds the solver of one piece of distinct blocks: their
+    inverses on the dense kernel, their triangular factors on the sparse
+    one.  Neither keeps a block-diagonal matrix.
     """
     solvers = [solver for _, solver in smoother.chunks]
     if all(isinstance(solver, smoothers._BatchedInverse) for solver in solvers):
@@ -44,7 +44,7 @@ def factor_arrays(smoother):
 def same_setup(first, second):
     """Whether two smoothers hold bitwise-equal chunks: rows and factors."""
     def layout(sm):
-        return [np.arange(sm.idx.size)[rows] for rows, _ in sm.chunks] + factor_arrays(sm)
+        return [rows for rows, _ in sm.chunks] + factor_arrays(sm)
 
     ours, theirs = layout(first), layout(second)
     return len(ours) == len(theirs) and all(map(np.array_equal, ours, theirs))

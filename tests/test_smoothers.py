@@ -3,6 +3,7 @@
 import os
 import sys
 import tracemalloc
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 
@@ -385,10 +386,15 @@ def test_bj_setup_validation():
 
 
 def test_bj_singular_block_is_named():
-    # 1-cell tiles take the dense kernel, 20-cell tiles the sparse LU
-    for n, zero, tile in ((4, 1, 1), (60, 25, 20)):
-        a = om.SparseMatrixCsr.from_dense(np.diag(np.where(np.arange(n) == zero, 0.0, 1.0)))
-        with pytest.raises(om.SingularMatrixError, match="diagonal block 1"):
+    # 1- and 2-cell tiles take the dense kernel, 20-cell tiles the sparse
+    # LU.  Pieces are built in order of copy count, yet the lowest-numbered
+    # singular tile is named: in the last two cases tile 1 shares its
+    # singular block with a later tile, and another singular block has one
+    # copy (tiles 3 and 4)
+    for n, zeros, tile in ((4, [1], 1), (60, [25], 20), (12, [2, 4, 7], 2),
+                           (100, [25, 65, 87], 20)):
+        a = om.SparseMatrixCsr.from_dense(np.diag(np.where(np.isin(np.arange(n), zeros), 0.0, 1.0)))
+        with pytest.raises(om.SingularMatrixError, match="diagonal block 1$"):
             om.bj_setup(a, tile, None)
 
 
@@ -416,6 +422,10 @@ def test_bj_benchmark_level_matches_dense_oracle():
     for tile in sm.sets:
         oracle[tile] = np.linalg.solve(csr[tile][:, tile].toarray(), r[tile])
     assert np.linalg.norm(z - oracle) <= 1e-12 * np.linalg.norm(oracle)
+    # only the 106 distinct tiles are inverted and kept: 0.21 MiB, where
+    # one inverse per tile held 2.0 MiB
+    factors = sum(array.nbytes for array in factor_arrays(sm))
+    assert factors <= 0.25 * 2**20, factors / 2**20
 
 
 @pytest.mark.parametrize("tile", [2, 4])
@@ -433,16 +443,19 @@ def test_dense_and_sparse_kernels_agree(monkeypatch, tile):
 
 
 def test_dense_kernel_tells_apart_blocks_with_equal_keys():
-    # adjacent floats whose products with sqrt(2) round alike: the blocks
-    # share a key, and only the exact comparison keeps them apart
+    # adjacent floats whose products with sqrt(2) round alike, so a rounded
+    # key would merge their tiles: each gets its own inverse, and the two
+    # copies of 3 share one
     x = 1.7500000000000004
     y = np.nextafter(x, 2.0)
     assert x * np.sqrt(2.0) == y * np.sqrt(2.0) and 1.0 / x != 1.0 / y
     diagonal = np.array([x, y, 3.0, 3.0])
-    sm = om.bj_setup(om.SparseMatrixCsr.from_dense(np.diag(diagonal)), 1, None)
+    a = om.SparseMatrixCsr.from_dense(np.diag(diagonal))
+    sm = om.bj_setup(a, 1, None, sweeps=1)
     assert kernel(sm) == "dense"
     inverses = np.concatenate([solver.inverses for _, solver in sm.chunks])
-    assert np.array_equal(inverses[:, 0, 0], 1.0 / diagonal)
+    assert sorted(inverses[:, 0, 0]) == sorted([1.0 / x, 1.0 / y, 1.0 / 3.0])
+    assert np.array_equal(sm.apply(a, np.ones(4)), 1.0 / diagonal)
 
 
 def test_kernel_is_chosen_from_set_sizes():
@@ -469,16 +482,21 @@ class CountingExecutor:
 
 
 def test_bound_smoother_submits_one_task_per_chunk():
-    # 1024 tiles on the 128^2 level: one task per chunk, and set-up cuts
-    # chunks of PIECE_CELLS cells, not one per tile or per usable CPU
+    # 1024 tiles on the 128^2 level: one task per chunk, and set-up cuts one
+    # chunk per piece of distinct tiles, not one per tile or per usable CPU.
+    # The distinct tiles of one copy count fit in a piece of PIECE_CELLS
+    # cells, so there is a piece per copy count
     a = poisson_matrix(128)
     sm = om.bj_setup(a, 4, (128, 2), sweeps=1)
     assert len(sm.sets) == 1024
-    assert len(sm.chunks) == a.n_rows // smoothers.PIECE_CELLS == 4
+    csr = scipy.sparse.csr_matrix((a.values, a.col_indices, a.row_offsets), shape=a.shape)
+    copies = Counter(csr[tile][:, tile].toarray().tobytes() for tile in sm.sets)
+    assert max(Counter(copies.values()).values()) * 16 <= smoothers.PIECE_CELLS
+    assert len(sm.chunks) == len(set(copies.values())) == 5
     executor = CountingExecutor()
     r = np.random.default_rng(31).standard_normal(a.n_rows)
     z = om.LevelSmoother(sm, executor).apply(a, r)
-    assert executor.tasks == 4
+    assert executor.tasks == 5
     assert np.array_equal(z, sm.apply(a, r))
 
 
