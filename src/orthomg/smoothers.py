@@ -173,13 +173,13 @@ class SubdomainSmoother:
 
     ``sets`` are the subdomains or tiles of the level matrix and ``idx``
     their concatenation: row ``k`` of the block-diagonal matrix
-    ``diag(A[s, s])`` belongs to cell ``idx[k]``.  ``chunks`` pairs rows
-    of that matrix with a solver for them, one chunk per piece: a few
-    distinct blocks with the same number of copies, of at most
-    :data:`PIECE_CELLS` cells together.  The rows are those of every
-    copy, copy by copy, in the solver's order; the solver holds the
-    inverses of the piece's blocks (:class:`_BatchedInverse`) or their
-    one LU factor (:class:`_StackedLU`).  The smoother keeps no
+    ``diag(A[s, s])`` belongs to cell ``idx[k]``.  Each chunk holds rows
+    of that matrix, their cells ``idx[rows]`` and a solver for them, one
+    chunk per piece: a few distinct blocks with the same number of
+    copies, of at most :data:`PIECE_CELLS` cells together.  The rows are
+    those of every copy, copy by copy, in the solver's order; the solver
+    holds the inverses of the piece's blocks (:class:`_BatchedInverse`)
+    or their one LU factor (:class:`_StackedLU`).  The smoother keeps no
     block-diagonal matrix.  The local kernel works in ``precision``;
     corrections are float64.
     """
@@ -194,8 +194,8 @@ class SubdomainSmoother:
     def apply(self, a, r, executor=None):
         """Correction of ``sweeps`` sweeps against residual ``r``.
 
-        Each sweep gathers the defect on every set, solves all chunks
-        (concurrently, one task each, given an ``executor``) and adds
+        Each sweep gathers each chunk's defect and solves it (all chunks
+        concurrently, one task each, given an ``executor``), and adds
         ``omega`` times the local solutions back.  Overlapping solutions
         are summed in set order, so the chunks change no bit of the sum.
         """
@@ -207,12 +207,11 @@ class SubdomainSmoother:
             defect = r if sweep == 0 else r - spmv(a, z)
             if not np.isfinite(defect).all():
                 raise NumericalFailureError("non-finite defect in smoother sweep")
-            local = defect[self.idx].astype(self.precision, copy=False)
-            solved = np.empty_like(local)
+            solved = np.empty(self.idx.size, self.precision)
 
             def solve(chunk):
-                rows, solver = chunk
-                solved[rows] = solver.solve(local[rows])
+                rows, cells, solver = chunk
+                solved[rows] = solver.solve(defect[cells].astype(self.precision, copy=False))
 
             mapper = map if executor is None else executor.map
             list(mapper(solve, self.chunks))
@@ -449,6 +448,7 @@ def _subdomain_smoother(a, sets, omega, sweeps, precision, label):
     heads = np.cumsum(counts) - counts
     block_sizes = sizes[by_block[heads]]
     set_rows = np.cumsum(sizes) - sizes
+    idx = np.concatenate(sets)
     chunks = []
     for piece in _pieces(block_sizes, counts):
         try:
@@ -462,14 +462,13 @@ def _subdomain_smoother(a, sets, omega, sweeps, precision, label):
                     raise SingularMatrixError(f"singular {label} {by_block[heads[j]]}") from None
             raise NumericalFailureError(f"{label}s factorize alone but not together") from None
         # row t: the rows of the t-th copy of every block of the piece
-        cells = block_sizes[piece]
-        block = np.repeat(np.arange(len(piece)), cells)
-        offset = np.arange(cells.sum()) - np.repeat(np.cumsum(cells) - cells, cells)
+        lengths = block_sizes[piece]
+        block = np.repeat(np.arange(len(piece)), lengths)
+        offset = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
         copies = by_block[heads[piece][:, None] + np.arange(counts[piece[0]])]
-        rows = set_rows[copies[block].T] + offset
-        chunks.append((rows[:, order].reshape(-1), solver))
-    return SubdomainSmoother(sets, np.concatenate(sets), float(omega), int(sweeps), precision,
-                             chunks)
+        rows = (set_rows[copies[block].T] + offset)[:, order].reshape(-1)
+        chunks.append((rows, idx[rows], solver))
+    return SubdomainSmoother(sets, idx, float(omega), int(sweeps), precision, chunks)
 
 
 def schwarz_setup(a, partition, precision="float64", sweeps=1):

@@ -26,7 +26,7 @@ def kernel(smoother):
     inverses on the dense kernel, their triangular factors on the sparse
     one.  Neither keeps a block-diagonal matrix.
     """
-    solvers = [solver for _, solver in smoother.chunks]
+    solvers = [solver for _, _, solver in smoother.chunks]
     if all(isinstance(solver, smoothers._BatchedInverse) for solver in solvers):
         return "dense"
     assert all(isinstance(solver, smoothers._StackedLU) for solver in solvers)
@@ -36,15 +36,15 @@ def kernel(smoother):
 def factor_arrays(smoother):
     """Every array a smoother keeps for its local solves, chunk by chunk."""
     if kernel(smoother) == "dense":
-        return [solver.inverses for _, solver in smoother.chunks]
-    return [array for _, solver in smoother.chunks for f in (solver.lower, solver.upper)
+        return [solver.inverses for _, _, solver in smoother.chunks]
+    return [array for _, _, solver in smoother.chunks for f in (solver.lower, solver.upper)
             for array in (f.data, f.indices, f.indptr)]
 
 
 def same_setup(first, second):
     """Whether two smoothers hold bitwise-equal chunks: rows and factors."""
     def layout(sm):
-        return [rows for rows, _ in sm.chunks] + factor_arrays(sm)
+        return [rows for rows, _, _ in sm.chunks] + factor_arrays(sm)
 
     ours, theirs = layout(first), layout(second)
     return len(ours) == len(theirs) and all(map(np.array_equal, ours, theirs))
@@ -53,8 +53,8 @@ def same_setup(first, second):
 def factor_dtypes(smoother):
     """Dtypes of every stored local factor: each chunk's inverses or ``L`` and ``U``."""
     if kernel(smoother) == "dense":
-        return {solver.inverses.dtype for _, solver in smoother.chunks}
-    return {f.dtype for _, solver in smoother.chunks for f in (solver.lower, solver.upper)}
+        return {solver.inverses.dtype for _, _, solver in smoother.chunks}
+    return {f.dtype for _, _, solver in smoother.chunks for f in (solver.lower, solver.upper)}
 
 
 def benchmark_setup(cells=16, dimension=2, l_min=64, smoother="schwarz",

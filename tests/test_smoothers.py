@@ -238,7 +238,7 @@ def test_sparse_setup_keeps_only_factors(dimension, cells, peak_mib):
         tracemalloc.stop()
     factors = sum(array.nbytes for array in factor_arrays(sm))
     assert peak - factors <= peak_mib * 2**20, (peak - factors) / 2**20
-    # the sets, their concatenation and the rows of every chunk
+    # the sets, their concatenation and the rows and cells of every chunk
     assert retained - factors <= 2 * 2**20, (retained - factors) / 2**20
     assert kernel(sm) == "sparse"
     assert not any(scipy.sparse.issparse(v) or isinstance(v, om.SparseMatrixCsr)
@@ -259,11 +259,11 @@ def test_stacked_lu_matches_superlu_on_copied_blocks():
               for _ in range(2)]
     a = om.SparseMatrixCsr.from_dense(scipy.linalg.block_diag(*blocks * 3))
     sm = om.bj_setup(a, 20, None, sweeps=1)
-    [(rows, solver)] = sm.chunks
+    [(rows, cells, solver)] = sm.chunks
     assert kernel(sm) == "sparse" and solver.lower.shape == (40, 40)
     r = rng.standard_normal(a.n_rows)
     solved = np.empty_like(r)
-    solved[rows] = solver.solve(r[rows])  # the tiles are the ranges of 20 rows
+    solved[rows] = solver.solve(r[cells])  # the tiles are the ranges of 20 rows
     pair = scipy.sparse.csc_matrix(scipy.linalg.block_diag(*blocks))
     oracle = scipy.sparse.linalg.splu(pair).solve(r.reshape(3, 40).T).T.reshape(-1)
     assert np.linalg.norm(solved - oracle) <= 1e-14 * np.linalg.norm(oracle)
@@ -281,8 +281,8 @@ def test_schwarz_float32_local_solves():
         assert factor_dtypes(sm32) == {np.dtype(np.float32)}
         rng = np.random.default_rng(11)
         r = rng.standard_normal(64)
-        for rows, solver in sm32.chunks:
-            assert solver.solve(r[sm32.idx][rows].astype(np.float32)).dtype == np.float32
+        for _, cells, solver in sm32.chunks:
+            assert solver.solve(r[cells].astype(np.float32)).dtype == np.float32
         z64 = sm64.apply(a, r)
         z32 = sm32.apply(a, r)
         assert z32.dtype == np.float64
@@ -453,7 +453,7 @@ def test_dense_kernel_tells_apart_blocks_with_equal_keys():
     a = om.SparseMatrixCsr.from_dense(np.diag(diagonal))
     sm = om.bj_setup(a, 1, None, sweeps=1)
     assert kernel(sm) == "dense"
-    inverses = np.concatenate([solver.inverses for _, solver in sm.chunks])
+    inverses = np.concatenate([solver.inverses for _, _, solver in sm.chunks])
     assert sorted(inverses[:, 0, 0]) == sorted([1.0 / x, 1.0 / y, 1.0 / 3.0])
     assert np.array_equal(sm.apply(a, np.ones(4)), 1.0 / diagonal)
 

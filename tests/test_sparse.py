@@ -145,8 +145,8 @@ def test_lu_float32_precision():
         assert kernel(lu32) == kind
         assert lu32.precision == "float32"
         assert factor_dtypes(lu32) == {np.dtype(np.float32)}
-        for rows, solver in lu32.chunks:
-            assert solver.solve(b[rows].astype(np.float32)).dtype == np.float32
+        for _, cells, solver in lu32.chunks:
+            assert solver.solve(b[cells].astype(np.float32)).dtype == np.float32
         x32 = lu32.apply(csr, b)
         assert x32.dtype == np.float64  # result promoted back
         exact = np.linalg.solve(a, b)
