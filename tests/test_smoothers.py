@@ -389,8 +389,8 @@ def test_bj_singular_block_is_named():
     # 1- and 2-cell tiles take the dense kernel, 20-cell tiles the sparse
     # LU.  Pieces are built in order of copy count, yet the lowest-numbered
     # singular tile is named: in the last two cases tile 1 shares its
-    # singular block with a later tile, and another singular block has one
-    # copy (tiles 3 and 4)
+    # singular block with a later tile, while another singular block has a
+    # single copy (tile 3, resp. 4), so its piece is built first
     for n, zeros, tile in ((4, [1], 1), (60, [25], 20), (12, [2, 4, 7], 2),
                            (100, [25, 65, 87], 20)):
         a = om.SparseMatrixCsr.from_dense(np.diag(np.where(np.isin(np.arange(n), zeros), 0.0, 1.0)))
