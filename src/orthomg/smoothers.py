@@ -4,12 +4,15 @@ Both are one :class:`SubdomainSmoother`, summing local solves over
 overlapping subdomains (Schwarz) or disjoint tiles (block Jacobi).  Set-up
 finds the distinct blocks ``A[s, s]``, stacks those with the same number
 of copies into pieces, and gives each piece one solver for all its
-copies.  The sets choose the solver, once per level: when every set has
-the same size ``m <= DENSE_MAX_CELLS`` (16), a piece's blocks are
-inverted explicitly and its solve is one batched product (the batched
-block-Jacobi form of Anzt, Dongarra, Flegar and Quintana-Orti, Parallel
-Computing 81, 2019); otherwise they are factorized together by sparse
-LU, and its solve is one triangular solve.  An application always
+copies.  A block is listed in its set's cell order, and a subdomain
+lists its cells in a canonical orientation (:func:`partition_cells`), so
+mirror images of a subdomain under the grid's reflections and axis swaps
+share one block.  The sets choose the solver, once per level: when every
+set has the same size ``m <= DENSE_MAX_CELLS`` (16), a piece's blocks
+are inverted explicitly and its solve is one batched product (the
+batched block-Jacobi form of Anzt, Dongarra, Flegar and Quintana-Orti,
+Parallel Computing 81, 2019); otherwise they are factorized together by
+sparse LU, and its solve is one triangular solve.  An application always
 starts from a zero correction, so smoothers are linear operators on the
 residual; overlap contributions in the Schwarz sweep are summed without
 damping because the surrounding minimization absorbs any
@@ -57,7 +60,11 @@ DENSE_MAX_CELLS = 16
 
 @dataclass(eq=False)
 class Partition:
-    """Disjoint core cells plus overlap-extended cells per subdomain."""
+    """Disjoint core cells plus overlap-extended cells per subdomain.
+
+    Core cells are ascending; extended cells are listed in the canonical
+    orientation of :func:`partition_cells`.
+    """
 
     n_subdomains: int
     core_cells: list
@@ -121,6 +128,15 @@ def partition_cells(cells_per_axis, dimension, n_subdomains, overlap):
         Rings of face neighbours added to each core to form the extended
         sets.
 
+    Each core lists its cells in ascending order.  Each extended set
+    walks its box's overlap window in a canonical orientation: an axis
+    runs backwards when the box's centre lies past the grid's centre
+    (``lo + hi > cells_per_axis``), and axes are ordered by box extent,
+    then by the centre reflected into the grid's first half.  A box and
+    its mirror image under a reflection or axis swap of the grid thus
+    list mirrored cells at the same positions, and on a mirror-symmetric
+    operator their blocks are bitwise equal.
+
     Raises
     ------
     ValueError
@@ -152,17 +168,22 @@ def partition_cells(cells_per_axis, dimension, n_subdomains, overlap):
             f"achievable count: {achievable}"
         ) from None
 
-    strides = cells_per_axis ** np.arange(dimension - 1, -1, -1)
+    n = cells_per_axis
+    strides = n ** np.arange(dimension - 1, -1, -1)
     cores = []
     extended = []
     for lo, hi in boxes:
+        # the walk's axes, slowest first, and their directions (see above)
+        order = sorted(range(dimension),
+                       key=lambda a: (hi[a] - lo[a], min(lo[a] + hi[a], 2 * n - lo[a] - hi[a])))
+        lo, hi = [lo[a] for a in order], [hi[a] for a in order]
         # face-neighbour steps from the box are its L1 distance, summed per axis;
         # only a window ``overlap`` cells wider than the box can be reached
-        axes = np.ix_(*(np.arange(max(l - overlap, 0), min(h + overlap, cells_per_axis))
-                        for l, h in zip(lo, hi)))
+        windows = [np.arange(max(l - overlap, 0), min(h + overlap, n)) for l, h in zip(lo, hi)]
+        axes = np.ix_(*(w[::-1] if l + h > n else w for w, l, h in zip(windows, lo, hi)))
         steps = sum(np.maximum(np.maximum(l - x, x - h + 1), 0) for x, l, h in zip(axes, lo, hi))
-        flat = sum(x * stride for x, stride in zip(axes, strides))
-        cores.append(flat[steps == 0])
+        flat = sum(x * strides[a] for x, a in zip(axes, order))
+        cores.append(np.sort(flat[steps == 0]))
         extended.append(flat[steps <= overlap])
     return Partition(n_subdomains, cores, extended, overlap)
 
@@ -289,8 +310,9 @@ def _gathered(a, sets, sizes):
     whose cells and windows fit in :data:`GATHER_CELLS` cells and
     :data:`GATHER_SLOTS` slots form a step.  Yields ``(first, nnz, row,
     col, data)`` per step: its sets start at set ``first``, and the
-    ``k``-th of them holds the next ``nnz[k]`` entries, in row order, with
-    rows and columns counted from its own first cell.
+    ``k``-th of them holds the next ``nnz[k]`` entries, in row order, each
+    row by column, with rows and columns counted as positions in the set.
+    So a block's entries do not depend on where the set lies in the grid.
     """
     csr = a._scipy
     heads = np.cumsum(sizes) - sizes
@@ -299,6 +321,9 @@ def _gathered(a, sets, sizes):
     width = np.maximum.reduceat(cells, heads) - lo + 1
     ends = (np.cumsum(sizes) - 1) // GATHER_CELLS + (np.cumsum(width) - 1) // GATHER_SLOTS
     starts = [0, *(np.flatnonzero(np.diff(ends)) + 1)]
+    # where a set lists a cell after a larger one (partition_cells)
+    descends = np.diff(cells) < 0
+    descends[heads[1:] - 1] = False
     for first, stop in zip(starts, [*starts[1:], len(sets)]):
         row0, size = heads[first], heads[stop - 1] + sizes[stop - 1] - heads[first]
         owner = np.repeat(np.arange(stop - first), sizes[first:stop])
@@ -318,16 +343,21 @@ def _gathered(a, sets, sizes):
         base = heads[first:stop] - row0  # step row of each set's first cell
         row = np.repeat(np.arange(size) - base[owner], per_row)[keep]
         set_of = set_of[keep]
-        yield (first, np.bincount(set_of, minlength=stop - first), row, col[keep] - base[set_of],
-               sub.data[keep])
+        col, data = col[keep], sub.data[keep]
+        if descends[row0:row0 + size - 1].any():
+            # the rows list columns in the grid's order: sort each by the set's
+            by_col = np.argsort((row + base[set_of]) * size + col, kind="stable")
+            col, data = col[by_col], data[by_col]
+        yield first, np.bincount(set_of, minlength=stop - first), row, col - base[set_of], data
 
 
 def _distinct_blocks(a, sets, sizes, precision):
     """Each distinct block ``A[s, s]`` over ``sets`` once, in ``precision``.
 
     A structured grid repeats blocks wherever the coefficient is constant
-    (54 distinct ones among the 256 subdomains of the 256^2 disc level,
-    106 among the 1024 tiles of the 128^2 one).  A set is keyed by its
+    and between mirror images of a subdomain (16 distinct ones among the
+    256 subdomains of the 256^2 disc level, 11 among the 128 of the 32^3
+    one, 106 among the 1024 tiles of the 128^2 one).  A set is keyed by its
     size and the bytes of its entries, so only bitwise-equal blocks share
     one: the dict confirms every hash match by comparing the keys whole.
     Returns the distinct blocks in order of first appearance, each as its

@@ -1,5 +1,6 @@
 """Partitioner and smoother tests against dense per-subdomain oracles."""
 
+import itertools
 import os
 import sys
 import tracemalloc
@@ -67,6 +68,26 @@ def poisson_matrix(cells, dimension=2):
     return a
 
 
+def disc_matrix(dimension, cells):
+    """The benchmark's disc (ball) operator, ``k_outer`` = 1000."""
+    spec = om.ProblemSpec(dimension=dimension, cells_per_axis=cells, k_outer=1000.0)
+    return om.assemble_poisson(spec)[0]
+
+
+def summed_local_solves(a, sets, r):
+    """Sum over the sets ``s`` of dense ``solve(A[s][:, s], r[s])``."""
+    csr = a._scipy
+    z = np.zeros_like(r)
+    for s in sets:
+        z[s] += np.linalg.solve(csr[s][:, s].toarray(), r[s])
+    return z
+
+
+def distinct_blocks(a, sets):
+    sizes = np.array([len(s) for s in sets])
+    return len(smoothers._distinct_blocks(a, sets, sizes, "float64")[0])
+
+
 # ---------------------------------------------------------------------------
 # partitioning
 
@@ -74,8 +95,27 @@ def poisson_matrix(cells, dimension=2):
 def test_partition_1d_pinned():
     p = om.partition_cells(8, 1, 2, 1)
     assert [list(c) for c in p.core_cells] == [[0, 1, 2, 3], [4, 5, 6, 7]]
-    assert [list(c) for c in p.extended_cells] == [[0, 1, 2, 3, 4], [3, 4, 5, 6, 7]]
+    # the second box lies past the grid's centre, so its window runs backwards
+    assert [list(c) for c in p.extended_cells] == [[0, 1, 2, 3, 4], [7, 6, 5, 4, 3]]
     assert p.overlap_width == 1
+
+
+@pytest.mark.parametrize("dimension", [2, 3])
+def test_reflected_boxes_list_reflected_cells_alike(dimension):
+    # each reflection of the 16^d grid maps its 16 boxes onto one another,
+    # and no box is centred on an axis (such a box is its own image, walked
+    # forwards either way)
+    n, shape = 16, (16,) * dimension
+    p = om.partition_cells(n, dimension, 16, 1)
+    box = {core.tobytes(): k for k, core in enumerate(p.core_cells)}
+    for flips in itertools.product((False, True), repeat=dimension):
+        def reflect(cells):
+            xs = np.unravel_index(cells, shape)
+            return np.ravel_multi_index([n - 1 - x if f else x for x, f in zip(xs, flips)], shape)
+
+        for core, ext in zip(p.core_cells, p.extended_cells):
+            image = box[np.sort(reflect(core)).tobytes()]
+            assert np.array_equal(p.extended_cells[image], reflect(ext)), flips
 
 
 def test_partition_quadrants():
@@ -205,29 +245,53 @@ def test_schwarz_executor_matches_serial_exactly(monkeypatch):
 
 def test_schwarz_benchmark_level_matches_dense_oracle():
     # the 256^2 finest level of the benchmark's disc problem, 256 subdomains
-    spec = om.ProblemSpec(dimension=2, cells_per_axis=256, k_outer=1000.0)
-    a, _ = om.assemble_poisson(spec)
+    a = disc_matrix(2, 256)
     p = om.partition_cells(256, 2, 256, 1)
     sm = om.schwarz_setup(a, p)
     r = np.random.default_rng(29).standard_normal(a.n_rows)
-    z = sm.apply(a, r)
-    csr = scipy.sparse.csr_matrix((a.values, a.col_indices, a.row_offsets), shape=a.shape)
-    oracle = np.zeros_like(r)
-    for ext in p.extended_cells:
-        oracle[ext] += np.linalg.solve(csr[ext][:, ext].toarray(), r[ext])
+    oracle = summed_local_solves(a, p.extended_cells, r)
+    assert np.linalg.norm(sm.apply(a, r) - oracle) <= 1e-12 * np.linalg.norm(oracle)
+
+
+@pytest.mark.parametrize("dimension,cells,distinct", [(2, 32, 6), (3, 16, 2)])
+def test_mirrored_subdomains_share_blocks_and_match_dense_oracle(dimension, cells, distinct):
+    # 16 subdomains of the disc level; mirror images list mirrored cells at
+    # the same positions, so their blocks are keyed alike
+    a = disc_matrix(dimension, cells)
+    p = om.partition_cells(cells, dimension, 16, 1)
+    r = np.random.default_rng(47).standard_normal(a.n_rows)
+    oracle = summed_local_solves(a, p.extended_cells, r)
+    z = om.schwarz_setup(a, p).apply(a, r)
+    assert np.linalg.norm(z - oracle) <= 1e-12 * np.linalg.norm(oracle)
+    sizes = np.array([len(s) for s in p.extended_cells])
+    blocks, which = smoothers._distinct_blocks(a, p.extended_cells, sizes, "float64")
+    assert len(blocks) == distinct
+    # one ulp more on the diagonal of a cell that only subdomain k holds
+    # parts its block from its mirror images, and from no other block
+    k = np.flatnonzero(np.bincount(which)[which] > 1)[0]
+    others = np.concatenate([s for j, s in enumerate(p.extended_cells) if j != k])
+    cell = np.setdiff1d(p.core_cells[k], others)[0]
+    row = slice(a.row_offsets[cell], a.row_offsets[cell + 1])
+    diagonal = a.row_offsets[cell] + np.flatnonzero(a.col_indices[row] == cell)[0]
+    values = a.values.copy()
+    values[diagonal] = np.nextafter(values[diagonal], np.inf)
+    bumped = om.SparseMatrixCsr(a.n_rows, a.n_cols, a.row_offsets, a.col_indices, values)
+    assert distinct_blocks(bumped, p.extended_cells) == distinct + 1
+    oracle = summed_local_solves(bumped, p.extended_cells, r)
+    z = om.schwarz_setup(bumped, p).apply(bumped, r)
     assert np.linalg.norm(z - oracle) <= 1e-12 * np.linalg.norm(oracle)
 
 
-@pytest.mark.parametrize("dimension,cells,peak_mib", [(2, 256, 16.0), (3, 32, 20.0)])
-def test_sparse_setup_keeps_only_factors(dimension, cells, peak_mib):
-    # the benchmark's finest disc levels, 256-cell subdomains.  Both bounds
-    # count beyond the factor arrays, which are numpy arrays now: the
-    # set-up peak reads 5.2 (2D) and 4.5 MiB (3D) beyond them; it read
+@pytest.mark.parametrize("dimension,cells,peak_mib,distinct,factor_mib",
+                         [(2, 256, 16.0, 16, 1.25), (3, 32, 20.0, 11, 3.0)])
+def test_sparse_setup_keeps_only_factors(dimension, cells, peak_mib, distinct, factor_mib):
+    # the benchmark's finest disc levels, 256-cell subdomains.  Both peak
+    # bounds count beyond the factor arrays, which are numpy arrays now:
+    # the set-up peak reads 7.7 (2D) and 8.2 MiB (3D) beyond them; it read
     # 12.4 and 15.6 MiB when SuperLU kept the factors, and 22.3 and
     # 28.2 MiB when the whole A[idx][:, idx] and a block-diagonal copy
     # were formed
-    spec = om.ProblemSpec(dimension=dimension, cells_per_axis=cells, k_outer=1000.0)
-    a, _ = om.assemble_poisson(spec)
+    a = disc_matrix(dimension, cells)
     p = om.partition_cells(cells, dimension, a.n_rows // 256, 1)
     tracemalloc.start()
     try:
@@ -243,10 +307,12 @@ def test_sparse_setup_keeps_only_factors(dimension, cells, peak_mib):
     assert kernel(sm) == "sparse"
     assert not any(scipy.sparse.issparse(v) or isinstance(v, om.SparseMatrixCsr)
                    for v in vars(sm).values())
-    if dimension == 2:
-        # 54 distinct blocks of 256 are factorized: 3.5 MiB of factor
-        # arrays, where SuperLU held 16 MiB factorizing every block
-        assert factors <= 4 * 2**20, factors / 2**20
+    # mirror images of a subdomain share its block, and only distinct blocks
+    # are factorized: 16 of 256 in 2D (1.05 MiB of factor arrays, where
+    # SuperLU held 16 MiB factorizing every block) and 11 of 128 in 3D
+    # (2.55 MiB, against 25.14 MiB when mirror images were keyed apart)
+    assert distinct_blocks(a, p.extended_cells) <= distinct
+    assert factors <= factor_mib * 2**20, factors / 2**20
 
 
 def test_stacked_lu_matches_superlu_on_copied_blocks():
