@@ -134,8 +134,8 @@ def partition_cells(cells_per_axis, dimension, n_subdomains, overlap):
     (``lo + hi > cells_per_axis``), and axes are ordered by box extent,
     then by the centre reflected into the grid's first half.  A box and
     its mirror image under a reflection or axis swap of the grid thus
-    list mirrored cells at the same positions, and on a mirror-symmetric
-    operator their blocks are bitwise equal.
+    list mirrored cells at the same positions, and where the operator is
+    bitwise symmetric under that mirror, their blocks are bitwise equal.
 
     Raises
     ------
@@ -321,7 +321,8 @@ def _gathered(a, sets, sizes):
     width = np.maximum.reduceat(cells, heads) - lo + 1
     ends = (np.cumsum(sizes) - 1) // GATHER_CELLS + (np.cumsum(width) - 1) // GATHER_SLOTS
     starts = [0, *(np.flatnonzero(np.diff(ends)) + 1)]
-    # where a set lists a cell after a larger one (partition_cells)
+    # cells listed after a larger cell of their own set; a step without any
+    # keeps the matrix's ascending columns, already each row by column
     descends = np.diff(cells) < 0
     descends[heads[1:] - 1] = False
     for first, stop in zip(starts, [*starts[1:], len(sets)]):

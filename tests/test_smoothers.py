@@ -282,9 +282,8 @@ def test_mirrored_subdomains_share_blocks_and_match_dense_oracle(dimension, cell
     assert np.linalg.norm(z - oracle) <= 1e-12 * np.linalg.norm(oracle)
 
 
-@pytest.mark.parametrize("dimension,cells,peak_mib,distinct,factor_mib",
-                         [(2, 256, 16.0, 16, 1.25), (3, 32, 20.0, 11, 3.0)])
-def test_sparse_setup_keeps_only_factors(dimension, cells, peak_mib, distinct, factor_mib):
+@pytest.mark.parametrize("dimension,cells,peak_mib", [(2, 256, 16.0), (3, 32, 20.0)])
+def test_sparse_setup_keeps_only_factors(dimension, cells, peak_mib):
     # the benchmark's finest disc levels, 256-cell subdomains.  Both peak
     # bounds count beyond the factor arrays, which are numpy arrays now:
     # the set-up peak reads 7.7 (2D) and 8.2 MiB (3D) beyond them; it read
@@ -311,6 +310,7 @@ def test_sparse_setup_keeps_only_factors(dimension, cells, peak_mib, distinct, f
     # are factorized: 16 of 256 in 2D (1.05 MiB of factor arrays, where
     # SuperLU held 16 MiB factorizing every block) and 11 of 128 in 3D
     # (2.55 MiB, against 25.14 MiB when mirror images were keyed apart)
+    distinct, factor_mib = {2: (16, 1.25), 3: (11, 3.0)}[dimension]
     assert distinct_blocks(a, p.extended_cells) <= distinct
     assert factors <= factor_mib * 2**20, factors / 2**20
 
@@ -476,18 +476,13 @@ def test_bj_executor_matches_serial_exactly(monkeypatch):
 
 def test_bj_benchmark_level_matches_dense_oracle():
     # the 128^2 finest level of the benchmark's disc problem, 1024 tiles
-    spec = om.ProblemSpec(dimension=2, cells_per_axis=128, k_outer=1000.0)
-    a, _ = om.assemble_poisson(spec)
+    a = disc_matrix(2, 128)
     sm = om.bj_setup(a, 4, (128, 2), sweeps=1)
     assert len(sm.sets) == 1024
     assert kernel(sm) == "dense"
     r = np.random.default_rng(37).standard_normal(a.n_rows)
-    z = sm.apply(a, r)
-    csr = scipy.sparse.csr_matrix((a.values, a.col_indices, a.row_offsets), shape=a.shape)
-    oracle = np.zeros_like(r)
-    for tile in sm.sets:
-        oracle[tile] = np.linalg.solve(csr[tile][:, tile].toarray(), r[tile])
-    assert np.linalg.norm(z - oracle) <= 1e-12 * np.linalg.norm(oracle)
+    oracle = summed_local_solves(a, sm.sets, r)
+    assert np.linalg.norm(sm.apply(a, r) - oracle) <= 1e-12 * np.linalg.norm(oracle)
     # only the 106 distinct tiles are inverted and kept: 0.21 MiB, where
     # one inverse per tile held 2.0 MiB
     factors = sum(array.nbytes for array in factor_arrays(sm))
@@ -496,8 +491,7 @@ def test_bj_benchmark_level_matches_dense_oracle():
 
 @pytest.mark.parametrize("tile", [2, 4])
 def test_dense_and_sparse_kernels_agree(monkeypatch, tile):
-    spec = om.ProblemSpec(dimension=2, cells_per_axis=32, k_outer=1000.0)
-    a, _ = om.assemble_poisson(spec)
+    a = disc_matrix(2, 32)
     dense = om.bj_setup(a, tile, (32, 2), omega=0.8, sweeps=3)
     monkeypatch.setattr(smoothers, "DENSE_MAX_CELLS", 0)
     sparse = om.bj_setup(a, tile, (32, 2), omega=0.8, sweeps=3)
