@@ -7,12 +7,7 @@ from .errors import (
     SingularMatrixError,
     WorkerError,
 )
-from .sparse import (
-    SparseMatrixCsr,
-    norm2,
-    spmv,
-    triple_product,
-)
+from .sparse import norm2, spmv, triple_product
 from .problem import (
     GridHierarchy,
     GridLevel,
@@ -88,7 +83,7 @@ __all__ = [
     "SingularMatrixError", "NumericalFailureError",
     "ExchangeTimeoutError", "WorkerError",
     # sparse kernels
-    "SparseMatrixCsr", "spmv", "norm2", "triple_product",
+    "spmv", "norm2", "triple_product",
     # benchmark problem
     "ProblemSpec", "GridLevel", "GridHierarchy", "coefficient_at",
     "assemble_poisson", "build_prolongation", "build_restriction",

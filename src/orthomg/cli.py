@@ -184,7 +184,7 @@ def write_trace(path, trace):
 
 def export_system(outdir, matrix, rhs):
     """``system.mtx`` and ``rhs.mtx`` (one column) in Matrix Market format."""
-    scipy.io.mmwrite(Path(outdir) / "system.mtx", matrix._scipy)
+    scipy.io.mmwrite(Path(outdir) / "system.mtx", matrix)
     scipy.io.mmwrite(Path(outdir) / "rhs.mtx", np.asarray(rhs).reshape(-1, 1))
 
 

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 import scipy.sparse
 
-from .sparse import SparseMatrixCsr, triple_product
+from .sparse import check_csr, csr, triple_product
 
 __all__ = [
     "ProblemSpec",
@@ -93,15 +93,15 @@ class GridLevel:
     """
 
     index: int
-    matrix: SparseMatrixCsr
-    restriction: Optional[SparseMatrixCsr]
-    prolongation: Optional[SparseMatrixCsr]
+    matrix: scipy.sparse.csr_matrix
+    restriction: Optional[scipy.sparse.csr_matrix]
+    prolongation: Optional[scipy.sparse.csr_matrix]
     cells_per_axis: int
     spacing: float
 
     @property
     def n_dofs(self):
-        return self.matrix.n_rows
+        return self.matrix.shape[0]
 
 
 @dataclass(eq=False)
@@ -169,7 +169,7 @@ def assemble_poisson(spec):
 
     Returns
     -------
-    (SparseMatrixCsr, ndarray)
+    (scipy.sparse.csr_matrix, ndarray)
         The SPD system matrix and the constant right-hand side.  Cells
         are numbered lexicographically (C order over the axis indices).
         Interior faces carry the harmonic mean of the two adjacent
@@ -222,7 +222,7 @@ def assemble_poisson(spec):
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(total, total),
     )
-    matrix = SparseMatrixCsr.from_scipy(coo.tocsr())
+    matrix = csr(coo)
     rhs = np.full(total, float(spec.rhs_constant))
     return matrix, rhs
 
@@ -243,7 +243,7 @@ def build_prolongation(fine_cells_per_axis, dimension):
     idx = np.indices((n,) * d).reshape(d, -1)
     parent = np.ravel_multi_index(idx // 2, (nc,) * d)
     n_fine = n**d
-    return SparseMatrixCsr(n_fine, nc**d, np.arange(n_fine + 1), parent, np.ones(n_fine))
+    return csr((np.ones(n_fine), parent, np.arange(n_fine + 1)), shape=(n_fine, nc**d))
 
 
 def build_restriction(prolongation, dimension):
@@ -252,7 +252,7 @@ def build_restriction(prolongation, dimension):
     With piecewise-constant prolongation this averages the children of
     each coarse cell, and ``R @ P`` is exactly the identity.
     """
-    return prolongation.transpose().scaled(1.0 / 2**dimension)
+    return csr(prolongation.T) * (1.0 / 2**dimension)
 
 
 def build_hierarchy(spec, l_min=1024):
@@ -271,11 +271,12 @@ def hierarchy_from_matrix(matrix, cells, spacing, dimension, l_min=1024):
     """
     if l_min < 4:
         raise ValueError("l_min must be at least 4")
-    if matrix.shape != (cells**dimension,) * 2:
+    check_csr(matrix)
+    if matrix.shape[0] != cells**dimension:
         raise ValueError(f"matrix must be square on the {cells}^{dimension} grid")
     levels = []
     index = 0
-    while matrix.n_rows > l_min and cells >= 4:
+    while matrix.shape[0] > l_min and cells >= 4:
         prolongation = build_prolongation(cells, dimension)
         restriction = build_restriction(prolongation, dimension)
         levels.append(

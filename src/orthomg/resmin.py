@@ -212,7 +212,7 @@ def rm_update(space, a, z):
     Parameters
     ----------
     space : SearchSpace
-    a : SparseMatrixCsr
+    a : scipy.sparse.csr_matrix
         The level operator; all updates of one space must use the same
         symmetric positive definite operator.
     z : array_like

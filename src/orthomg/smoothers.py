@@ -30,7 +30,7 @@ from scipy.sparse.linalg import splu
 from scipy.sparse.linalg._dsolve._superlu import gstrs
 
 from .errors import NumericalFailureError, SingularMatrixError
-from .sparse import spmv
+from .sparse import check_csr, spmv
 
 __all__ = [
     "Partition",
@@ -221,7 +221,7 @@ class SubdomainSmoother:
         are summed in set order, so the chunks change no bit of the sum.
         """
         r = np.asarray(r, dtype=np.float64)
-        if r.shape != (a.n_rows,):
+        if r.shape != (a.shape[0],):
             raise ValueError("residual length does not match the matrix")
         z = np.zeros_like(r)
         for sweep in range(self.sweeps):
@@ -314,7 +314,6 @@ def _gathered(a, sets, sizes):
     row by column, with rows and columns counted as positions in the set.
     So a block's entries do not depend on where the set lies in the grid.
     """
-    csr = a._scipy
     heads = np.cumsum(sizes) - sizes
     cells = np.concatenate(sets)
     lo = np.minimum.reduceat(cells, heads)
@@ -334,7 +333,7 @@ def _gathered(a, sets, sizes):
         shift = window - lo[first:stop]
         slots = np.full(window[-1] + width[stop - 1] + 1, -1, dtype=np.intc)
         slots[shift[owner] + cells[row0:row0 + size]] = np.arange(size)
-        sub = csr[cells[row0:row0 + size]]
+        sub = a[cells[row0:row0 + size]]
         per_row = np.diff(sub.indptr)
         set_of = np.repeat(owner, per_row)
         col = slots[np.clip(shift[set_of] + sub.indices, 0, slots.size - 1)]
@@ -349,7 +348,11 @@ def _gathered(a, sets, sizes):
             # the rows list columns in the grid's order: sort each by the set's
             by_col = np.argsort((row + base[set_of]) * size + col, kind="stable")
             col, data = col[by_col], data[by_col]
-        yield first, np.bincount(set_of, minlength=stop - first), row, col - base[set_of], data
+            del by_col
+        nnz, col = np.bincount(set_of, minlength=stop - first), col - base[set_of]
+        # the caller keys the step's blocks: free the step's temporaries first
+        del sub, per_row, set_of, keep, slots, owner
+        yield first, nnz, row, col, data
 
 
 def _distinct_blocks(a, sets, sizes, precision):
@@ -463,8 +466,6 @@ def _subdomain_smoother(a, sets, omega, sweeps, precision, label):
     singular block raises :class:`SingularMatrixError` naming the
     lowest-numbered singular set.
     """
-    if a.n_rows != a.n_cols:
-        raise ValueError("subdomain smoothers require a square matrix")
     if precision not in ("float64", "float32"):
         raise ValueError(f"unknown precision {precision!r}; expected 'float64' or 'float32'")
     if sweeps < 1:
@@ -508,10 +509,11 @@ def schwarz_setup(a, partition, precision="float64", sweeps=1):
     A singular local block raises :class:`SingularMatrixError` naming
     the subdomain.
     """
+    check_csr(a)
     covered = sum(core.size for core in partition.core_cells)
-    if covered != a.n_rows:
+    if covered != a.shape[0]:
         raise ValueError(
-            f"partition covers {covered} cells but the matrix has {a.n_rows} rows"
+            f"partition covers {covered} cells but the matrix has {a.shape[0]} rows"
         )
     return _subdomain_smoother(a, partition.extended_cells, 1.0, sweeps, precision,
                                "subdomain")
@@ -526,10 +528,11 @@ def bj_setup(a, tile_cells_per_axis, geometry=None, omega=1.0, sweeps=5,
     tiles are contiguous ranges.  The tile edge must divide the axis.  A
     singular tile raises :class:`SingularMatrixError` naming the block.
     """
-    cells, dimension = (a.n_rows, 1) if geometry is None else geometry
-    if cells**dimension != a.n_rows:
+    check_csr(a)
+    cells, dimension = (a.shape[0], 1) if geometry is None else geometry
+    if cells**dimension != a.shape[0]:
         raise ValueError(
-            f"geometry {cells}^{dimension} does not match {a.n_rows} matrix rows"
+            f"geometry {cells}^{dimension} does not match {a.shape[0]} matrix rows"
         )
     if tile_cells_per_axis < 1 or cells % tile_cells_per_axis != 0:
         raise ValueError(
@@ -539,7 +542,7 @@ def bj_setup(a, tile_cells_per_axis, geometry=None, omega=1.0, sweeps=5,
     if omega <= 0.0:
         raise ValueError("omega must be positive")
     # axes (tile_0, cell_0, tile_1, cell_1, ...) -> one row of cells per tile
-    grid = np.arange(a.n_rows, dtype=np.int64).reshape(
+    grid = np.arange(a.shape[0], dtype=np.int64).reshape(
         (cells // tile_cells_per_axis, tile_cells_per_axis) * dimension)
     tiles = grid.transpose([*range(0, 2 * dimension, 2), *range(1, 2 * dimension, 2)])
     tiles = list(tiles.reshape(-1, tile_cells_per_axis**dimension))

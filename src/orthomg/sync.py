@@ -237,28 +237,30 @@ class SolveResult:
     breakdowns: int
 
 
-# Direct factorizations of coarsest-level operators, keyed by matrix
-# identity so repeated solves against one hierarchy factorize once.
-_coarse_factor_cache = weakref.WeakKeyDictionary()
+# Direct factorizations of coarsest-level operators, keyed by ``id`` of the
+# matrix so repeated solves against one hierarchy factorize once (scipy
+# matrices are unhashable); an entry is dropped when its matrix dies.
+_coarse_factor_cache = {}
 
 
 def _coarse_factor(a):
-    factor = _coarse_factor_cache.get(a)
+    factor = _coarse_factor_cache.get(id(a))
     if factor is None:
         try:
-            factor = scipy.sparse.linalg.splu(a._scipy.tocsc())
+            factor = scipy.sparse.linalg.splu(a.tocsc())
         except RuntimeError as exc:
             raise SingularMatrixError(f"coarsest-level matrix is singular: {exc}") from None
-        _coarse_factor_cache[a] = factor
+        if _coarse_factor_cache.setdefault(id(a), factor) is factor:
+            weakref.finalize(a, _coarse_factor_cache.pop, id(a), None)
     return factor
 
 
 def coarsest_solve(a, r):
     """Direct sparse solve on the coarsest level (factorization cached)."""
-    if a.n_rows != a.n_cols:
+    if a.shape[0] != a.shape[1]:
         raise ValueError("coarsest solve requires a square matrix")
     r = np.asarray(r, dtype=np.float64)
-    if r.shape != (a.n_rows,):
+    if r.shape != (a.shape[0],):
         raise ValueError("residual length does not match the coarsest matrix")
     return _coarse_factor(a).solve(r)
 

@@ -1,6 +1,11 @@
 """Shared builders for the test suite."""
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
+import scipy.sparse
 
 import orthomg as om
 from orthomg import smoothers
@@ -10,13 +15,34 @@ def random_sparse(rng, n_rows, n_cols, density=0.3):
     """Random CSR matrix with entries in [-1, 1)."""
     mask = rng.random((n_rows, n_cols)) < density
     dense = np.where(mask, rng.uniform(-1.0, 1.0, (n_rows, n_cols)), 0.0)
-    return om.SparseMatrixCsr.from_dense(dense)
+    return scipy.sparse.csr_matrix(dense)
 
 
 def random_spd(rng, n):
     """Random symmetric positive definite matrix as CSR."""
     a = rng.standard_normal((n, n))
-    return om.SparseMatrixCsr.from_dense(a @ a.T + n * np.eye(n))
+    return scipy.sparse.csr_matrix(a @ a.T + n * np.eye(n))
+
+
+def load_perfbench(name):
+    """``perfbench/<name>.py`` as a module named ``perfbench_<name>``.
+
+    Its own imports of sibling benchmark modules (``import tracing``) are
+    resolved from ``perfbench/`` and dropped from ``sys.modules`` again.
+    """
+    folder = Path(__file__).resolve().parent.parent / "perfbench"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", folder / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    known = set(sys.modules)
+    sys.path.insert(0, str(folder))
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(folder))
+        for sibling in ("tracing", "workloads"):
+            if sibling not in known:
+                sys.modules.pop(sibling, None)
+    return module
 
 
 def kernel(smoother):

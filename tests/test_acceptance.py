@@ -325,10 +325,10 @@ def test_criterion_7_hierarchy_consistency():
         spec = om.ProblemSpec(dimension=dimension, cells_per_axis=cells)
         hierarchy = om.build_hierarchy(spec, l_min=4)
         for fine, coarse in zip(hierarchy.levels, hierarchy.levels[1:]):
-            r = fine.restriction.to_dense()
-            p = fine.prolongation.to_dense()
-            oracle = r @ fine.matrix.to_dense() @ p
-            gap = np.abs(coarse.matrix.to_dense() - oracle).max()
+            r = fine.restriction.toarray()
+            p = fine.prolongation.toarray()
+            oracle = r @ fine.matrix.toarray() @ p
+            gap = np.abs(coarse.matrix.toarray() - oracle).max()
             assert gap <= 1e-12 * np.abs(oracle).max()
             assert np.array_equal(r @ p, np.eye(coarse.n_dofs))
             checked += 1
@@ -337,7 +337,7 @@ def test_criterion_7_hierarchy_consistency():
             dimension=dimension, cells_per_axis=cells, k_inner=1.0, k_outer=1.0
         )
         a, _ = om.assemble_poisson(spec)
-        assert np.array_equal(a.to_dense(), _stencil_oracle(spec))
+        assert np.array_equal(a.toarray(), _stencil_oracle(spec))
     return f"{checked} coarse levels against dense triple products"
 
 

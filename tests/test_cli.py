@@ -120,7 +120,7 @@ def test_solve_exports_the_linear_system(tmp_path):
     matrix, rhs = om.assemble_poisson(spec)
     a = scipy.io.mmread(out / "system.mtx").toarray()
     b = scipy.io.mmread(out / "rhs.mtx")
-    assert a == pytest.approx(matrix.to_dense(), rel=1e-15, abs=0)
+    assert a == pytest.approx(matrix.toarray(), rel=1e-15, abs=0)
     assert b.shape == (256, 1)
     assert b.ravel() == pytest.approx(rhs, rel=1e-15, abs=0)
 

@@ -84,7 +84,7 @@ def test_uniform_coefficient_diagonal_values():
     # boundary faces add 8 to the diagonal.
     spec = om.ProblemSpec(dimension=2, cells_per_axis=4, k_inner=1.0, k_outer=1.0)
     a, _ = om.assemble_poisson(spec)
-    dense = a.to_dense()
+    dense = a.toarray()
     corner = 0  # cell (0, 0)
     interior = 5  # cell (1, 1)
     edge = 1  # cell (0, 1)
@@ -99,7 +99,7 @@ def test_uniform_coefficient_diagonal_values():
 def test_assembly_matches_stencil_oracle(dimension, cells):
     spec = om.ProblemSpec(dimension=dimension, cells_per_axis=cells)
     a, rhs = om.assemble_poisson(spec)
-    assert a.to_dense() == pytest.approx(stencil_oracle(spec), rel=1e-13)
+    assert a.toarray() == pytest.approx(stencil_oracle(spec), rel=1e-13)
     assert np.array_equal(rhs, np.ones(spec.n_dofs))
 
 
@@ -108,13 +108,13 @@ def test_assembly_scales_linearly_in_uniform_coefficient():
     scaled = om.ProblemSpec(dimension=2, cells_per_axis=8, k_inner=3.0, k_outer=3.0)
     a0, _ = om.assemble_poisson(base)
     a1, _ = om.assemble_poisson(scaled)
-    assert a1.to_dense() == pytest.approx(3.0 * a0.to_dense(), rel=1e-15)
+    assert a1.toarray() == pytest.approx(3.0 * a0.toarray(), rel=1e-15)
 
 
 def test_assembled_matrix_is_spd():
     spec = om.ProblemSpec(dimension=2, cells_per_axis=8)
     a, _ = om.assemble_poisson(spec)
-    dense = a.to_dense()
+    dense = a.toarray()
     assert np.array_equal(dense, dense.T)
     assert np.linalg.eigvalsh(dense).min() > 0.0
 
@@ -130,7 +130,7 @@ def test_coefficient_jump_is_radial():
     # so the operator is invariant under swapping the two axes
     spec = om.ProblemSpec(dimension=2, cells_per_axis=8)
     a, _ = om.assemble_poisson(spec)
-    dense = a.to_dense()
+    dense = a.toarray()
     n = spec.cells_per_axis
     swap = np.arange(n * n).reshape(n, n).T.ravel()
     assert dense[np.ix_(swap, swap)] == pytest.approx(dense, rel=1e-15)
@@ -142,7 +142,7 @@ def test_coefficient_jump_is_radial():
 
 def test_prolongation_structure():
     p = om.build_prolongation(4, 2)
-    dense = p.to_dense()
+    dense = p.toarray()
     assert dense.shape == (16, 4)
     assert np.array_equal(dense.sum(axis=1), np.ones(16))  # one parent each
     assert np.array_equal(np.sort(np.unique(dense)), [0.0, 1.0])
@@ -155,11 +155,11 @@ def test_prolongation_structure():
 def test_restriction_averages_children():
     p = om.build_prolongation(4, 2)
     r = om.build_restriction(p, 2)
-    dense = r.to_dense()
+    dense = r.toarray()
     assert dense.shape == (4, 16)
     assert np.array_equal(np.sort(np.unique(dense)), [0.0, 0.25])
     # restriction of prolongation is exactly the identity
-    assert np.array_equal(dense @ p.to_dense(), np.eye(4))
+    assert np.array_equal(dense @ p.toarray(), np.eye(4))
 
 
 def test_prolongation_rejects_odd_or_tiny():
@@ -173,17 +173,17 @@ def test_coarse_operator_is_galerkin_product():
     spec = om.ProblemSpec(dimension=2, cells_per_axis=8)
     hierarchy = om.build_hierarchy(spec, l_min=4)
     fine = hierarchy.levels[0]
-    want = (fine.restriction.to_dense()
-            @ fine.matrix.to_dense()
-            @ fine.prolongation.to_dense())
-    assert hierarchy.levels[1].matrix.to_dense() == pytest.approx(want, rel=1e-14)
+    want = (fine.restriction.toarray()
+            @ fine.matrix.toarray()
+            @ fine.prolongation.toarray())
+    assert hierarchy.levels[1].matrix.toarray() == pytest.approx(want, rel=1e-14)
 
 
 def test_coarse_operators_stay_spd():
     spec = om.ProblemSpec(dimension=2, cells_per_axis=16)
     hierarchy = om.build_hierarchy(spec, l_min=4)
     for level in hierarchy.levels:
-        dense = level.matrix.to_dense()
+        dense = level.matrix.toarray()
         assert dense == pytest.approx(dense.T, rel=1e-14)
         assert np.linalg.eigvalsh(dense).min() > 0.0
 
@@ -241,15 +241,16 @@ def test_hierarchy_from_assembled_matrix_matches_build_hierarchy(dimension, cell
     assert reused.n_levels == direct.n_levels >= 2
     for mine, theirs in zip(reused.levels, direct.levels):
         assert (mine.cells_per_axis, mine.spacing) == (theirs.cells_per_axis, theirs.spacing)
-        for name in ("row_offsets", "col_indices", "values"):
+        for name in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(mine.matrix, name), getattr(theirs.matrix, name))
     with pytest.raises(ValueError, match="grid"):
         om.hierarchy_from_matrix(matrix, cells // 2, spec.spacing, dimension)
 
 
 @pytest.mark.parametrize("dimension,cells", [(2, 64), (3, 16)])
-def test_every_matrix_shares_its_arrays_with_scipy(dimension, cells):
-    # one copy of values and indices, in the integer type scipy picks
+def test_every_matrix_is_canonical_int32_csr(dimension, cells):
+    # scipy CSR throughout, each row's columns ascending (the smoothers rely
+    # on it), with the integer type scipy picks
     spec = om.ProblemSpec(dimension=dimension, cells_per_axis=cells)
     assembled, _ = om.assemble_poisson(spec)
     prolongation = om.build_prolongation(cells, dimension)
@@ -261,8 +262,6 @@ def test_every_matrix_shares_its_arrays_with_scipy(dimension, cells):
         matrices += [m for m in (level.matrix, level.restriction, level.prolongation)
                      if m is not None]
     for m in matrices:
-        m_scipy = m._scipy
-        assert np.shares_memory(m.values, m_scipy.data)
-        assert np.shares_memory(m.col_indices, m_scipy.indices)
-        assert np.shares_memory(m.row_offsets, m_scipy.indptr)
-        assert m.col_indices.dtype == m.row_offsets.dtype == np.int32
+        assert m.format == "csr" and m.has_canonical_format
+        assert m.indices.dtype == m.indptr.dtype == np.int32
+        assert m.data.dtype == np.float64

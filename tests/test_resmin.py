@@ -21,7 +21,7 @@ def lstsq_residual_norm(a_dense, r0, directions):
 
 
 def test_identity_operator_single_update_solves():
-    eye = om.SparseMatrixCsr.identity(5)
+    eye = scipy.sparse.eye(5, format="csr")
     b = np.array([1.0, -2.0, 3.0, 0.5, 0.0])
     space = om.rm_init(np.zeros(5), b)
     x, r = om.rm_update(space, eye, b)
@@ -43,7 +43,7 @@ def test_minimizer_matches_dense_least_squares():
         directions = [rng.standard_normal(n) for _ in range(m)]
         for z in directions:
             x, r = om.rm_update(space, a, z)
-        best = lstsq_residual_norm(a.to_dense(), r0, directions)
+        best = lstsq_residual_norm(a.toarray(), r0, directions)
         assert om.norm2(r) <= best + 1e-10
         assert abs(om.norm2(r) - best) <= 1e-10 * max(1.0, om.norm2(r0))
         # returned pair stays consistent: r == b - A x
@@ -78,7 +78,7 @@ def test_basis_stays_orthonormal_and_consistent():
     assert gram == pytest.approx(np.eye(space.size), abs=1e-10)
     # every basis vector is the operator image of its direction
     z = np.column_stack(space.directions)
-    assert a.to_dense() @ z == pytest.approx(w, abs=1e-8 * np.abs(w).max())
+    assert a.toarray() @ z == pytest.approx(w, abs=1e-8 * np.abs(w).max())
 
 
 def test_direction_in_span_breaks_down():
@@ -97,7 +97,7 @@ def test_direction_in_span_breaks_down():
 
 
 def test_zero_direction_breaks_down():
-    a = om.SparseMatrixCsr.identity(4)
+    a = scipy.sparse.eye(4, format="csr")
     space = om.rm_init(np.zeros(4), np.ones(4))
     x, r = om.rm_update(space, a, np.zeros(4))
     assert space.breakdown_count == 1
@@ -106,7 +106,7 @@ def test_zero_direction_breaks_down():
 
 
 def test_zero_anchor_residual_always_breaks_down():
-    a = om.SparseMatrixCsr.identity(4)
+    a = scipy.sparse.eye(4, format="csr")
     x0 = np.array([1.0, 2.0, 3.0, 4.0])
     space = om.rm_init(x0, np.zeros(4))
     for _ in range(3):
@@ -118,7 +118,7 @@ def test_zero_anchor_residual_always_breaks_down():
 
 
 def test_nan_direction_is_rejected():
-    a = om.SparseMatrixCsr.identity(3)
+    a = scipy.sparse.eye(3, format="csr")
     space = om.rm_init(np.zeros(3), np.ones(3))
     bad = np.array([1.0, np.nan, 0.0])
     with pytest.raises(ValueError, match="NaN or Inf"):
@@ -128,7 +128,7 @@ def test_nan_direction_is_rejected():
 
 
 def test_wrong_length_direction_is_rejected():
-    a = om.SparseMatrixCsr.identity(3)
+    a = scipy.sparse.eye(3, format="csr")
     space = om.rm_init(np.zeros(3), np.ones(3))
     with pytest.raises(ValueError, match="length"):
         om.rm_update(space, a, np.ones(4))
@@ -166,7 +166,7 @@ def test_near_dependent_direction_breaks_down():
         om.rm_update(space, a, stored + noise)
     assert space.breakdown_count == 10
     assert space.size == 3
-    a_dense = a.to_dense()
+    a_dense = a.toarray()
     drift = max(om.norm2(a_dense @ z - w) for z, w in zip(space.directions, space.basis))
     assert drift <= 1e-12
 
@@ -188,7 +188,7 @@ def test_exact_solve_after_n_independent_directions():
         e[i] = 1.0
         x, r = om.rm_update(space, a, e)
     assert om.norm2(r) <= 1e-9 * om.norm2(b)
-    assert x == pytest.approx(np.linalg.solve(a.to_dense(), b), rel=1e-7, abs=1e-9)
+    assert x == pytest.approx(np.linalg.solve(a.toarray(), b), rel=1e-7, abs=1e-9)
 
 
 def test_coefficients_track_basis_size():
@@ -214,7 +214,7 @@ def test_near_dependent_chain_keeps_pairs_consistent():
         noise = rng.standard_normal(n)
         noise *= (1e-4, 1e-5, 1e-6)[i % 3] * om.norm2(stored) / om.norm2(noise)
         om.rm_update(space, a, stored + noise)
-    a_dense = a.to_dense()
+    a_dense = a.toarray()
     drift = max(om.norm2(a_dense @ z - w) for z, w in zip(space.directions, space.basis))
     assert drift <= 1e-8
 
@@ -238,7 +238,7 @@ def test_proposal_is_the_galerkin_residual():
         for _ in range(int(rng.integers(1, n))):
             directions.append(rng.standard_normal(n))
             om.rm_update(space, a, directions[-1])
-            expected = galerkin_residual(a.to_dense(), r0, directions)
+            expected = galerkin_residual(a.toarray(), r0, directions)
             assert om.norm2(space.proposal - expected) <= 1e-10 * om.norm2(expected)
         assert np.array_equal(space.galerkin_matrix, space.galerkin_matrix.T)
         assert space.breakdown_count == 0
@@ -259,7 +259,7 @@ def test_proposal_after_breakdown_is_the_least_squares_residual():
     assert np.array_equal(space.proposal, r)
     # the next accepted direction makes the proposal Galerkin again
     om.rm_update(space, a, rng.standard_normal(n))
-    expected = galerkin_residual(a.to_dense(), r0, space.directions)
+    expected = galerkin_residual(a.toarray(), r0, space.directions)
     assert om.norm2(space.proposal - expected) <= 1e-10 * om.norm2(expected)
 
 
@@ -277,7 +277,7 @@ def test_restart_clears_the_galerkin_system():
     assert space.size == 1
     assert space.galerkin_matrix.shape == (1, 1)
     assert space.galerkin_rhs.shape == (1,)
-    expected = galerkin_residual(a.to_dense(), r, [z])
+    expected = galerkin_residual(a.toarray(), r, [z])
     assert om.norm2(space.proposal - expected) <= 1e-10 * om.norm2(expected)
 
 
@@ -291,7 +291,7 @@ def disc_level():
 
 
 def fold_smoother_corrections(a, b, smoother, count):
-    space = om.rm_init(np.zeros(a.n_rows), b)
+    space = om.rm_init(np.zeros(a.shape[0]), b)
     for _ in range(count):
         om.rm_update(space, a, smoother.apply(a, space.proposal))
     assert space.size == count and space.breakdown_count == 0
@@ -300,9 +300,9 @@ def fold_smoother_corrections(a, b, smoother, count):
 
 def check_block_storage(space, a, galerkin_tolerance=1e-12):
     w, z = space.basis, space.directions
-    assert w.shape == z.shape == (space.size, a.n_rows)
+    assert w.shape == z.shape == (space.size, a.shape[0])
     assert np.abs(w @ w.T - np.eye(space.size)).max() <= 1e-10
-    drift = np.linalg.norm(a.to_dense() @ z.T - w.T, axis=0)
+    drift = np.linalg.norm(a.toarray() @ z.T - w.T, axis=0)
     assert (drift <= 1e-8 * np.linalg.norm(w, axis=1)).all()
     h = space.galerkin_matrix
     assert np.array_equal(h, h.T)
@@ -347,7 +347,7 @@ def test_heavy_cancellation_runs_the_second_gram_schmidt_pass(monkeypatch):
 def test_storage_grows_by_panels_and_a_restart_reuses_it():
     # restart_cap rows of this length would take 320 MB per matrix
     n = 200_000
-    a = om.SparseMatrixCsr.from_scipy(scipy.sparse.diags(np.linspace(1.0, 2.0, n)))
+    a = scipy.sparse.csr_matrix(scipy.sparse.diags(np.linspace(1.0, 2.0, n)))
     rng = np.random.default_rng(5)
     tracemalloc.start()
     try:

@@ -76,7 +76,7 @@ def disc_matrix(dimension, cells):
 
 def summed_local_solves(a, sets, r):
     """Sum over the sets ``s`` of dense ``solve(A[s][:, s], r[s])``."""
-    csr = a._scipy
+    csr = a
     z = np.zeros_like(r)
     for s in sets:
         z[s] += np.linalg.solve(csr[s][:, s].toarray(), r[s])
@@ -181,7 +181,7 @@ def test_schwarz_single_sweep_matches_oracle():
     rng = np.random.default_rng(3)
     r = rng.standard_normal(64)
     z = sm.apply(a, r)
-    assert z == pytest.approx(schwarz_oracle(a.to_dense(), p, r, 1), abs=1e-10)
+    assert z == pytest.approx(schwarz_oracle(a.toarray(), p, r, 1), abs=1e-10)
 
 
 def test_schwarz_multi_sweep_matches_oracle():
@@ -191,7 +191,7 @@ def test_schwarz_multi_sweep_matches_oracle():
     rng = np.random.default_rng(5)
     r = rng.standard_normal(64)
     z = sm.apply(a, r)
-    assert z == pytest.approx(schwarz_oracle(a.to_dense(), p, r, 3), abs=1e-9)
+    assert z == pytest.approx(schwarz_oracle(a.toarray(), p, r, 3), abs=1e-9)
 
 
 def test_schwarz_is_linear():
@@ -248,7 +248,7 @@ def test_schwarz_benchmark_level_matches_dense_oracle():
     a = disc_matrix(2, 256)
     p = om.partition_cells(256, 2, 256, 1)
     sm = om.schwarz_setup(a, p)
-    r = np.random.default_rng(29).standard_normal(a.n_rows)
+    r = np.random.default_rng(29).standard_normal(a.shape[0])
     oracle = summed_local_solves(a, p.extended_cells, r)
     assert np.linalg.norm(sm.apply(a, r) - oracle) <= 1e-12 * np.linalg.norm(oracle)
 
@@ -259,7 +259,7 @@ def test_mirrored_subdomains_share_blocks_and_match_dense_oracle(dimension, cell
     # the same positions, so their blocks are keyed alike
     a = disc_matrix(dimension, cells)
     p = om.partition_cells(cells, dimension, 16, 1)
-    r = np.random.default_rng(47).standard_normal(a.n_rows)
+    r = np.random.default_rng(47).standard_normal(a.shape[0])
     oracle = summed_local_solves(a, p.extended_cells, r)
     z = om.schwarz_setup(a, p).apply(a, r)
     assert np.linalg.norm(z - oracle) <= 1e-12 * np.linalg.norm(oracle)
@@ -271,27 +271,28 @@ def test_mirrored_subdomains_share_blocks_and_match_dense_oracle(dimension, cell
     k = np.flatnonzero(np.bincount(which)[which] > 1)[0]
     others = np.concatenate([s for j, s in enumerate(p.extended_cells) if j != k])
     cell = np.setdiff1d(p.core_cells[k], others)[0]
-    row = slice(a.row_offsets[cell], a.row_offsets[cell + 1])
-    diagonal = a.row_offsets[cell] + np.flatnonzero(a.col_indices[row] == cell)[0]
-    values = a.values.copy()
+    row = slice(a.indptr[cell], a.indptr[cell + 1])
+    diagonal = a.indptr[cell] + np.flatnonzero(a.indices[row] == cell)[0]
+    values = a.data.copy()
     values[diagonal] = np.nextafter(values[diagonal], np.inf)
-    bumped = om.SparseMatrixCsr(a.n_rows, a.n_cols, a.row_offsets, a.col_indices, values)
+    bumped = scipy.sparse.csr_matrix((values, a.indices, a.indptr), shape=a.shape)
     assert distinct_blocks(bumped, p.extended_cells) == distinct + 1
     oracle = summed_local_solves(bumped, p.extended_cells, r)
     z = om.schwarz_setup(bumped, p).apply(bumped, r)
     assert np.linalg.norm(z - oracle) <= 1e-12 * np.linalg.norm(oracle)
 
 
-@pytest.mark.parametrize("dimension,cells,peak_mib", [(2, 256, 16.0), (3, 32, 20.0)])
+@pytest.mark.parametrize("dimension,cells,peak_mib", [(2, 256, 6.0), (3, 32, 20.0)])
 def test_sparse_setup_keeps_only_factors(dimension, cells, peak_mib):
     # the benchmark's finest disc levels, 256-cell subdomains.  Both peak
     # bounds count beyond the factor arrays, which are numpy arrays now:
-    # the set-up peak reads 7.7 (2D) and 8.2 MiB (3D) beyond them; it read
-    # 12.4 and 15.6 MiB when SuperLU kept the factors, and 22.3 and
-    # 28.2 MiB when the whole A[idx][:, idx] and a block-diagonal copy
-    # were formed
+    # the set-up peak reads 5.9 (2D) and 7.7 MiB (3D) beyond them, since
+    # each gathering step frees its temporaries before its blocks are
+    # keyed (7.7 and 8.2 MiB before); it read 12.4 and 15.6 MiB when
+    # SuperLU kept the factors, and 22.3 and 28.2 MiB when the whole
+    # A[idx][:, idx] and a block-diagonal copy were formed
     a = disc_matrix(dimension, cells)
-    p = om.partition_cells(cells, dimension, a.n_rows // 256, 1)
+    p = om.partition_cells(cells, dimension, a.shape[0] // 256, 1)
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
@@ -304,8 +305,7 @@ def test_sparse_setup_keeps_only_factors(dimension, cells, peak_mib):
     # the sets, their concatenation and the rows and cells of every chunk
     assert retained - factors <= 2 * 2**20, (retained - factors) / 2**20
     assert kernel(sm) == "sparse"
-    assert not any(scipy.sparse.issparse(v) or isinstance(v, om.SparseMatrixCsr)
-                   for v in vars(sm).values())
+    assert not any(scipy.sparse.issparse(v) for v in vars(sm).values())
     # mirror images of a subdomain share its block, and only distinct blocks
     # are factorized: 16 of 256 in 2D (1.05 MiB of factor arrays, where
     # SuperLU held 16 MiB factorizing every block) and 11 of 128 in 3D
@@ -323,11 +323,11 @@ def test_stacked_lu_matches_superlu_on_copied_blocks():
     pattern = sum(np.eye(20, k=k) for k in (-5, -1, 1, 5))
     blocks = [np.where(pattern, rng.uniform(-1, 1, (20, 20)), 0) + 6 * np.eye(20)
               for _ in range(2)]
-    a = om.SparseMatrixCsr.from_dense(scipy.linalg.block_diag(*blocks * 3))
+    a = scipy.sparse.csr_matrix(scipy.linalg.block_diag(*blocks * 3))
     sm = om.bj_setup(a, 20, None, sweeps=1)
     [(rows, cells, solver)] = sm.chunks
     assert kernel(sm) == "sparse" and solver.lower.shape == (40, 40)
-    r = rng.standard_normal(a.n_rows)
+    r = rng.standard_normal(a.shape[0])
     solved = np.empty_like(r)
     solved[rows] = solver.solve(r[cells])  # the tiles are the ranges of 20 rows
     pair = scipy.sparse.csc_matrix(scipy.linalg.block_diag(*blocks))
@@ -366,7 +366,7 @@ def test_schwarz_setup_rejects_partial_cover():
 def test_schwarz_singular_subdomain_is_named():
     # 2-cell subdomains take the dense kernel, 20-cell ones the sparse LU
     for n, zero in ((4, 2), (40, 30)):
-        a = om.SparseMatrixCsr.from_dense(np.diag(np.where(np.arange(n) == zero, 0.0, 1.0)))
+        a = scipy.sparse.csr_matrix(np.diag(np.where(np.arange(n) == zero, 0.0, 1.0)))
         p = om.partition_cells(n, 1, 2, 0)
         with pytest.raises(om.SingularMatrixError, match="subdomain 1"):
             om.schwarz_setup(a, p)
@@ -394,7 +394,7 @@ def test_bj_matches_oracle():
     rng = np.random.default_rng(13)
     r = rng.standard_normal(64)
     z = sm.apply(a, r)
-    assert z == pytest.approx(bj_oracle(a.to_dense(), sm.sets, 1.0, 5, r), abs=1e-12)
+    assert z == pytest.approx(bj_oracle(a.toarray(), sm.sets, 1.0, 5, r), abs=1e-12)
 
 
 def test_bj_damped_matches_oracle():
@@ -403,7 +403,7 @@ def test_bj_damped_matches_oracle():
     rng = np.random.default_rng(17)
     r = rng.standard_normal(16)
     z = sm.apply(a, r)
-    assert z == pytest.approx(bj_oracle(a.to_dense(), sm.sets, 0.7, 3, r), abs=1e-12)
+    assert z == pytest.approx(bj_oracle(a.toarray(), sm.sets, 0.7, 3, r), abs=1e-12)
 
 
 def test_bj_tiles_are_square_patches():
@@ -418,7 +418,7 @@ def test_bj_tiles_are_square_patches():
 
 def test_bj_diagonal_blocks_of_size_one_solve_diagonal_systems():
     diag = np.diag([2.0, 4.0, 8.0, 16.0])
-    a = om.SparseMatrixCsr.from_dense(diag)
+    a = scipy.sparse.csr_matrix(diag)
     sm = om.bj_setup(a, 1, None, omega=1.0, sweeps=1)
     r = np.array([2.0, 4.0, 8.0, 16.0])
     z = sm.apply(a, r)
@@ -446,7 +446,7 @@ def test_bj_setup_validation():
         om.bj_setup(a, 2, (4, 2), omega=0.0)
     with pytest.raises(ValueError, match="sweeps"):
         om.bj_setup(a, 2, (4, 2), sweeps=0)
-    rectangular = om.SparseMatrixCsr.from_dense(np.ones((4, 2)))
+    rectangular = scipy.sparse.csr_matrix(np.ones((4, 2)))
     with pytest.raises(ValueError, match="square"):
         om.bj_setup(rectangular, 1, None)
 
@@ -459,7 +459,7 @@ def test_bj_singular_block_is_named():
     # single copy (tile 3, resp. 4), so its piece is built first
     for n, zeros, tile in ((4, [1], 1), (60, [25], 20), (12, [2, 4, 7], 2),
                            (100, [25, 65, 87], 20)):
-        a = om.SparseMatrixCsr.from_dense(np.diag(np.where(np.isin(np.arange(n), zeros), 0.0, 1.0)))
+        a = scipy.sparse.csr_matrix(np.diag(np.where(np.isin(np.arange(n), zeros), 0.0, 1.0)))
         with pytest.raises(om.SingularMatrixError, match="diagonal block 1$"):
             om.bj_setup(a, tile, None)
 
@@ -480,7 +480,7 @@ def test_bj_benchmark_level_matches_dense_oracle():
     sm = om.bj_setup(a, 4, (128, 2), sweeps=1)
     assert len(sm.sets) == 1024
     assert kernel(sm) == "dense"
-    r = np.random.default_rng(37).standard_normal(a.n_rows)
+    r = np.random.default_rng(37).standard_normal(a.shape[0])
     oracle = summed_local_solves(a, sm.sets, r)
     assert np.linalg.norm(sm.apply(a, r) - oracle) <= 1e-12 * np.linalg.norm(oracle)
     # only the 106 distinct tiles are inverted and kept: 0.21 MiB, where
@@ -496,7 +496,7 @@ def test_dense_and_sparse_kernels_agree(monkeypatch, tile):
     monkeypatch.setattr(smoothers, "DENSE_MAX_CELLS", 0)
     sparse = om.bj_setup(a, tile, (32, 2), omega=0.8, sweeps=3)
     assert (kernel(dense), kernel(sparse)) == ("dense", "sparse")
-    r = np.random.default_rng(41).standard_normal(a.n_rows)
+    r = np.random.default_rng(41).standard_normal(a.shape[0])
     z_dense = dense.apply(a, r)
     z_sparse = sparse.apply(a, r)
     assert np.linalg.norm(z_dense - z_sparse) <= 1e-13 * np.linalg.norm(z_sparse)
@@ -510,7 +510,7 @@ def test_dense_kernel_tells_apart_blocks_with_equal_keys():
     y = np.nextafter(x, 2.0)
     assert x * np.sqrt(2.0) == y * np.sqrt(2.0) and 1.0 / x != 1.0 / y
     diagonal = np.array([x, y, 3.0, 3.0])
-    a = om.SparseMatrixCsr.from_dense(np.diag(diagonal))
+    a = scipy.sparse.csr_matrix(np.diag(diagonal))
     sm = om.bj_setup(a, 1, None, sweeps=1)
     assert kernel(sm) == "dense"
     inverses = np.concatenate([solver.inverses for _, _, solver in sm.chunks])
@@ -549,12 +549,12 @@ def test_bound_smoother_submits_one_task_per_chunk():
     a = poisson_matrix(128)
     sm = om.bj_setup(a, 4, (128, 2), sweeps=1)
     assert len(sm.sets) == 1024
-    csr = scipy.sparse.csr_matrix((a.values, a.col_indices, a.row_offsets), shape=a.shape)
+    csr = a
     copies = Counter(csr[tile][:, tile].toarray().tobytes() for tile in sm.sets)
     assert max(Counter(copies.values()).values()) * 16 <= smoothers.PIECE_CELLS
     assert len(sm.chunks) == len(set(copies.values())) == 5
     executor = CountingExecutor()
-    r = np.random.default_rng(31).standard_normal(a.n_rows)
+    r = np.random.default_rng(31).standard_normal(a.shape[0])
     z = om.LevelSmoother(sm, executor).apply(a, r)
     assert executor.tasks == 5
     assert np.array_equal(z, sm.apply(a, r))

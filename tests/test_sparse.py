@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 import scipy.io
+import scipy.sparse
 
 import orthomg as om
 import orthomg.cli as cli
-from helpers import factor_dtypes, kernel, random_sparse
+from helpers import factor_dtypes, kernel, load_perfbench, random_sparse
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -16,9 +17,10 @@ from helpers import factor_dtypes, kernel, random_sparse
 
 def dense_matvec(a, x):
     """Reference product computed row by row with math.fsum."""
-    dense = a.to_dense()
-    return np.array([math.fsum(dense[i, j] * x[j] for j in range(a.n_cols))
-                     for i in range(a.n_rows)])
+    dense = a.toarray()
+    n_rows, n_cols = a.shape
+    return np.array([math.fsum(dense[i, j] * x[j] for j in range(n_cols))
+                     for i in range(n_rows)])
 
 
 def compensated_dot(x, y):
@@ -26,25 +28,25 @@ def compensated_dot(x, y):
 
 
 # ---------------------------------------------------------------------------
-# CSR construction and validation
+# products
 
 
 def test_identity_matvec_is_exact():
-    eye = om.SparseMatrixCsr.identity(4)
+    eye = scipy.sparse.eye(4, format="csr")
     x = np.array([1.0, 2.0, 3.0, 4.0])
     assert np.array_equal(om.spmv(eye, x), x)
 
 
 def test_zero_matrix_matvec():
-    a = om.SparseMatrixCsr(3, 3, [0, 0, 0, 0], [], [])
+    a = scipy.sparse.csr_matrix((3, 3))
     assert np.array_equal(om.spmv(a, np.ones(3)), np.zeros(3))
     assert a.nnz == 0
 
 
 def test_pinned_small_matvec():
-    a = om.SparseMatrixCsr.from_dense([[2.0, -1.0, 0.0],
-                                       [-1.0, 2.0, -1.0],
-                                       [0.0, -1.0, 2.0]])
+    a = scipy.sparse.csr_matrix([[2.0, -1.0, 0.0],
+                                 [-1.0, 2.0, -1.0],
+                                 [0.0, -1.0, 2.0]])
     x = np.array([1.0, 10.0, 100.0])
     assert np.array_equal(om.spmv(a, x), np.array([-8.0, -81.0, 190.0]))
 
@@ -61,56 +63,68 @@ def test_matvec_matches_dense_oracle():
 
 
 def test_matvec_dimension_mismatch():
-    a = om.SparseMatrixCsr.identity(3)
+    a = scipy.sparse.eye(3, format="csr")
     with pytest.raises(ValueError, match="dimension mismatch"):
         om.spmv(a, np.ones(4))
 
 
-def test_from_dense_round_trip():
-    rng = np.random.default_rng(21)
-    dense = np.where(rng.random((6, 4)) < 0.4, rng.standard_normal((6, 4)), 0.0)
-    a = om.SparseMatrixCsr.from_dense(dense)
-    assert np.array_equal(a.to_dense(), dense)
-    assert a.shape == (6, 4)
+# ---------------------------------------------------------------------------
+# checks where a caller's matrix enters: the hierarchy and both smoothers
 
 
-def test_transpose_matches_dense():
-    rng = np.random.default_rng(3)
-    a = random_sparse(rng, 5, 7)
-    assert np.array_equal(a.transpose().to_dense(), a.to_dense().T)
+def entry_points(a):
+    """Each entry point's call on the 4^2 grid matrix ``a``."""
+    return [
+        lambda: om.hierarchy_from_matrix(a, 4, 0.5, 2, l_min=4),
+        lambda: om.schwarz_setup(a, om.partition_cells(4, 2, 2, 1)),
+        lambda: om.bj_setup(a, 2, (4, 2)),
+    ]
 
 
-def test_scaled():
-    a = om.SparseMatrixCsr.from_dense([[1.0, 0.0], [0.0, -2.0]])
-    assert np.array_equal(a.scaled(0.5).to_dense(), [[0.5, 0.0], [0.0, -1.0]])
+def bad_copy(row, columns):
+    """The 4^2 Poisson matrix with ``row``'s column indices replaced."""
+    a = om.assemble_poisson(om.ProblemSpec(dimension=2, cells_per_axis=4))[0]
+    indices = a.indices.copy()
+    indices[a.indptr[row]:a.indptr[row] + len(columns)] = columns
+    return scipy.sparse.csr_matrix((a.data, indices, a.indptr), shape=a.shape)
 
 
 def test_rejects_bad_offsets():
-    with pytest.raises(ValueError, match="start at 0"):
-        om.SparseMatrixCsr(2, 2, [1, 1, 1], [], [])
-    with pytest.raises(ValueError, match="non-decreasing"):
-        om.SparseMatrixCsr(3, 2, [0, 2, 1, 2], [0, 1], [1.0, 1.0])
-    with pytest.raises(ValueError, match="length n_rows"):
-        om.SparseMatrixCsr(2, 2, [0, 1], [0], [1.0])
-    with pytest.raises(ValueError, match="number of stored values"):
-        om.SparseMatrixCsr(2, 2, [0, 1, 3], [0, 1], [1.0, 1.0])
+    # decreasing row offsets, and anything but a square float64 CSR matrix
+    a = om.assemble_poisson(om.ProblemSpec(dimension=2, cells_per_axis=4))[0]
+    indptr = a.indptr.copy()
+    indptr[1], indptr[2] = indptr[2], indptr[1]  # rows 0 and 1 overlap backwards
+    decreasing = scipy.sparse.csr_matrix((a.data, a.indices, indptr), shape=a.shape)
+    rectangular = scipy.sparse.csr_matrix(np.ones((16, 8)))
+    for bad, message in ((decreasing, "offsets must not decrease"), (rectangular, "square"),
+                         (a.tocsc(), "CSR"), (a.toarray(), "CSR"),
+                         (a.astype(np.float32), "float64")):
+        for call in entry_points(bad):
+            with pytest.raises(ValueError, match=message):
+                call()
 
 
 def test_rejects_bad_columns():
-    with pytest.raises(ValueError, match="out of range"):
-        om.SparseMatrixCsr(1, 2, [0, 1], [2], [1.0])
-    # duplicate column within a row
-    with pytest.raises(ValueError, match="strictly increasing"):
-        om.SparseMatrixCsr(1, 3, [0, 2], [1, 1], [1.0, 1.0])
-    # unsorted columns within a row
-    with pytest.raises(ValueError, match="strictly increasing"):
-        om.SparseMatrixCsr(1, 3, [0, 2], [2, 0], [1.0, 1.0])
+    # row 5 of the 4^2 grid couples cells 1, 4, 5, 6 and 9
+    for columns, message in (([1, 4, 5, 6, 16], "out of range"),
+                             ([1, -1, 5, 6, 9], "out of range"),
+                             ([1, 4, 4, 6, 9], "sorted and unique"),
+                             ([4, 1, 5, 6, 9], "sorted and unique")):
+        for call in entry_points(bad_copy(5, columns)):
+            with pytest.raises(ValueError, match=message):
+                call()
 
 
 def test_empty_trailing_rows_are_valid():
-    a = om.SparseMatrixCsr(3, 3, [0, 1, 1, 1], [0], [5.0])
-    assert a.to_dense()[0, 0] == 5.0
-    assert np.array_equal(a.to_dense()[1:], np.zeros((2, 3)))
+    # the last grid row decoupled and zeroed: still a valid CSR matrix
+    a = om.assemble_poisson(om.ProblemSpec(dimension=2, cells_per_axis=4))[0].tolil()
+    a[12:, :] = 0.0
+    a[:, 12:] = 0.0
+    a = scipy.sparse.csr_matrix(a)
+    a.eliminate_zeros()
+    assert np.array_equal(np.diff(a.indptr)[12:], [0, 0, 0, 0])
+    hierarchy = om.hierarchy_from_matrix(a, 4, 0.5, 2, l_min=4)
+    assert hierarchy.finest.matrix is a and hierarchy.n_levels == 2
 
 
 # ---------------------------------------------------------------------------
@@ -131,8 +145,8 @@ def test_norm2():
 
 
 def whole_matrix_lu(a, precision="float64"):
-    a = om.SparseMatrixCsr.from_dense(a)
-    return a, om.bj_setup(a, a.n_rows, sweeps=1, precision=precision)
+    a = scipy.sparse.csr_matrix(a)
+    return a, om.bj_setup(a, a.shape[0], sweeps=1, precision=precision)
 
 
 def test_lu_float32_precision():
@@ -182,14 +196,14 @@ def test_triple_product_matches_dense():
         r = random_sparse(rng, n_coarse, n_fine, density=0.5)
         a = random_sparse(rng, n_fine, n_fine, density=0.5)
         p = random_sparse(rng, n_fine, n_coarse, density=0.5)
-        got = om.triple_product(r, a, p).to_dense()
-        want = r.to_dense() @ a.to_dense() @ p.to_dense()
+        got = om.triple_product(r, a, p).toarray()
+        want = r.toarray() @ a.toarray() @ p.toarray()
         assert got == pytest.approx(want, abs=1e-13)
 
 
 def test_triple_product_shape_mismatch():
-    a = om.SparseMatrixCsr.identity(3)
-    b = om.SparseMatrixCsr.identity(4)
+    a = scipy.sparse.eye(3, format="csr")
+    b = scipy.sparse.eye(4, format="csr")
     with pytest.raises(ValueError, match="dimension mismatch"):
         om.triple_product(a, b, a)
 
@@ -201,16 +215,39 @@ def test_triple_product_shape_mismatch():
 def test_matrix_market_round_trip(tmp_path):
     rng = np.random.default_rng(29)
     a = random_sparse(rng, 7, 5, density=0.4)
-    cli.export_system(tmp_path, a, np.zeros(a.n_rows))
+    cli.export_system(tmp_path, a, np.zeros(a.shape[0]))
     back = scipy.io.mmread(tmp_path / "system.mtx")
     assert back.shape == a.shape
-    assert back.toarray() == pytest.approx(a.to_dense(), rel=1e-15, abs=0)
+    assert back.toarray() == pytest.approx(a.toarray(), rel=1e-15, abs=0)
 
 
 def test_vector_market_round_trip(tmp_path):
     rng = np.random.default_rng(31)
     x = rng.standard_normal(12)
-    cli.export_system(tmp_path, om.SparseMatrixCsr.identity(12), x)
+    cli.export_system(tmp_path, scipy.sparse.eye(12, format="csr"), x)
     back = scipy.io.mmread(tmp_path / "rhs.mtx")
     assert back.shape == (12, 1)
     assert back.ravel() == pytest.approx(x, rel=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# the benchmark harness (perfbench/harness.py) reads the library's matrices
+
+
+def test_perfbench_harness_reads_the_library_matrices():
+    harness = load_perfbench("harness")
+    spec = om.ProblemSpec(dimension=2, cells_per_axis=16)
+    assembled = om.assemble_poisson(spec)[0]
+    copy = harness._scipy_matrix(assembled)
+    assert copy.shape == assembled.shape
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(copy, name), getattr(assembled, name))
+    # set-up, solve and the harness's own checks, on each workload's toy grid
+    for workload in load_perfbench("workloads").WORKLOADS.values():
+        cfg = workload.tiny().run_config()
+        setup = harness.set_up(cfg)
+        b = next(harness.right_hand_sides(cfg, 1))
+        result, seconds = harness.timed_solve(harness.solver_call(cfg, setup, b))
+        sample = harness.make_sample(setup.seconds, b, result, seconds)
+        reasons, _, _ = harness.check(sample, *harness.reference_solver(cfg))
+        assert reasons == [], (workload.name, reasons)

@@ -1,6 +1,7 @@
 """Synchronous cycle tests: convergence rules, history, both variants."""
 
 import csv
+import gc
 import os
 from dataclasses import replace
 
@@ -94,21 +95,38 @@ def test_coarsest_solve_caches_by_matrix_identity():
     om.coarsest_solve(a, np.ones(16))
     om.coarsest_solve(a, np.zeros(16))
     after = len(sync_mod._coarse_factor_cache)
-    assert a in sync_mod._coarse_factor_cache
+    assert id(a) in sync_mod._coarse_factor_cache
     assert after == before + 1
 
 
+def test_coarse_factor_cache_drops_freed_hierarchies():
+    # the benchmark builds one hierarchy per sample: each factor must go
+    # with its matrix, or the cache would grow the resident memory
+    gc.collect()
+    before = set(sync_mod._coarse_factor_cache)
+    for variant in ("multiplicative_sync", "additive_task_parallel", "hybrid") * 2:
+        cfg = om.parse_config(f"problem.cells_per_axis = 16\nhierarchy.l_min = 16\n"
+                              f"solver.variant = {variant}\n")
+        prepared = cli.prepare_problem(cfg)
+        record, _, _ = cli.execute_run(cfg, prepared, variant, 2)
+        assert record["converged"]
+        assert id(prepared.hierarchy.coarsest.matrix) in sync_mod._coarse_factor_cache
+        del prepared
+        gc.collect()
+        assert set(sync_mod._coarse_factor_cache) == before
+
+
 def test_coarsest_solve_validates():
-    a = om.SparseMatrixCsr.from_dense(np.ones((2, 3)))
+    a = scipy.sparse.csr_matrix(np.ones((2, 3)))
     with pytest.raises(ValueError, match="square"):
         om.coarsest_solve(a, np.ones(2))
-    eye = om.SparseMatrixCsr.identity(3)
+    eye = scipy.sparse.eye(3, format="csr")
     with pytest.raises(ValueError, match="length"):
         om.coarsest_solve(eye, np.ones(4))
 
 
 def test_coarsest_solve_singular_matrix():
-    a = om.SparseMatrixCsr.from_dense([[1.0, 1.0], [1.0, 1.0]])
+    a = scipy.sparse.csr_matrix([[1.0, 1.0], [1.0, 1.0]])
     with pytest.raises(om.SingularMatrixError):
         om.coarsest_solve(a, np.ones(2))
 
@@ -321,9 +339,7 @@ def check_against_direct_solve(cells, variant, smoother, extra, lu=None):
     prepared = cli.prepare_problem(cfg)
     a = prepared.hierarchy.finest.matrix
     if lu is None:
-        csc = scipy.sparse.csr_matrix((a.values, a.col_indices, a.row_offsets),
-                                      shape=a.shape).tocsc()
-        lu = scipy.sparse.linalg.splu(csc)
+        lu = scipy.sparse.linalg.splu(a.tocsc())
 
     def solve(b):
         record, result, _ = cli.execute_run(cfg, replace(prepared, rhs=b), variant, 1)
@@ -340,7 +356,7 @@ def check_against_direct_solve(cells, variant, smoother, extra, lu=None):
     # at 256^2, so that gap is held to 1e-11 and the tight bound is checked
     # on a standard-normal one, as in perfbench.
     assert solve(prepared.rhs) <= 1e-11
-    assert solve(np.random.default_rng(1).standard_normal(a.n_rows)) <= 1e-12
+    assert solve(np.random.default_rng(1).standard_normal(a.shape[0])) <= 1e-12
 
 
 @TRUE_ERROR_CASES
@@ -363,7 +379,7 @@ def direct_3d32():
     # SuperLU's symmetric mode on minimum degree of A + A^T factors the 32^3
     # operator in about 40% of the default's time, with half its fill
     spec = om.build_problem_spec(disc_config(32, "hybrid", "schwarz", "problem.dimension = 3\n"))
-    return scipy.sparse.linalg.splu(om.assemble_poisson(spec)[0]._scipy.tocsc(),
+    return scipy.sparse.linalg.splu(om.assemble_poisson(spec)[0].tocsc(),
                                     permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                                     options=dict(SymmetricMode=True))
 
@@ -399,7 +415,7 @@ def anisotropic_disc(cells, eps):
     the row sum (all of it on a last-axis edge, half at a corner).
     """
     spec = om.ProblemSpec(dimension=2, cells_per_axis=cells)
-    assembled = om.assemble_poisson(spec)[0]._scipy
+    assembled = om.assemble_poisson(spec)[0]
     a = assembled.tocoo()
     last = np.abs(a.row.astype(np.int64) - a.col) == 1  # lexicographic: stride 1
     n = a.shape[0]
@@ -413,7 +429,7 @@ def anisotropic_disc(cells, eps):
     data[last] *= eps
     diagonal = a.row == a.col
     data[diagonal] -= (1.0 - eps) * (couplings + boundary)[a.row[diagonal]]
-    matrix = om.SparseMatrixCsr.from_scipy(scipy.sparse.coo_matrix((data, (a.row, a.col)),
+    matrix = scipy.sparse.csr_matrix(scipy.sparse.coo_matrix((data, (a.row, a.col)),
                                                                    shape=a.shape))
     return om.hierarchy_from_matrix(matrix, cells, spec.spacing, 2, l_min=64)
 

@@ -1,6 +1,5 @@
 """Task-parallel engine tests: worker groups, message protocol, equivalence."""
 
-import importlib.util
 import os
 import subprocess
 import sys
@@ -18,7 +17,7 @@ import orthomg.resmin as resmin
 import orthomg.smoothers as smoothers_mod
 import orthomg.sync as sync
 import orthomg.taskpar as taskpar
-from helpers import benchmark_setup, cycle_config, kernel
+from helpers import benchmark_setup, cycle_config, kernel, load_perfbench
 
 
 def history_records(res):
@@ -187,6 +186,27 @@ def test_deterministic_single_sweep_matches_additive_sync_three_levels():
     ref = om.orthomg_solve_additive(h, b, x0, cfg)
     res = om.async_solve(h, b, x0, cfg, om.assign_groups(h, 3),
                          om.SchedulerMode.deterministic(1))
+    assert history_records(res) == history_records(ref)
+    assert np.array_equal(res.x, ref.x)
+
+
+@pytest.mark.parametrize("smoother", ["schwarz", "block_jacobi"])
+def test_deterministic_single_sweep_matches_additive_sync_at_128(smoother):
+    # the hierarchy of the bj_taskpar_2d128 benchmark workload (128^2,
+    # l_min 1024, three levels) with the library's default smoothers
+    cfg = om.parse_config("problem.cells_per_axis = 128\nhierarchy.l_min = 1024\n"
+                          f"smoother.kind = {smoother}\n")
+    prepared = cli.prepare_problem(cfg)
+    h = prepared.hierarchy
+    assert h.n_levels == 3
+    cycle = cycle_config("additive_sync", tuple(prepared.smoothers),
+                         criteria=om.build_criteria(cfg))
+    b = np.random.default_rng(1).standard_normal(h.finest.n_dofs)
+    x0 = np.zeros_like(b)
+    ref = om.orthomg_solve_additive(h, b, x0, cycle)
+    res = om.async_solve(h, b, x0, cycle, om.assign_groups(h, 3),
+                         om.SchedulerMode.deterministic(1))
+    assert ref.converged and len(ref.history.residuals()) > 20
     assert history_records(res) == history_records(ref)
     assert np.array_equal(res.x, ref.x)
 
@@ -474,18 +494,10 @@ def test_hybrid_keeps_one_engine_for_the_whole_solve():
     assert coarse_threads() == []
 
 
-def load_perfbench_tracing():
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_hybrid_call_sites_match_the_perfbench_tracer():
     # perfbench/tracing.py rebinds names where taskpar looks them up and
     # tells the hybrid's coarse calls and exchanges apart by the site
-    tracing = load_perfbench_tracing()
+    tracing = load_perfbench("tracing")
     h, b, smoothers = three_level()
     owners = (om_config, sync, taskpar, resmin, smoothers_mod, om.LevelSmoother)
     before = [dict(vars(owner)) for owner in owners]
