@@ -5,10 +5,10 @@ the initial residual and search space, the history records, the
 level-local convergence test and the outer cap, and it hands each cycle
 to a body that only folds corrections in.  A body computes each
 correction from the search space's proposal, the energy-norm residual
-over the directions folded in so far, and reports the 2-norm minimizer
-``rm_update`` returns.  Three bodies live here.  The multiplicative
-body smooths, folds in a coarse correction, and smooths again,
-minimizing after each step.  The additive body computes the
+over the directions folded in so far, and reports the residual of the
+2-norm minimizer that ``rm_update`` returns.  Three bodies live here.
+The multiplicative body smooths, folds in a coarse correction, and
+smooths again, minimizing after each step.  The additive body computes the
 smoother and coarse corrections from the same cycle-start residual and
 folds them in back to back, which is the ordering the task-parallel
 engine reproduces when its scheduler is pinned to one sweep per cycle.
@@ -282,34 +282,34 @@ def level_loop(hierarchy, level, b, x0, cfg, body, history=None):
     This is the outer loop of every variant.  ``body(space, record)``
     runs one cycle: it computes each correction from ``space.proposal``,
     the energy-norm residual over the directions so far, folds it into
-    ``space`` with ``rm_update`` and hands each ``(x, r)`` ``rm_update``
-    returns to ``record(kind, (x, r))``.  The loop keeps no iterate of
-    its own: after each cycle it reads ``space.minimizer``, so no stale
-    ``(x, r)`` stays alive while the next cycle runs.  A zero ``x0``
-    takes ``b`` as its residual without a product.  Only the entry
-    level passes a ``history``; the finest level also stops at
+    ``space`` with ``rm_update`` and hands each residual ``rm_update``
+    returns to ``record(kind, r)``.  The loop keeps no iterate of its
+    own: after each cycle it reads ``space.residual``, and the iterate is
+    formed once, from ``space.minimizer``, when the level is left.  A
+    zero ``x0`` takes ``b`` as its residual without a product.  Only the
+    entry level passes a ``history``; the finest level also stops at
     ``cfg.max_outer_iterations``.
     """
     a = hierarchy.levels[level].matrix
 
-    def record(kind, minimizer):
+    def record(kind, r):
         if history is not None:
-            history.append(kind, norm2(minimizer[1]))
+            history.append(kind, norm2(r))
 
     # every coarse visit starts from zero, and so do most callers: no product
     r0 = b - spmv(a, x0) if x0.any() else b.copy()
     space = rm_init(x0, r0)
     r0_norm = r_norm = norm2(r0)
-    record(KIND_INITIAL, (x0, r0))
+    record(KIND_INITIAL, r0)
     iterations = 0
     while not level_converged(level, r_norm, r0_norm, iterations, cfg.criteria):
         if level == 0 and iterations >= cfg.max_outer_iterations:
             break
         body(space, record)
-        r_norm = norm2(space.minimizer[1])
+        r_norm = norm2(space.residual)
         iterations += 1
     x, r = space.minimizer
-    record(KIND_FINAL, (x, r))
+    record(KIND_FINAL, r)
     converged = level_converged(level, r_norm, r0_norm, iterations, cfg.criteria)
     return SolveResult(x, r, r_norm, converged, iterations, history, space.breakdown_count)
 

@@ -72,7 +72,8 @@ def test_criterion_1_minimization_optimality():
         for _ in range(5):
             z = rng.standard_normal(n)
             images.append(om.spmv(a, z))
-            x, r = om.rm_update(space, a, z)
+            r = om.rm_update(space, a, z)
+            x = space.minimizer[0]
             w = np.column_stack(images)
             coeffs, *_ = np.linalg.lstsq(w, r0, rcond=None)
             gap = np.linalg.norm(r - (r0 - w @ coeffs))

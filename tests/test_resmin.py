@@ -24,7 +24,8 @@ def test_identity_operator_single_update_solves():
     eye = scipy.sparse.eye(5, format="csr")
     b = np.array([1.0, -2.0, 3.0, 0.5, 0.0])
     space = om.rm_init(np.zeros(5), b)
-    x, r = om.rm_update(space, eye, b)
+    r = om.rm_update(space, eye, b)
+    x = space.minimizer[0]
     assert x == pytest.approx(b, abs=1e-14)
     assert om.norm2(r) <= 1e-14
     assert space.size == 1
@@ -42,7 +43,8 @@ def test_minimizer_matches_dense_least_squares():
         m = int(rng.integers(1, n + 1))
         directions = [rng.standard_normal(n) for _ in range(m)]
         for z in directions:
-            x, r = om.rm_update(space, a, z)
+            r = om.rm_update(space, a, z)
+            x = space.minimizer[0]
         best = lstsq_residual_norm(a.toarray(), r0, directions)
         assert om.norm2(r) <= best + 1e-10
         assert abs(om.norm2(r) - best) <= 1e-10 * max(1.0, om.norm2(r0))
@@ -59,7 +61,7 @@ def test_residual_norm_never_increases(seed, n, n_updates):
     space = om.rm_init(np.zeros(n), b, restart_cap=25)
     previous = om.norm2(b)
     for _ in range(n_updates):
-        _, r = om.rm_update(space, a, rng.standard_normal(n))
+        r = om.rm_update(space, a, rng.standard_normal(n))
         current = om.norm2(r)
         assert current <= previous * (1.0 + 1e-12)
         previous = current
@@ -87,9 +89,11 @@ def test_direction_in_span_breaks_down():
     b = rng.standard_normal(6)
     space = om.rm_init(np.zeros(6), b)
     z = rng.standard_normal(6)
-    x1, r1 = om.rm_update(space, a, z)
+    r1 = om.rm_update(space, a, z)
+    x1 = space.minimizer[0]
     assert space.breakdown_count == 0
-    x2, r2 = om.rm_update(space, a, 2.5 * z)  # same direction, rescaled
+    r2 = om.rm_update(space, a, 2.5 * z)  # same direction, rescaled
+    x2 = space.minimizer[0]
     assert space.breakdown_count == 1
     assert space.size == 1
     assert np.array_equal(x2, x1)
@@ -99,7 +103,7 @@ def test_direction_in_span_breaks_down():
 def test_zero_direction_breaks_down():
     a = scipy.sparse.eye(4, format="csr")
     space = om.rm_init(np.zeros(4), np.ones(4))
-    x, r = om.rm_update(space, a, np.zeros(4))
+    r = om.rm_update(space, a, np.zeros(4))
     assert space.breakdown_count == 1
     assert space.size == 0
     assert np.array_equal(r, np.ones(4))
@@ -110,7 +114,8 @@ def test_zero_anchor_residual_always_breaks_down():
     x0 = np.array([1.0, 2.0, 3.0, 4.0])
     space = om.rm_init(x0, np.zeros(4))
     for _ in range(3):
-        x, r = om.rm_update(space, a, np.ones(4))
+        r = om.rm_update(space, a, np.ones(4))
+        x = space.minimizer[0]
         assert np.array_equal(x, x0)
         assert np.array_equal(r, np.zeros(4))
     assert space.breakdown_count == 3
@@ -142,7 +147,7 @@ def test_restart_cap_re_anchors_without_losing_progress():
     space = om.rm_init(np.zeros(n), b, restart_cap=4)
     norms = [om.norm2(b)]
     for _ in range(10):
-        _, r = om.rm_update(space, a, rng.standard_normal(n))
+        r = om.rm_update(space, a, rng.standard_normal(n))
         norms.append(om.norm2(r))
     assert space.size <= 4
     assert all(b <= a * (1 + 1e-12) for a, b in zip(norms, norms[1:]))
@@ -186,7 +191,8 @@ def test_exact_solve_after_n_independent_directions():
     for i in range(n):
         e = np.zeros(n)
         e[i] = 1.0
-        x, r = om.rm_update(space, a, e)
+        r = om.rm_update(space, a, e)
+        x = space.minimizer[0]
     assert om.norm2(r) <= 1e-9 * om.norm2(b)
     assert x == pytest.approx(np.linalg.solve(a.toarray(), b), rel=1e-7, abs=1e-9)
 
@@ -252,9 +258,9 @@ def test_proposal_after_breakdown_is_the_least_squares_residual():
     space = om.rm_init(np.zeros(n), r0)
     z = rng.standard_normal(n)
     om.rm_update(space, a, z)
-    _, r = om.rm_update(space, a, rng.standard_normal(n))
+    r = om.rm_update(space, a, rng.standard_normal(n))
     assert not np.array_equal(space.proposal, r)
-    _, r = om.rm_update(space, a, -3.0 * z)  # in the span: breaks down
+    r = om.rm_update(space, a, -3.0 * z)  # in the span: breaks down
     assert space.breakdown_count == 1
     assert np.array_equal(space.proposal, r)
     # the next accepted direction makes the proposal Galerkin again
@@ -269,7 +275,7 @@ def test_restart_clears_the_galerkin_system():
     a = random_spd(rng, n)
     space = om.rm_init(np.zeros(n), rng.standard_normal(n), restart_cap=3)
     for _ in range(3):
-        _, r = om.rm_update(space, a, rng.standard_normal(n))
+        r = om.rm_update(space, a, rng.standard_normal(n))
     assert space.galerkin_matrix.shape == (3, 3)
     assert space.galerkin_rhs.shape == (3,)
     z = rng.standard_normal(n)
@@ -298,15 +304,28 @@ def fold_smoother_corrections(a, b, smoother, count):
     return space
 
 
-def check_block_storage(space, a, galerkin_tolerance=1e-12):
-    w, z = space.basis, space.directions
-    assert w.shape == z.shape == (space.size, a.shape[0])
+def raw_directions(space):
+    """The stored directions ``D``, each scaled to a unit image, one per row."""
+    return np.concatenate([panel[1] for _, panel in space._blocks()])
+
+
+def check_block_storage(space, a):
+    w, d, r = space.basis, raw_directions(space), space.r_factor
+    assert w.shape == d.shape == (space.size, a.shape[0])
     assert np.abs(w @ w.T - np.eye(space.size)).max() <= 1e-10
-    drift = np.linalg.norm(a.toarray() @ z.T - w.T, axis=0)
-    assert (drift <= 1e-8 * np.linalg.norm(w, axis=1)).all()
+    # A D = W R with R upper triangular
+    assert np.array_equal(r, np.triu(r))
+    images = a.toarray() @ d.T
+    drift = np.linalg.norm(images - w.T @ r, axis=0)
+    assert (drift <= 1e-12 * np.linalg.norm(images, axis=0)).all()
     h = space.galerkin_matrix
     assert np.array_equal(h, h.T)
-    assert np.abs(h - z @ w.T).max() <= galerkin_tolerance * np.abs(h).max()
+    assert np.abs(h - d @ images).max() <= 1e-12 * np.abs(h).max()
+    # directions = D R^{-1}, and their images are the basis
+    z = space.directions
+    assert np.abs(z.T @ r - d.T).max() <= 1e-12 * np.abs(d).max()
+    drift = np.linalg.norm(a.toarray() @ z.T - w.T, axis=0)
+    assert (drift <= 1e-8 * np.linalg.norm(w, axis=1)).all()
 
 
 @pytest.mark.parametrize("panel_rows", [resmin.PANEL_ROWS, 7])
@@ -316,7 +335,7 @@ def test_block_storage_invariants_at_solve_scale(monkeypatch, panel_rows):
     monkeypatch.setattr(resmin, "PANEL_ROWS", panel_rows)
     a, b, smoother = disc_level()
     space = fold_smoother_corrections(a, b, smoother, 60)
-    assert len(space._w_panels) == -(-60 // panel_rows)
+    assert len(space._panels) == -(-60 // panel_rows)
     check_block_storage(space, a)
 
 
@@ -339,9 +358,7 @@ def test_heavy_cancellation_runs_the_second_gram_schmidt_pass(monkeypatch):
     om.rm_update(space, a, space.directions[11] + 1e-3 * fresh)
     assert len(passes) == 2
     assert space.size == 21 and space.breakdown_count == 0
-    # the new direction was scaled up by about 1e3, and the mirrored entries
-    # of its row with it
-    check_block_storage(space, a, galerkin_tolerance=1e-9)
+    check_block_storage(space, a)
 
 
 def test_storage_grows_by_panels_and_a_restart_reuses_it():
@@ -363,9 +380,9 @@ def test_storage_grows_by_panels_and_a_restart_reuses_it():
     space = om.rm_init(np.zeros(n), rng.standard_normal(n), restart_cap=3)
     for _ in range(3):
         om.rm_update(space, a, rng.standard_normal(n))
-    panels = space._w_panels + space._z_panels
+    panels = list(space._panels)
     for _ in range(6):  # two restarts
         om.rm_update(space, a, rng.standard_normal(n))
     assert space.size == 3
-    assert all(new is old for new, old in zip(space._w_panels + space._z_panels, panels))
-    assert len(space._w_panels + space._z_panels) == len(panels)
+    assert all(new is old for new, old in zip(space._panels, panels))
+    assert len(space._panels) == len(panels)

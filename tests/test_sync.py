@@ -13,7 +13,7 @@ import scipy.sparse.linalg
 import orthomg as om
 import orthomg.cli as cli
 from orthomg import sync as sync_mod
-from helpers import benchmark_setup, cycle_config, same_setup
+from helpers import benchmark_setup, cycle_config, load_perfbench, same_setup
 
 # ---------------------------------------------------------------------------
 # level-local convergence rules
@@ -372,6 +372,20 @@ def test_solution_matches_direct_solve_at_256(variant, smoother, extra):
 @pytest.mark.parametrize("variant", ["multiplicative_sync", "hybrid"])
 def test_solution_matches_direct_solve_in_3d(variant):
     check_against_direct_solve(16, variant, "schwarz", "problem.dimension = 3\n")
+
+
+@pytest.mark.parametrize("workload", ["schwarz_mult_2d256", "schwarz_hybrid_3d32"])
+def test_carried_residual_stays_the_true_one_at_benchmark_scale(workload):
+    # The benchmark's configurations with the assembled right-hand side, whose
+    # smooth solution makes A x cancel heavily: the carried residual differs
+    # from b - A x by about 1.5e-12 of |b| at 256^2 and 2e-14 at 32^3.
+    cfg = load_perfbench("workloads").WORKLOADS[workload].run_config()
+    prepared = cli.prepare_problem(cfg)
+    record, result, _ = cli.execute_run(cfg, prepared, cfg.solver.variant, cfg.workers)
+    assert record["converged"]
+    b = prepared.rhs
+    true_r = b - om.spmv(prepared.hierarchy.finest.matrix, result.x)
+    assert om.norm2(result.r - true_r) <= 5e-12 * om.norm2(b)
 
 
 @pytest.fixture(scope="module")
