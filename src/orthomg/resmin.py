@@ -223,8 +223,8 @@ def rm_update(space, a, z):
         direction breaks down when the anchor residual is already zero,
         when Gram-Schmidt leaves no more than ``BREAKDOWN_TOLERANCE`` of
         its operator image, when a heavily cancelled direction no longer
-        satisfies ``A z = w`` to that share, or when its step would raise
-        the residual; the previous residual is then returned unchanged,
+        matches its image to that share, or when its step would raise the
+        residual; the previous residual is then returned unchanged,
         ``space.proposal`` becomes that residual and
         ``space.breakdown_count`` is incremented.  A full space restarts
         from the current minimizer before ``z`` is folded in.

@@ -352,7 +352,7 @@ def check_against_direct_solve(cells, variant, smoother, extra, lu=None):
 
     # The residual carried by the minimizer is the true residual of x.  The
     # assembled right-hand side gives a smooth x whose product A x cancels
-    # heavily; the two then differ by about 6e-13 of |b| at 128^2 and 3e-12
+    # heavily; the two then differ by about 3e-13 of |b| at 128^2 and 1.5e-12
     # at 256^2, so that gap is held to 1e-11 and the tight bound is checked
     # on a standard-normal one, as in perfbench.
     assert solve(prepared.rhs) <= 1e-11
