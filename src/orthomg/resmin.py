@@ -34,8 +34,8 @@ in place through BLAS ``dgemv``.
 """
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.linalg.blas import dgemv
+from scipy.linalg.blas import dgemv, dtrsm, dtrsv
+from scipy.linalg.lapack import dgesv
 
 from .sparse import norm2, spmv
 
@@ -151,8 +151,7 @@ class SearchSpace:
         """``(x, r)``: the residual 2-norm minimizer and its residual; ``x``
         is formed on the first read after an accepted direction."""
         if self._x is None:
-            step = solve_triangular(self.r_factor, self._alpha)
-            self._x = self._combine(self.anchor_x, 1, 1.0, step)
+            self._x = self._combine(self.anchor_x, 1, 1.0, dtrsv(self.r_factor, self._alpha))
         return self._x, self._r
 
     @property
@@ -163,7 +162,7 @@ class SearchSpace:
     @property
     def directions(self):
         """The directions ``D R^{-1}`` whose images are the basis, one per row."""
-        return solve_triangular(self.r_factor, self._rows(1), trans="T")
+        return dtrsm(1.0, self.r_factor, self._rows(1), trans_a=1)
 
     def _rows(self, which):
         empty = np.empty((0, self.anchor_x.shape[0]))
@@ -279,7 +278,7 @@ def _fold(space, a, z):
     # the iterate would inherit it: check the cancelled direction
     # d - D R^{-1} beta against an explicit product.
     if cancelled:
-        step = solve_triangular(space.r_factor, column[0, :k])
+        step = dtrsv(space.r_factor, column[0, :k])
         if norm2(spmv(a, space._combine(d, 1, -1.0, step)) - w) > BREAKDOWN_TOLERANCE * remaining:
             return False
 
@@ -298,12 +297,9 @@ def _fold(space, a, z):
 
 
 def _orthogonalize(blocks, vectors, column):
-    """One classical Gram-Schmidt pass of ``w = vectors[0]``, panel after panel.
-
-    One product per panel adds ``W_p v`` to ``column`` for each row ``v``
-    of ``vectors``, read in place from their panel, then ``dgemv`` updates
-    ``w`` in place.
-    """
+    """One classical Gram-Schmidt pass of ``w = vectors[0]``, panel after
+    panel: one product adds ``W_p v`` to ``column`` for each row ``v`` of
+    ``vectors``, read in place from the panel, then ``dgemv`` updates ``w``."""
     w = vectors[0]
     for rows, panel in blocks:
         product = vectors @ panel[0].T
@@ -327,6 +323,9 @@ def _extend(space, column, alpha, d):
     h[k, :] = galerkin
     space.r_factor = r_factor
     space.galerkin_matrix = h
-    space._alpha = np.append(space._alpha, alpha)
-    space.galerkin_rhs = np.append(space.galerkin_rhs, np.dot(d, space._anchor_r))
-    space._y = r_factor @ np.linalg.solve(h, space.galerkin_rhs)
+    space._alpha = np.concatenate((space._alpha, [alpha]))
+    space.galerkin_rhs = np.concatenate((space.galerkin_rhs, [np.dot(d, space._anchor_r)]))
+    y, info = dgesv(h, space.galerkin_rhs)[2:]
+    if info:
+        raise np.linalg.LinAlgError("singular Galerkin matrix")
+    space._y = r_factor @ y
