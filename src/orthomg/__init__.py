@@ -57,7 +57,6 @@ from .taskpar import (
     MSG_UPDATED_RESIDUAL,
     ROLE_COARSE,
     ROLE_SMOOTHER,
-    GroupAssignment,
     MessageTrace,
     SchedulerMode,
     assign_groups,
@@ -102,7 +101,7 @@ __all__ = [
     "VARIANT_ADDITIVE_TASK_PARALLEL", "VARIANT_HYBRID",
     "KIND_INITIAL", "KIND_SMOOTHER", "KIND_COARSE", "KIND_FINAL",
     # task-parallel engine
-    "SchedulerMode", "GroupAssignment", "assign_groups",
+    "SchedulerMode", "assign_groups",
     "MessageTrace", "async_solve", "hybrid_solve",
     "MSG_SMOOTHER_DONE", "MSG_COARSE_DONE", "MSG_COARSE_CORRECTION",
     "MSG_UPDATED_RESIDUAL", "MSG_TERMINATE", "MESSAGE_KINDS",

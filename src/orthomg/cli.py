@@ -46,7 +46,6 @@ from .taskpar import (
     assign_groups,
     async_solve,
     hybrid_solve,
-    minimum_workers,
 )
 
 __all__ = ["main", "prepare_problem", "execute_run"]
@@ -80,8 +79,10 @@ def execute_run(cfg, prepared, variant, workers):
 
     The timer wraps only the solver call; assembly, smoother setup, and
     the sync variants' thread pools happen outside it.  ``workers`` sizes
-    each level's smoother pool for the sync variants and is the total
-    that :func:`assign_groups` splits for the task-parallel ones.
+    each level's smoother pool for the sync variants; for the
+    task-parallel ones :func:`assign_groups` splits it, less
+    ``cfg.coarsest_workers``, into the smoother levels' pools, and the
+    coarse side of every level boundary runs on a thread of its own.
     """
     hierarchy = prepared.hierarchy
     spec = prepared.spec
@@ -90,18 +91,10 @@ def execute_run(cfg, prepared, variant, workers):
     trace = MessageTrace() if (cfg.trace_enabled and task_parallel) else None
     if cfg.trace_enabled and not task_parallel:
         notes.append("message tracing applies to task-parallel variants only")
-    used = workers
-    if task_parallel:
-        used = max(workers, minimum_workers(hierarchy, cfg.coarsest_workers))
-    if used != workers:
-        notes.append(
-            f"workers raised from {workers} to {used},"
-            f" the minimum for {hierarchy.n_levels} levels"
-        )
     usable = _usable_cpus()
-    if used > usable:
+    if workers > usable:
         notes.append(
-            f"{used} workers exceed the machine's parallelism"
+            f"{workers} workers exceed the machine's parallelism"
             f" ({usable} available)"
         )
     cycle_cfg = CycleConfig(
@@ -114,16 +107,16 @@ def execute_run(cfg, prepared, variant, workers):
     if task_parallel:
         solve = partial(
             async_solve if variant == VARIANT_ADDITIVE_TASK_PARALLEL else hybrid_solve,
-            assignment=assign_groups(hierarchy, used, cfg.coarsest_workers),
+            smoother_workers=assign_groups(hierarchy, workers, cfg.coarsest_workers),
             sched=SchedulerMode(cfg.scheduler.mode, cfg.scheduler.sweeps_per_cycle),
             trace=trace,
             watchdog_seconds=cfg.watchdog_seconds,
         )
-        pool_workers = ()  # the solver binds its own pools from the assignment
+        pool_workers = ()  # the solver binds its own pools
     else:
         solve = (orthomg_solve_additive if variant == VARIANT_ADDITIVE_SYNC
                  else orthomg_solve_multiplicative)
-        pool_workers = (used,) * hierarchy.n_levels
+        pool_workers = (workers,) * hierarchy.n_levels
     x0 = np.zeros(hierarchy.finest.n_dofs)
     with _bound_smoothers(cycle_cfg, pool_workers) as bound:
         start = time.perf_counter()
@@ -140,7 +133,6 @@ def execute_run(cfg, prepared, variant, workers):
         "dofs": hierarchy.finest.n_dofs,
         "levels": hierarchy.n_levels,
         "workers_requested": workers,
-        "workers_used": used,
         "iterations": result.iterations,
         "breakdowns": result.breakdowns,
         "converged": bool(result.converged),
@@ -211,8 +203,8 @@ def cmd_solve(cfg):
 
 
 _RUN_COLUMNS = [
-    "variant", "cells_per_axis", "workers_requested", "workers_used",
-    "repetition", "converged", "iterations", "residual_norm", "seconds", "note",
+    "variant", "cells_per_axis", "workers_requested", "repetition",
+    "converged", "iterations", "residual_norm", "seconds", "note",
 ]
 
 
@@ -239,7 +231,6 @@ def _sweep(cfg, problems, variants, worker_counts, run_rows):
                     else:
                         records.append(record)
                         row.update(
-                            workers_used=record["workers_used"],
                             converged=record["converged"],
                             iterations=record["iterations"],
                             residual_norm=repr(record["residual_norm"]),
@@ -264,8 +255,8 @@ _COMPARE_COLUMNS = [
     "mean_iterations", "mean_seconds", "min_seconds", "max_seconds", "note",
 ]
 _SCALING_COLUMNS = [
-    "variant", "cells_per_axis", "workers_requested", "workers_used",
-    "mean_seconds", "ideal_seconds", "speedup", "mean_iterations", "note",
+    "variant", "cells_per_axis", "workers_requested", "mean_seconds",
+    "ideal_seconds", "speedup", "mean_iterations", "note",
 ]
 
 
@@ -315,7 +306,6 @@ def cmd_scaling(cfg):
         converged, mean_iterations, note = _aggregate(records)
         row = dict.fromkeys(_SCALING_COLUMNS, "")
         row.update(variant=variant, cells_per_axis=cells, workers_requested=workers,
-                   workers_used=records[0]["workers_used"] if records else "",
                    mean_iterations=mean_iterations, note=note)
         detail = "all repetitions failed"
         if converged:

@@ -20,6 +20,7 @@ from .sync import (
     LevelRule,
     LevelSmoother,
 )
+from .taskpar import SchedulerMode
 
 __all__ = [
     "RunConfig",
@@ -114,12 +115,15 @@ def _parse_bool(text):
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
-def _parse_int_list(text):
-    return tuple(int(part.strip()) for part in text.split(",") if part.strip())
-
-
 def _parse_str_list(text):
-    return tuple(part.strip() for part in text.split(",") if part.strip())
+    items = tuple(part.strip() for part in text.split(",") if part.strip())
+    if not items:
+        raise ValueError("expected a comma-separated list, got an empty value")
+    return items
+
+
+def _parse_int_list(text):
+    return tuple(int(item) for item in _parse_str_list(text))
 
 
 def _fmt_value(value):
@@ -220,10 +224,11 @@ def validate_config(cfg):
         raise ValueError(
             f"smoother.precision must be 'float64' or 'float32', got {cfg.smoother.precision!r}"
         )
-    if cfg.scheduler.mode not in ("realtime", "deterministic"):
-        raise ValueError(
-            f"scheduler.mode must be 'realtime' or 'deterministic', got {cfg.scheduler.mode!r}"
-        )
+    try:
+        SchedulerMode(cfg.scheduler.mode, cfg.scheduler.sweeps_per_cycle)
+    except ValueError as exc:
+        # SchedulerMode's messages open with the key within the section
+        raise ValueError(f"scheduler.{exc}") from None
     if cfg.l_min < 4:
         raise ValueError("hierarchy.l_min must be at least 4")
     if cfg.workers < 1:
@@ -235,7 +240,7 @@ def validate_config(cfg):
     for variant in cfg.compare.variants + cfg.scaling.variants:
         if variant not in SOLVER_VARIANTS:
             raise ValueError(f"unknown variant {variant!r} in variant list")
-    if not cfg.scaling.workers or any(w < 1 for w in cfg.scaling.workers):
+    if any(w < 1 for w in cfg.scaling.workers):
         raise ValueError("scaling.workers must be positive")
     for n in cfg.scaling.sizes:
         if n < 4 or n & (n - 1):
@@ -246,18 +251,16 @@ def validate_config(cfg):
         raise ValueError("smoother.iterations must be at least 1")
     if cfg.smoother.subdomain_cells < 1:
         raise ValueError("smoother.subdomain_cells must be positive")
-    if cfg.smoother.tile < 1:
-        raise ValueError("smoother.tile must be positive")
+    tile = cfg.smoother.tile
+    if tile < 1 or tile & (tile - 1):
+        # cells per axis are powers of two, so only these divide every level
+        raise ValueError("smoother.tile must be a power of two")
     if cfg.smoother.sweeps < 1:
         raise ValueError("smoother.sweeps must be at least 1")
     if cfg.smoother.omega <= 0.0:
         raise ValueError("smoother.omega must be positive")
     if cfg.solver.max_outer_iterations < 1:
         raise ValueError("solver.max_outer_iterations must be at least 1")
-    if cfg.scheduler.sweeps_per_cycle < 1:
-        raise ValueError("scheduler.sweeps_per_cycle must be at least 1")
-    if cfg.scheduler.mode == "realtime" and cfg.scheduler.sweeps_per_cycle != 1:
-        raise ValueError("scheduler.sweeps_per_cycle applies to scheduler.mode = deterministic only")
     if cfg.watchdog_seconds <= 0.0:
         raise ValueError("watchdog_seconds must be positive")
     build_criteria(cfg)  # level rules carry their own invariants

@@ -55,11 +55,9 @@ __all__ = [
     "MSG_TERMINATE",
     "MESSAGE_KINDS",
     "SchedulerMode",
-    "GroupAssignment",
     "TraceRow",
     "MessageTrace",
     "assign_groups",
-    "minimum_workers",
     "async_solve",
     "hybrid_solve",
 ]
@@ -94,12 +92,13 @@ class SchedulerMode:
     sweeps_per_cycle: int = 1
 
     def __post_init__(self):
+        # each message opens with the setting's key in a config's scheduler section
         if self.kind not in ("realtime", "deterministic"):
-            raise ValueError(f"unknown scheduler mode {self.kind!r}")
+            raise ValueError(f"mode must be 'realtime' or 'deterministic', got {self.kind!r}")
         if self.sweeps_per_cycle < 1:
             raise ValueError("sweeps_per_cycle must be at least 1")
         if self.kind == "realtime" and self.sweeps_per_cycle != 1:
-            raise ValueError("sweeps_per_cycle applies to the deterministic scheduler only")
+            raise ValueError("sweeps_per_cycle applies to mode = deterministic only")
 
     @classmethod
     def realtime(cls):
@@ -110,50 +109,25 @@ class SchedulerMode:
         return cls("deterministic", sweeps_per_cycle)
 
 
-@dataclass(frozen=True)
-class GroupAssignment:
-    """Worker counts per smoother level plus the coarsest-level group."""
-
-    smoother_workers: tuple
-    coarsest_workers: int
-
-    def __post_init__(self):
-        if self.coarsest_workers < 1:
-            raise ValueError("coarsest group needs at least one worker")
-        if any(w < 1 for w in self.smoother_workers):
-            raise ValueError("every smoother level needs at least one worker")
-
-    @property
-    def total_workers(self):
-        return sum(self.smoother_workers) + self.coarsest_workers
-
-
-def minimum_workers(hierarchy, coarsest_workers=1):
-    """Fewest workers :func:`assign_groups` accepts: one per smoother level plus the coarsest."""
-    return 1 if hierarchy.n_levels == 1 else (hierarchy.n_levels - 1) + coarsest_workers
-
-
 def assign_groups(hierarchy, total_workers, coarsest_workers=1):
-    """Split ``total_workers`` across the hierarchy's levels.
+    """Pool sizes of the smoother levels, finest first, from ``total_workers``.
 
-    The coarsest group is fixed at ``coarsest_workers``; the rest are
-    apportioned to the smoother levels proportionally to their unknown
-    counts by largest remainder, with at least one worker per level.
-    Finer levels win remainder ties; when the minimum-one rule
-    overshoots, the largest allocations shrink first (coarser levels
-    losing ties).
+    ``coarsest_workers`` are withheld; the rest are apportioned to the
+    smoother levels proportionally to their unknown counts by largest
+    remainder, with at least one worker per level.  Finer levels win
+    remainder ties; when the minimum-one rule overshoots, the largest
+    allocations shrink first (coarser levels losing ties), down to one
+    worker per level.  A level of one worker binds no pool and sweeps on
+    the thread that runs its loop.  The coarse side of every level
+    boundary runs on a thread of its own whatever the count, so the
+    counts size the smoother pools only.
     """
+    if total_workers < 1:
+        raise ValueError("total_workers must be at least 1")
     if coarsest_workers < 1:
         raise ValueError("coarsest_workers must be at least 1")
-    n_levels = hierarchy.n_levels
-    if n_levels == 1:
-        return GroupAssignment((), total_workers)
-    minimum = minimum_workers(hierarchy, coarsest_workers)
-    if total_workers < minimum:
-        raise ValueError(
-            f"{n_levels} levels require at least {minimum} workers "
-            f"(got {total_workers})"
-        )
+    if hierarchy.n_levels == 1:
+        return ()
     remaining = total_workers - coarsest_workers
     dofs = np.array([lvl.n_dofs for lvl in hierarchy.levels[:-1]], dtype=np.float64)
     quota = remaining * dofs / dofs.sum()
@@ -164,11 +138,10 @@ def assign_groups(hierarchy, total_workers, coarsest_workers=1):
         order = sorted(range(len(shares)), key=lambda i: (-remainders[i], i))
         for i in order[:shortfall]:
             shares[i] += 1
-    while shares.sum() > remaining:
-        candidates = [i for i in range(len(shares)) if shares[i] > 1]
-        victim = max(candidates, key=lambda i: (shares[i], i))
+    while shares.sum() > remaining and shares.max() > 1:
+        victim = max(range(len(shares)), key=lambda i: (shares[i], i))
         shares[victim] -= 1
-    return GroupAssignment(tuple(int(s) for s in shares), coarsest_workers)
+    return tuple(int(s) for s in shares)
 
 
 @dataclass(frozen=True)
@@ -327,7 +300,7 @@ class _AsyncEngine:
         return level_loop(self.hierarchy, level, b, x0, self.cfg, body, history)
 
 
-def async_solve(hierarchy, b, x0, cfg, assignment, sched, *, trace=None,
+def async_solve(hierarchy, b, x0, cfg, smoother_workers, sched, *, trace=None,
                 watchdog_seconds=60.0, coarse_delay_seconds=0.0):
     """Solve ``A x = b`` with the semi-asynchronous additive cycle.
 
@@ -337,9 +310,12 @@ def async_solve(hierarchy, b, x0, cfg, assignment, sched, *, trace=None,
     b, x0 : ndarray
     cfg : CycleConfig
         Criteria, smoothers, and the outer iteration cap.
-    assignment : GroupAssignment
-        Worker counts; each smoother level of two or more workers sweeps
-        its subdomains on a thread pool of that size.
+    smoother_workers : tuple of int
+        Pool size of each smoother level, finest first, as
+        :func:`assign_groups` gives it: a level of two or more workers
+        sweeps its subdomains on a thread pool of that size; a level of
+        one binds no pool.  The coarse side of each level boundary
+        runs on a worker thread of its own whatever these counts.
     sched : SchedulerMode
     trace : MessageTrace, optional
         Receives one row per protocol event and per transfer application.
@@ -356,14 +332,14 @@ def async_solve(hierarchy, b, x0, cfg, assignment, sched, *, trace=None,
     b, x0 = _check_solve_inputs(hierarchy, b, x0, cfg)
     if hierarchy.n_levels == 1:
         return orthomg_solve_additive(hierarchy, b, x0, cfg)
-    with _bound_smoothers(cfg, assignment.smoother_workers) as bound, \
+    with _bound_smoothers(cfg, smoother_workers) as bound, \
             _AsyncEngine(hierarchy, bound, sched, trace=trace,
                          watchdog_seconds=watchdog_seconds,
                          coarse_delay_seconds=coarse_delay_seconds) as engine:
         return engine.run_level(0, b, x0, ConvergenceHistory())
 
 
-def hybrid_solve(hierarchy, b, x0, cfg, assignment, sched=None, *, trace=None,
+def hybrid_solve(hierarchy, b, x0, cfg, smoother_workers, sched=None, *, trace=None,
                  watchdog_seconds=60.0):
     """Multiplicative cycle on the finest level, asynchronous below it.
 
@@ -379,7 +355,7 @@ def hybrid_solve(hierarchy, b, x0, cfg, assignment, sched=None, *, trace=None,
     if sched is None:
         sched = SchedulerMode.realtime()
     history = ConvergenceHistory()
-    with _bound_smoothers(cfg, assignment.smoother_workers) as bound, ExitStack() as stack:
+    with _bound_smoothers(cfg, smoother_workers) as bound, ExitStack() as stack:
         coarse = None  # one or two levels: solve_level's direct coarsest solve
         if hierarchy.n_levels > 2:
             engine = stack.enter_context(_AsyncEngine(

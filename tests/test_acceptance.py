@@ -368,7 +368,7 @@ def test_criterion_8_worker_scaling():
 
     means = {}
     for workers in (1, 2, 4):
-        groups = om.GroupAssignment((workers,), 1)
+        groups = (workers,)
         means[workers] = mean_seconds(
             lambda: om.async_solve(
                 h, b, x0, cfg, groups, om.SchedulerMode.realtime()

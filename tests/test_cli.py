@@ -46,8 +46,8 @@ def read_header(path):
 
 
 RUN_COLUMNS = [
-    "variant", "cells_per_axis", "workers_requested", "workers_used",
-    "repetition", "converged", "iterations", "residual_norm", "seconds", "note",
+    "variant", "cells_per_axis", "workers_requested", "repetition",
+    "converged", "iterations", "residual_norm", "seconds", "note",
 ]
 
 
@@ -83,19 +83,22 @@ def test_solve_skips_history_when_disabled(tmp_path):
     assert not (out / "history.csv").exists()
 
 
-def test_solve_task_parallel_traces_and_clamps_workers(tmp_path, capsys):
+def test_solve_task_parallel_traces_on_one_worker(tmp_path, capsys):
+    # three levels on one worker: the count sizes the smoother pools only,
+    # and every level boundary's coarse side runs on a thread of its own
     code, out = run(
         tmp_path, "solve",
+        "problem.cells_per_axis = 32\n"
         "solver.variant = additive_task_parallel\ntrace.enabled = true\n",
+        flags=("--workers", "1"),
     )
     assert code == cli.EXIT_OK
     summary = read_summary(out)
-    # one worker requested, but a two-level run needs smoother + coarse
+    assert summary["levels"] == 3
     assert summary["workers_requested"] == 1
-    assert summary["workers_used"] == 2
-    assert any("workers raised from 1 to 2" in note for note in summary["notes"])
-    printed = capsys.readouterr().out
-    assert "note: workers raised from 1 to 2" in printed
+    assert "workers_used" not in summary
+    assert summary["notes"] == []
+    assert "note:" not in capsys.readouterr().out
     text = (out / "trace.csv").read_bytes()
     assert text.startswith(b"seconds,level,role,kind,cycle_index\n")
     assert b"\r" not in text
@@ -137,7 +140,7 @@ def test_solve_summary_keys(tmp_path):
     assert set(read_summary(out)) == {
         "command", "config_digest", "variant", "smoother", "precision",
         "dimension", "cells_per_axis", "dofs", "levels", "workers_requested",
-        "workers_used", "iterations", "breakdowns", "converged", "residual_norm",
+        "iterations", "breakdowns", "converged", "residual_norm",
         "initial_residual_norm", "relative_residual", "seconds", "notes",
     }
 
@@ -151,7 +154,7 @@ def test_sync_smoother_pool_changes_no_number(tmp_path, variant, smoother):
         (tmp_path / workers).mkdir()
         code, out = run(tmp_path / workers, "solve", extra, flags=("--workers", workers))
         assert code == cli.EXIT_OK
-        assert read_summary(out)["workers_used"] == int(workers)
+        assert read_summary(out)["workers_requested"] == int(workers)
         histories.append((out / "history.csv").read_bytes())
     assert histories[0] == histories[1]
 
@@ -345,8 +348,8 @@ def test_scaling_report_shapes(tmp_path):
     )
     assert code == cli.EXIT_OK
     columns = [
-        "variant", "cells_per_axis", "workers_requested", "workers_used",
-        "mean_seconds", "ideal_seconds", "speedup", "mean_iterations", "note",
+        "variant", "cells_per_axis", "workers_requested", "mean_seconds",
+        "ideal_seconds", "speedup", "mean_iterations", "note",
     ]
     assert read_header(out / "runs.csv") == RUN_COLUMNS
     assert read_header(out / "scaling.csv") == columns

@@ -1,5 +1,7 @@
 """Config format tests: parsing, validation, canonical round trip, builders."""
 
+from pathlib import Path
+
 import pytest
 
 import orthomg as om
@@ -111,6 +113,25 @@ def test_digest_is_stable_and_sensitive():
 
 
 # ---------------------------------------------------------------------------
+# the sample configs under configs/
+
+SAMPLE_DIR = Path(__file__).resolve().parent.parent / "configs"
+SAMPLES = ["benchmark.cfg", "compare.cfg", "scaling.cfg", "task_parallel.cfg"]
+
+
+@pytest.mark.parametrize("name", SAMPLES)
+def test_sample_config_parses_and_round_trips(name):
+    assert sorted(path.name for path in SAMPLE_DIR.glob("*.cfg")) == SAMPLES
+    path = SAMPLE_DIR / name
+    cfg = om.parse_config_file(path)
+    text = om.serialize_config(cfg)
+    assert om.serialize_config(om.parse_config(text)) == text
+    # every setting of the sample survives, in its canonical spelling
+    settings = {line.split("#", 1)[0].strip() for line in path.read_text().splitlines()}
+    assert settings - {""} <= set(text.splitlines())
+
+
+# ---------------------------------------------------------------------------
 # validation
 
 
@@ -125,6 +146,8 @@ def test_digest_is_stable_and_sensitive():
     ("smoother.overlap = -1", "overlap"),
     ("smoother.iterations = 0", "iterations"),
     ("smoother.omega = 0.0", "omega"),
+    ("smoother.tile = 0", "smoother.tile"),
+    ("smoother.tile = 3", "smoother.tile"),
     ("solver.max_outer_iterations = 0", "max_outer_iterations"),
     ("scheduler.sweeps_per_cycle = 0", "sweeps_per_cycle"),
     ("scheduler.sweeps_per_cycle = 2", "deterministic only"),
@@ -141,6 +164,16 @@ def test_digest_is_stable_and_sensitive():
 def test_validation_rejects_bad_settings(line, message):
     with pytest.raises(ValueError, match=message):
         om.parse_config(line + "\n")
+
+
+@pytest.mark.parametrize("key", [
+    "compare.variants", "scaling.workers", "scaling.sizes", "scaling.variants",
+])
+def test_empty_list_value_reports_key_and_line(key):
+    with pytest.raises(ValueError, match=f"line 2: bad value for '{key}': .*empty"):
+        om.parse_config(f"workers = 2\n{key} =\n")
+    with pytest.raises(ValueError, match=f"line 1: bad value for '{key}'"):
+        om.parse_config(f"{key} = ,\n")
 
 
 def test_validation_accepts_level_rule_overrides():

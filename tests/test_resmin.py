@@ -361,6 +361,37 @@ def test_heavy_cancellation_runs_the_second_gram_schmidt_pass(monkeypatch):
     check_block_storage(space, a)
 
 
+@pytest.mark.parametrize("share", [1e-2, 1e-3])
+def test_second_gram_schmidt_pass_enters_r(monkeypatch, share):
+    # In panels of 32 rows Gram-Schmidt is classical across 32 basis vectors,
+    # and after 60 corrections the basis is about 6e-11 from orthonormal,
+    # so the first pass leaves components of that size along the basis.
+    # The second pass removes them from w and must add them to R's new
+    # column: without them A d = W R e_k fails by 1.5e-11 at a share of
+    # 1e-2, and the drift check rejects the direction at 1e-3.
+    monkeypatch.setattr(resmin, "PANEL_ROWS", 32)
+    a, b, smoother = disc_level()
+    space = fold_smoother_corrections(a, b, smoother, 60)
+    w = space.basis
+    assert np.abs(w @ w.T - np.eye(60)).max() >= 1e-12
+    fresh = smoother.apply(a, space.proposal)
+    fresh /= om.norm2(om.spmv(a, fresh))
+    passes = []
+    first_pass = resmin._orthogonalize
+
+    def counting(*args):
+        passes.append(1)
+        return first_pass(*args)
+
+    monkeypatch.setattr(resmin, "_orthogonalize", counting)
+    om.rm_update(space, a, space.directions[30] + share * fresh)
+    assert len(passes) == 2
+    assert space.size == 61 and space.breakdown_count == 0
+    image = om.spmv(a, raw_directions(space)[60])
+    column = space.basis.T @ space.r_factor[:, 60]
+    assert om.norm2(image - column) <= 1e-13 * om.norm2(image)
+
+
 def test_storage_grows_by_panels_and_a_restart_reuses_it():
     # restart_cap rows of this length would take 320 MB per matrix
     n = 200_000

@@ -49,61 +49,130 @@ def test_scheduler_mode_factories_and_validation():
     det = om.SchedulerMode.deterministic(3)
     assert det.kind == "deterministic"
     assert det.sweeps_per_cycle == 3
-    with pytest.raises(ValueError, match="unknown scheduler mode"):
+    with pytest.raises(ValueError, match="mode must be 'realtime' or 'deterministic'"):
         om.SchedulerMode("eager")
     with pytest.raises(ValueError, match="at least 1"):
         om.SchedulerMode.deterministic(0)
-    with pytest.raises(ValueError, match="deterministic scheduler only"):
+    with pytest.raises(ValueError, match="deterministic only"):
         om.SchedulerMode("realtime", 2)
-
-
-def test_group_assignment_validation_and_sizes():
-    ga = om.GroupAssignment((3, 2, 1), 2)
-    assert ga.total_workers == 8
-    with pytest.raises(ValueError, match="coarsest group"):
-        om.GroupAssignment((1,), 0)
-    with pytest.raises(ValueError, match="every smoother level"):
-        om.GroupAssignment((1, 0), 1)
 
 
 def test_assign_groups_is_proportional_to_unknowns():
     _, h, _, _ = benchmark_setup(cells=64, l_min=64)
     assert [lvl.n_dofs for lvl in h.levels] == [4096, 1024, 256, 64]
-    assert om.assign_groups(h, 8).smoother_workers == (5, 1, 1)
-    assert om.assign_groups(h, 16).smoother_workers == (11, 3, 1)
-    assert om.assign_groups(h, 6, coarsest_workers=2).smoother_workers == (2, 1, 1)
+    assert om.assign_groups(h, 8) == (5, 1, 1)
+    assert om.assign_groups(h, 16) == (11, 3, 1)
+    assert om.assign_groups(h, 6, coarsest_workers=2) == (2, 1, 1)
+
+
+# Smoother pool sizes, finest level first, as the workers left after
+# coarsest_workers grow from one per smoother level to 39.
+SPLITS = {
+    "64^2": """
+        1.1.1 2.1.1 3.1.1 4.1.1 5.1.1 6.1.1 7.1.1 7.2.1 8.2.1 9.2.1 10.2.1
+        10.2.2 11.3.1 12.3.1 13.3.1 13.3.2 14.3.2 15.3.2 16.4.1 17.4.1 18.4.1
+        18.5.1 19.5.1 20.5.1 21.5.1 21.5.2 22.6.1 23.6.1 24.6.1 24.6.2 25.6.2
+        26.6.2 27.7.1 27.7.2 28.7.2 29.7.2 30.7.2""",
+    "schwarz_mult_2d256": """
+        1.1.1.1.1 2.1.1.1.1 3.1.1.1.1 4.1.1.1.1 5.1.1.1.1 6.1.1.1.1 6.2.1.1.1
+        7.2.1.1.1 8.2.1.1.1 9.2.1.1.1 10.2.1.1.1 10.3.1.1.1 11.3.1.1.1
+        12.3.1.1.1 13.3.1.1.1 14.3.1.1.1 15.3.1.1.1 15.4.1.1.1 16.4.1.1.1
+        17.4.1.1.1 18.4.1.1.1 19.4.1.1.1 19.5.1.1.1 20.5.1.1.1 21.5.1.1.1
+        22.5.1.1.1 23.5.1.1.1 23.6.1.1.1 24.6.1.1.1 25.6.1.1.1 26.6.1.1.1
+        27.6.1.1.1 27.7.1.1.1 28.7.1.1.1 29.7.1.1.1""",
+    "bj_taskpar_2d128": """
+        1.1 2.1 3.1 4.1 5.1 6.1 6.2 7.2 8.2 9.2 10.2 10.3 11.3 12.3 13.3 14.3
+        14.4 15.4 16.4 17.4 18.4 18.5 19.5 20.5 21.5 22.5 22.6 23.6 24.6 25.6
+        26.6 26.7 27.7 28.7 29.7 30.7 30.8 31.8""",
+    "schwarz_hybrid_3d32": """
+        1.1 2.1 3.1 4.1 5.1 6.1 7.1 8.1 9.1 10.1 11.1 12.1 12.2 13.2 14.2 15.2
+        16.2 17.2 18.2 19.2 20.2 20.3 21.3 22.3 23.3 24.3 25.3 26.3 27.3 28.3
+        28.4 29.4 30.4 31.4 32.4 33.4 34.4 35.4""",
+}
+
+
+def split_hierarchy(name):
+    """The 64^2 four-level hierarchy, or a benchmark workload's."""
+    if name == "64^2":
+        return benchmark_setup(cells=64, l_min=64)[1]
+    cfg = load_perfbench("workloads").WORKLOADS[name].run_config()
+    return om.build_hierarchy(om.build_problem_spec(cfg), l_min=cfg.l_min)
+
+
+@pytest.mark.parametrize("name", list(SPLITS))
+def test_assign_groups_keeps_its_splits(name):
+    # every total from one worker per smoother level plus coarsest_workers
+    # up to 40, on the 64^2 four-level hierarchy and the benchmark's
+    h = split_hierarchy(name)
+    splits = [tuple(map(int, split.split("."))) for split in SPLITS[name].split()]
+    smoother_levels = h.n_levels - 1
+    for coarsest in (1, 2):
+        for total in range(smoother_levels + coarsest, 41):
+            expected = splits[total - coarsest - smoother_levels]
+            assert om.assign_groups(h, total, coarsest) == expected, (total, coarsest)
+
+
+@pytest.mark.parametrize("name", ["bj_taskpar_2d128", "schwarz_hybrid_3d32"])
+def test_benchmark_workloads_give_every_smoother_level_one_worker(name):
+    cfg = load_perfbench("workloads").WORKLOADS[name].run_config()
+    h = split_hierarchy(name)
+    assert om.assign_groups(h, cfg.workers, cfg.coarsest_workers) == (1, 1)
 
 
 def test_assign_groups_minimum_gives_one_worker_per_level():
+    # at and below one worker per smoother level plus coarsest_workers,
+    # no level binds a pool
     _, h, _, _ = benchmark_setup(cells=64, l_min=64)
-    ga = om.assign_groups(h, 4)
-    assert ga.smoother_workers == (1, 1, 1)
-    assert ga.coarsest_workers == 1
+    for total in (1, 2, 3, 4):
+        assert om.assign_groups(h, total) == (1, 1, 1)
+    for total in (1, 4, 5):
+        assert om.assign_groups(h, total, coarsest_workers=2) == (1, 1, 1)
 
 
 def test_assign_groups_conserves_workers():
     _, h, _, _ = benchmark_setup(cells=64, l_min=64)
     for total in range(4, 40):
-        ga = om.assign_groups(h, total)
-        assert ga.total_workers == total
-        assert all(w >= 1 for w in ga.smoother_workers)
-        assert len(ga.smoother_workers) == h.n_levels - 1
+        split = om.assign_groups(h, total)
+        assert sum(split) + 1 == total
+        assert all(w >= 1 for w in split)
+        assert len(split) == h.n_levels - 1
 
 
 def test_assign_groups_rejects_too_few_workers():
     _, h, _, _ = benchmark_setup(cells=64, l_min=64)
-    with pytest.raises(ValueError, match=r"4 levels require at least 4 workers \(got 3\)"):
-        om.assign_groups(h, 3)
+    with pytest.raises(ValueError, match="total_workers"):
+        om.assign_groups(h, 0)
     with pytest.raises(ValueError, match="coarsest_workers"):
         om.assign_groups(h, 8, coarsest_workers=0)
 
 
 def test_assign_groups_single_level_keeps_everything():
+    # a single level is solved directly on the calling thread: no pools
     spec = om.ProblemSpec(dimension=2, cells_per_axis=8)
     h = om.build_hierarchy(spec, l_min=10_000)
-    ga = om.assign_groups(h, 7)
-    assert ga.smoother_workers == ()
-    assert ga.coarsest_workers == 7
+    assert om.assign_groups(h, 7) == ()
+
+
+def test_task_parallel_solves_run_on_one_worker():
+    # four levels on one worker: no smoother level binds a pool, and each
+    # boundary's coarse side runs on a worker thread of its own
+    _, h, b, smoothers = benchmark_setup(cells=64, l_min=64)
+    assert h.n_levels == 4
+    one = om.assign_groups(h, 1)
+    x0 = np.zeros(h.finest.n_dofs)
+    ref = om.orthomg_solve_additive(h, b, x0, cycle_config("additive_sync", smoothers))
+    res = om.async_solve(h, b, x0, cycle_config("additive_task_parallel", smoothers), one,
+                         om.SchedulerMode.deterministic(1))
+    assert history_records(res) == history_records(ref)
+    assert np.array_equal(res.x, ref.x)
+    cfg = cycle_config("hybrid", smoothers)
+    hybrid = om.hybrid_solve(h, b, x0, cfg, one, om.SchedulerMode.deterministic(1))
+    pooled = om.hybrid_solve(h, b, x0, cfg, om.assign_groups(h, 8),
+                             om.SchedulerMode.deterministic(1))
+    assert hybrid.converged
+    assert history_records(hybrid) == history_records(pooled)
+    assert np.array_equal(hybrid.x, pooled.x)
+    assert coarse_threads() == []
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +299,7 @@ def test_pooled_levels_solve_with_their_set_up_factors(monkeypatch):
     cfg = cycle_config("additive_sync", smoothers)
     x0 = np.zeros(h.finest.n_dofs)
     ga = om.assign_groups(h, 4)
-    assert ga.smoother_workers[0] >= 2
+    assert ga[0] >= 2
     calls = []
     splu = smoothers_mod.splu
 
