@@ -339,9 +339,8 @@ def test_block_storage_invariants_at_solve_scale(monkeypatch, panel_rows):
     check_block_storage(space, a)
 
 
-def test_heavy_cancellation_runs_the_second_gram_schmidt_pass(monkeypatch):
-    a, b, smoother = disc_level()
-    space = fold_smoother_corrections(a, b, smoother, 20)
+def count_gram_schmidt_passes(monkeypatch):
+    """A list that gains one entry per Gram-Schmidt pass from now on."""
     passes = []
     first_pass = resmin._orthogonalize
 
@@ -350,6 +349,13 @@ def test_heavy_cancellation_runs_the_second_gram_schmidt_pass(monkeypatch):
         return first_pass(*args)
 
     monkeypatch.setattr(resmin, "_orthogonalize", counting)
+    return passes
+
+
+def test_heavy_cancellation_runs_the_second_gram_schmidt_pass(monkeypatch):
+    a, b, smoother = disc_level()
+    space = fold_smoother_corrections(a, b, smoother, 20)
+    passes = count_gram_schmidt_passes(monkeypatch)
     # a stored direction (image of norm 1) plus 1e-3 of a new correction
     # scaled to the same image norm keeps about 1e-3 of its image after the
     # first pass
@@ -376,14 +382,7 @@ def test_second_gram_schmidt_pass_enters_r(monkeypatch, share):
     assert np.abs(w @ w.T - np.eye(60)).max() >= 1e-12
     fresh = smoother.apply(a, space.proposal)
     fresh /= om.norm2(om.spmv(a, fresh))
-    passes = []
-    first_pass = resmin._orthogonalize
-
-    def counting(*args):
-        passes.append(1)
-        return first_pass(*args)
-
-    monkeypatch.setattr(resmin, "_orthogonalize", counting)
+    passes = count_gram_schmidt_passes(monkeypatch)
     om.rm_update(space, a, space.directions[30] + share * fresh)
     assert len(passes) == 2
     assert space.size == 61 and space.breakdown_count == 0
