@@ -7,7 +7,7 @@ from .errors import (
     SingularMatrixError,
     WorkerError,
 )
-from .sparse import norm2, spmv, triple_product
+from .sparse import norm2, spmv
 from .problem import (
     GridHierarchy,
     GridLevel,
@@ -82,7 +82,7 @@ __all__ = [
     "SingularMatrixError", "NumericalFailureError",
     "ExchangeTimeoutError", "WorkerError",
     # sparse kernels
-    "spmv", "norm2", "triple_product",
+    "spmv", "norm2",
     # benchmark problem
     "ProblemSpec", "GridLevel", "GridHierarchy", "coefficient_at",
     "assemble_poisson", "build_prolongation", "build_restriction",

@@ -237,6 +237,12 @@ def validate_config(cfg):
         raise ValueError("coarsest_workers must be at least 1")
     if cfg.compare.repetitions < 1:
         raise ValueError("compare.repetitions must be at least 1")
+    for key, values in (("compare.variants", cfg.compare.variants),
+                        ("scaling.variants", cfg.scaling.variants),
+                        ("scaling.workers", cfg.scaling.workers),
+                        ("scaling.sizes", cfg.scaling.sizes)):
+        if not values:
+            raise ValueError(f"{key} must list at least one value")
     for variant in cfg.compare.variants + cfg.scaling.variants:
         if variant not in SOLVER_VARIANTS:
             raise ValueError(f"unknown variant {variant!r} in variant list")

@@ -13,14 +13,14 @@ prolongation, scaled-transpose restriction, and Galerkin coarse
 operators.
 """
 
-import math
+import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 import scipy.sparse
 
-from .sparse import check_csr, csr, triple_product
+from .sparse import check_csr, csr
 
 __all__ = [
     "ProblemSpec",
@@ -164,6 +164,164 @@ def _cell_coefficients(spec):
     return np.where(radius < spec.interface_radius, spec.k_inner, spec.k_outer)
 
 
+def _along(d, axis, index):
+    """Index that takes ``index`` on ``axis`` of a ``d``-dimensional array and all of the rest."""
+    return (slice(None),) * axis + (index,) + (slice(None),) * (d - axis - 1)
+
+
+def _sorted_sum(terms):
+    """Entrywise sum of equal-shape arrays, each entry's terms added in ascending order.
+
+    The same terms in any order give the same bits, so no reflection or axis
+    swap of the grid changes a sum.  Two terms commute as they are; up to
+    four are ordered by a network of ``minimum``/``maximum`` pairs, which is
+    faster than ``np.sort`` over many short rows.
+    """
+    terms = list(terms)
+    if len(terms) <= 4:
+        # each pass carries the largest term left to the end; the first two
+        # need no order, as their sum commutes
+        for end in range(len(terms) - 1, 1, -1):
+            for j in range(end):
+                terms[j], terms[j + 1] = (np.minimum(terms[j], terms[j + 1]),
+                                          np.maximum(terms[j], terms[j + 1]))
+    else:
+        terms = np.moveaxis(np.sort(np.stack(terms, axis=-1), axis=-1), -1, 0)
+    total = terms[0] + terms[1]
+    for term in terms[2:]:
+        total += term
+    return total
+
+
+# A level operator in stencil form is one array of shape ``(2d+1,) + (n,)*d``:
+# slot ``a`` holds each cell's coupling to its lower neighbour on axis ``a``,
+# slot ``d`` its diagonal and slot ``2d - a`` its coupling to its upper
+# neighbour on axis ``a``, with 0 where the neighbour lies outside the grid.
+# With cells numbered in C order the slots run in ascending column order.
+
+
+def _offsets(d, n):
+    """Column offset of each stencil slot on the ``n**d`` grid, ascending."""
+    strides = [n ** (d - 1 - axis) for axis in range(d)]
+    return np.array([-s for s in strides] + [0] + strides[::-1])
+
+
+def _poisson_stencil(spec):
+    """The finite-volume operator of ``spec`` in stencil form.
+
+    Each cell has a lower and an upper term per axis, a face coupling or
+    a boundary term; the diagonal sums each axis's two terms and then the
+    axis sums in ascending order, so it keeps every mirror symmetry of
+    the coefficient.
+    """
+    d = spec.dimension
+    n = spec.cells_per_axis
+    h = spec.spacing
+    k = _cell_coefficients(spec)
+    stencil = np.zeros((2 * d + 1,) + (n,) * d)
+    pairs = []
+    for axis in range(d):
+        lo, hi = _along(d, axis, slice(0, n - 1)), _along(d, axis, slice(1, n))
+        first, last = _along(d, axis, 0), _along(d, axis, n - 1)
+        k_lo = k[lo]
+        k_hi = k[hi]
+        face = 2.0 * k_lo * k_hi / (k_lo + k_hi) / (h * h)
+        below = np.empty_like(k)
+        above = np.empty_like(k)
+        below[hi] = face
+        above[lo] = face
+        # Dirichlet boundary faces at both ends of this axis
+        below[first] = 2.0 * k[first] / (h * h)
+        above[last] = 2.0 * k[last] / (h * h)
+        pairs.append(below + above)
+        stencil[axis][hi] = -face
+        stencil[2 * d - axis][lo] = -face
+    stencil[d] = _sorted_sum(pairs)
+    return stencil
+
+
+def _inside(d, n):
+    """Whether each stencil slot's neighbour lies on the ``n**d`` grid, shape ``(2d+1, n**d)``."""
+    inside = np.ones((2 * d + 1,) + (n,) * d, dtype=bool)
+    for axis in range(d):
+        inside[axis][_along(d, axis, 0)] = False
+        inside[2 * d - axis][_along(d, axis, n - 1)] = False
+    return inside.reshape(2 * d + 1, n**d)
+
+
+def _csr_of(stencil):
+    """The canonical CSR matrix of an operator in stencil form, without its zeros."""
+    k, n = stencil.shape[:2]
+    total = stencil[0].size
+    slots = stencil.reshape(k, total)
+    indptr = np.zeros(total + 1, dtype=np.int32)
+    # counted slot by slot: numpy sums long rows faster than many short ones
+    np.cumsum(np.sum(slots != 0.0, axis=0, dtype=np.int32), out=indptr[1:])
+    values = np.ascontiguousarray(slots.T)
+    keep = values != 0.0
+    offsets = _offsets(stencil.ndim - 1, n).astype(np.int32)
+    columns = np.arange(total, dtype=np.int32)[:, None] + offsets
+    return csr((values[keep], columns[keep], indptr), shape=(total, total))
+
+
+def _stencil_of(matrix, cells, dimension):
+    """A caller's CSR matrix on the ``cells**dimension`` grid in stencil form.
+
+    Raises ``ValueError`` naming the first row that couples a cell other
+    than a face neighbour, counting a coupling that wraps across a grid
+    edge.
+    """
+    d, n = dimension, cells
+    total = n**d
+    reach = n ** (d - 1)
+    # stencil slot of each column offset from -reach to reach, -1 for none,
+    # and a -1 guard at each end for the offsets beyond
+    slot_of = np.full(2 * reach + 3, -1)
+    slot_of[_offsets(d, n) + reach + 1] = np.arange(2 * d + 1)
+    row = np.repeat(np.arange(total), np.diff(matrix.indptr))
+    slot = slot_of[np.clip(matrix.indices - row + reach + 1, 0, 2 * reach + 2)]
+    at = slot * total + row
+    face = (slot >= 0) & _inside(d, n).ravel()[at]
+    if not face.all():
+        bad = np.flatnonzero(~face)[0]
+        raise ValueError(f"row {row[bad]} couples cell {matrix.indices[bad]}, which is not "
+                         f"a face neighbour on the {n}^{d} grid")
+    stencil = np.zeros((2 * d + 1,) + (n,) * d)
+    stencil.ravel()[at] = matrix.data
+    return stencil
+
+
+def _coarsened(stencil):
+    """Galerkin operator ``R A P`` of piecewise-constant ``P``, in stencil form.
+
+    Each coarse entry is ``1/2^d`` times a sorted sum of fine entries: a
+    face coupling sums the ``2^(d-1)`` fine couplings across the coarse
+    face, and a diagonal the ``2^d`` child diagonals and the couplings
+    between children (12 terms in 2D, 32 in 3D).  The terms come from the
+    grid structure, so nothing sorts the fine nonzeros, and mirror images
+    of a coarse cell sum the same terms.
+    """
+    d = stencil.ndim - 1
+    nc = stencil.shape[1] // 2
+    children = stencil.reshape((2 * d + 1,) + (nc, 2) * d)
+
+    def child(slot, position):
+        return children[(slot,) + tuple(x for c in position for x in (slice(None), c))]
+
+    positions = list(itertools.product((0, 1), repeat=d))
+    coarse = np.empty((2 * d + 1,) + (nc,) * d)
+    internal = [child(d, c) for c in positions]
+    for axis in range(d):
+        low = [c for c in positions if c[axis] == 0]
+        high = [c for c in positions if c[axis] == 1]
+        coarse[axis] = _sorted_sum([child(axis, c) for c in low])
+        coarse[2 * d - axis] = _sorted_sum([child(2 * d - axis, c) for c in high])
+        internal += [child(2 * d - axis, c) for c in low] + [child(axis, c) for c in high]
+    coarse[d] = _sorted_sum(internal)
+    coarse *= 1.0 / 2**d
+    return coarse
+
+
 def assemble_poisson(spec):
     """Assemble the finite-volume system for a :class:`ProblemSpec`.
 
@@ -174,56 +332,13 @@ def assemble_poisson(spec):
         are numbered lexicographically (C order over the axis indices).
         Interior faces carry the harmonic mean of the two adjacent
         cell coefficients; boundary faces eliminate a zero-valued ghost
-        cell, which adds ``2 k / h^2`` to the diagonal.
+        cell, which adds ``2 k / h^2`` to the diagonal.  Each diagonal
+        entry is summed in an order that no reflection or axis swap of
+        the grid changes, so the matrix keeps the coefficient's mirror
+        symmetries bit for bit.
     """
-    d = spec.dimension
-    n = spec.cells_per_axis
-    h = spec.spacing
-    k = _cell_coefficients(spec)
-    shape = (n,) * d
-    total = n**d
-    flat = np.arange(total, dtype=np.int64).reshape(shape)
-    diag = np.zeros(shape, dtype=np.float64)
-
-    rows = []
-    cols = []
-    vals = []
-    for axis in range(d):
-        lo = [slice(None)] * d
-        hi = [slice(None)] * d
-        lo[axis] = slice(0, n - 1)
-        hi[axis] = slice(1, n)
-        k_lo = k[tuple(lo)]
-        k_hi = k[tuple(hi)]
-        face = 2.0 * k_lo * k_hi / (k_lo + k_hi) / (h * h)
-        left = flat[tuple(lo)].ravel()
-        right = flat[tuple(hi)].ravel()
-        coupling = face.ravel()
-        rows.append(left)
-        cols.append(right)
-        vals.append(-coupling)
-        rows.append(right)
-        cols.append(left)
-        vals.append(-coupling)
-        diag[tuple(lo)] += face
-        diag[tuple(hi)] += face
-        # Dirichlet boundary faces at both ends of this axis
-        first = [slice(None)] * d
-        last = [slice(None)] * d
-        first[axis] = 0
-        last[axis] = n - 1
-        diag[tuple(first)] += 2.0 * k[tuple(first)] / (h * h)
-        diag[tuple(last)] += 2.0 * k[tuple(last)] / (h * h)
-
-    rows.append(flat.ravel())
-    cols.append(flat.ravel())
-    vals.append(diag.ravel())
-    coo = scipy.sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(total, total),
-    )
-    matrix = csr(coo)
-    rhs = np.full(total, float(spec.rhs_constant))
+    matrix = _csr_of(_poisson_stencil(spec))
+    rhs = np.full(spec.n_dofs, float(spec.rhs_constant))
     return matrix, rhs
 
 
@@ -256,10 +371,9 @@ def build_restriction(prolongation, dimension):
 
 
 def build_hierarchy(spec, l_min=1024):
-    """Assemble the benchmark and coarsen it with :func:`hierarchy_from_matrix`."""
-    matrix, _ = assemble_poisson(spec)
-    return hierarchy_from_matrix(matrix, spec.cells_per_axis, spec.spacing,
-                                 spec.dimension, l_min)
+    """Assemble the benchmark and coarsen it as :func:`hierarchy_from_matrix` does."""
+    stencil = _poisson_stencil(spec)
+    return _hierarchy(_csr_of(stencil), stencil, spec.spacing, l_min)
 
 
 def hierarchy_from_matrix(matrix, cells, spacing, dimension, l_min=1024):
@@ -267,24 +381,32 @@ def hierarchy_from_matrix(matrix, cells, spacing, dimension, l_min=1024):
 
     Coarsening halts once the coarsest level has at most ``l_min``
     unknowns or only two cells per axis remain.  Coarse operators are
-    Galerkin triple products of the fine operator.
+    the Galerkin products ``R A P`` of the fine operator, formed on the
+    grid: ``matrix`` may couple each cell only to itself and its face
+    neighbours, and a ``ValueError`` names the first row that does not.
     """
-    if l_min < 4:
-        raise ValueError("l_min must be at least 4")
     check_csr(matrix)
     if matrix.shape[0] != cells**dimension:
         raise ValueError(f"matrix must be square on the {cells}^{dimension} grid")
+    return _hierarchy(matrix, _stencil_of(matrix, cells, dimension), spacing, l_min)
+
+
+def _hierarchy(matrix, stencil, spacing, l_min):
+    """Levels from ``matrix`` and its stencil form down to ``l_min`` unknowns."""
+    if l_min < 4:
+        raise ValueError("l_min must be at least 4")
+    dimension = stencil.ndim - 1
+    cells = stencil.shape[1]
     levels = []
-    index = 0
     while matrix.shape[0] > l_min and cells >= 4:
         prolongation = build_prolongation(cells, dimension)
         restriction = build_restriction(prolongation, dimension)
         levels.append(
-            GridLevel(index, matrix, restriction, prolongation, cells, spacing)
+            GridLevel(len(levels), matrix, restriction, prolongation, cells, spacing)
         )
-        matrix = triple_product(restriction, matrix, prolongation)
+        stencil = _coarsened(stencil)
+        matrix = _csr_of(stencil)
         cells //= 2
         spacing *= 2.0
-        index += 1
-    levels.append(GridLevel(index, matrix, None, None, cells, spacing))
+    levels.append(GridLevel(len(levels), matrix, None, None, cells, spacing))
     return GridHierarchy(levels, l_min)

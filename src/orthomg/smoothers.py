@@ -353,6 +353,7 @@ def _gathered(a, sets, sizes):
         # the caller keys the step's blocks: free the step's temporaries first
         del sub, per_row, set_of, keep, slots, owner
         yield first, nnz, row, col, data
+        del nnz, row, col, data  # the next step gathers without them
 
 
 def _distinct_blocks(a, sets, sizes, precision):
@@ -379,6 +380,7 @@ def _distinct_blocks(a, sets, sizes, precision):
         which += [keys.setdefault((size, flat[lo:hi]), len(keys)) for size, lo, hi
                   in zip(sizes[first:first + nnz.size].tolist(),
                          (ends - nnz * entry.itemsize).tolist(), ends.tolist())]
+        del records, flat, row, col, data  # likewise
     return [(size, np.frombuffer(key, entry)) for size, key in keys], np.array(which)
 
 

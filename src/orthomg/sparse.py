@@ -5,7 +5,7 @@ import math
 import numpy as np
 import scipy.sparse
 
-__all__ = ["spmv", "norm2", "triple_product"]
+__all__ = ["spmv", "norm2"]
 
 
 class _Csr(scipy.sparse.csr_matrix):
@@ -49,12 +49,3 @@ def norm2(x):
     x = np.asarray(x, dtype=np.float64)
     return math.sqrt(float(np.dot(x, x)))
 
-
-def triple_product(r, a, p):
-    """Galerkin product ``r @ a @ p`` without the entries below 1e-300 (structural zeros)."""
-    if r.shape[1] != a.shape[0] or a.shape[1] != p.shape[0]:
-        raise ValueError(f"dimension mismatch in triple product: {r.shape} {a.shape} {p.shape}")
-    product = (r @ a) @ p
-    product.data[np.abs(product.data) < 1e-300] = 0.0
-    product.eliminate_zeros()
-    return csr(product)

@@ -242,12 +242,19 @@ class SolveResult:
 # matrices are unhashable); an entry is dropped when its matrix dies.
 _coarse_factor_cache = {}
 
+# Every operator the hierarchy builds is bitwise symmetric: a minimum-degree
+# ordering of A + A^T with diagonal pivots, SuperLU's symmetric mode, keeps
+# less fill than the default column ordering (W2's 1024-unknown level: about
+# 23,000 against 37,000 factor entries).
+_COARSE_SPLU_OPTIONS = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                            options={"SymmetricMode": True})
+
 
 def _coarse_factor(a):
     factor = _coarse_factor_cache.get(id(a))
     if factor is None:
         try:
-            factor = scipy.sparse.linalg.splu(a.tocsc())
+            factor = scipy.sparse.linalg.splu(a.tocsc(), **_COARSE_SPLU_OPTIONS)
         except RuntimeError as exc:
             raise SingularMatrixError(f"coarsest-level matrix is singular: {exc}") from None
         if _coarse_factor_cache.setdefault(id(a), factor) is factor:

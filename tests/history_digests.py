@@ -14,6 +14,12 @@ Each line also carries a digest of the ``type`` column alone.  Where two
 trees differ only at rounding, a diff of their outputs shows the same row
 counts and kind digests and different digests of the whole file.
 
+Before the histories it prints, for every level of each benchmark
+workload's hierarchy (``perfbench/workloads.py``: 2D and 3D), a digest
+of the level operator's CSR arrays and how many distinct subdomain or
+tile blocks the workload's smoother factorizes there, so a diff of two
+outputs also names the operators that changed.
+
 The file name keeps it out of pytest's collection.
 """
 
@@ -24,7 +30,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-from orthomg import cli
+from orthomg import build_hierarchy, build_level_smoothers, build_problem_spec, cli, smoothers
+from helpers import load_perfbench
 
 BASE = Path(__file__).resolve().parent.parent / "configs" / "benchmark.cfg"
 
@@ -53,7 +60,40 @@ def digest(data):
     return hashlib.sha256(data).hexdigest()[:16]
 
 
+def distinct_blocks(hierarchy, cfg):
+    """Distinct blocks per smoother level, as the workload's set-up finds them."""
+    counts = []
+    keyed = smoothers._distinct_blocks
+
+    def counting(a, sets, *args):
+        blocks, which = keyed(a, sets, *args)
+        counts.append(f"{len(blocks)}/{len(sets)}")
+        return blocks, which
+
+    smoothers._distinct_blocks = counting
+    try:
+        build_level_smoothers(hierarchy, cfg, cfg.problem.dimension)
+    finally:
+        smoothers._distinct_blocks = keyed
+    return counts
+
+
+def operators():
+    """One line per level of each benchmark workload's hierarchy."""
+    for workload in load_perfbench("workloads").WORKLOADS.values():
+        cfg = workload.run_config()
+        hierarchy = build_hierarchy(build_problem_spec(cfg), cfg.l_min)
+        counts = distinct_blocks(hierarchy, cfg) + ["coarsest"]
+        for level, blocks in zip(hierarchy.levels, counts):
+            m = level.matrix
+            arrays = b"".join(x.tobytes() for x in (m.indptr, m.indices, m.data))
+            name = f"{workload.name}-l{level.index}"
+            yield f"{name:44s} {m.shape[0]:5d} rows  {digest(arrays)}  blocks {blocks}"
+
+
 def main():
+    for line in operators():
+        print(line)
     with tempfile.TemporaryDirectory() as tmp:
         for name, text in configs():
             cfg, out = Path(tmp) / f"{name}.cfg", Path(tmp) / name

@@ -176,6 +176,19 @@ def test_empty_list_value_reports_key_and_line(key):
         om.parse_config(f"{key} = ,\n")
 
 
+@pytest.mark.parametrize("key", [
+    "compare.variants", "scaling.workers", "scaling.sizes", "scaling.variants",
+])
+def test_validation_rejects_an_empty_list_built_in_code(key):
+    # the parser never yields an empty list, but a config built in code can;
+    # the scaling sweep would then write a header-only CSV and exit 0
+    cfg = om.RunConfig()
+    section, name = key.split(".")
+    setattr(getattr(cfg, section), name, ())
+    with pytest.raises(ValueError, match=f"{key} must list at least one value"):
+        config_mod.validate_config(cfg)
+
+
 def test_validation_accepts_level_rule_overrides():
     cfg = om.parse_config(
         "solver.level1.factor = 0.2\nsolver.level2.max_iterations = 5\n"

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 import orthomg as om
 
@@ -133,7 +134,7 @@ def test_coefficient_jump_is_radial():
     dense = a.toarray()
     n = spec.cells_per_axis
     swap = np.arange(n * n).reshape(n, n).T.ravel()
-    assert dense[np.ix_(swap, swap)] == pytest.approx(dense, rel=1e-15)
+    assert np.array_equal(dense[np.ix_(swap, swap)], dense)
 
 
 # ---------------------------------------------------------------------------
@@ -184,8 +185,33 @@ def test_coarse_operators_stay_spd():
     hierarchy = om.build_hierarchy(spec, l_min=4)
     for level in hierarchy.levels:
         dense = level.matrix.toarray()
-        assert dense == pytest.approx(dense.T, rel=1e-14)
+        assert np.array_equal(dense, dense.T)
         assert np.linalg.eigvalsh(dense).min() > 0.0
+
+
+def grid_symmetries(cells, dimension):
+    """``(name, cell permutation)`` of each reflection and each axis swap of the grid."""
+    grid = np.arange(cells**dimension).reshape((cells,) * dimension)
+    for axis in range(dimension):
+        yield f"reflect axis {axis}", np.flip(grid, axis).ravel()
+    for first, second in itertools.combinations(range(dimension), 2):
+        yield f"swap axes {first} and {second}", np.swapaxes(grid, first, second).ravel()
+
+
+@pytest.mark.parametrize("dimension,cells", [(2, 32), (3, 16)])
+def test_level_operators_keep_every_mirror_symmetry_bitwise(dimension, cells):
+    # each diagonal and each coarse entry is a sum in an order that no
+    # reflection or axis swap changes, so the disc operator keeps the grid's
+    # symmetries bit for bit on every level, and mirror images of a
+    # subdomain share one block
+    spec = om.ProblemSpec(dimension=dimension, cells_per_axis=cells, k_outer=1000.0)
+    hierarchy = om.build_hierarchy(spec, l_min=4)
+    assert hierarchy.coarsest.cells_per_axis == 2
+    for level in hierarchy.levels:
+        a = level.matrix
+        assert (a != a.T).nnz == 0, level.index
+        for name, cells_moved in grid_symmetries(level.cells_per_axis, dimension):
+            assert (a[cells_moved][:, cells_moved] != a).nnz == 0, (level.index, name)
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +273,31 @@ def test_hierarchy_from_assembled_matrix_matches_build_hierarchy(dimension, cell
         om.hierarchy_from_matrix(matrix, cells // 2, spec.spacing, dimension)
 
 
+def with_couplings(a, pairs):
+    """``a`` plus a symmetric coupling of -1 between each ``(row, column)`` pair."""
+    rows, cols = np.array(pairs).T
+    extra = scipy.sparse.coo_matrix((-np.ones(rows.size), (rows, cols)), shape=a.shape)
+    return scipy.sparse.csr_matrix(a + extra + extra.T)
+
+
+def test_hierarchy_from_matrix_rejects_couplings_off_the_faces():
+    # coarsening forms R A P on the grid, so it takes face couplings only
+    a = om.assemble_poisson(om.ProblemSpec(dimension=2, cells_per_axis=8))[0]
+    grid = np.arange(64).reshape(8, 8)
+    diagonal = [(grid[i, j], grid[i + di, j + dj]) for i in range(7) for j in range(8)
+                for di, dj in ((1, -1), (1, 1)) if 0 <= j + dj < 8]
+    with pytest.raises(ValueError, match="row 0 couples cell 9, which is not a face"):
+        om.hierarchy_from_matrix(with_couplings(a, diagonal), 8, 0.25, 2)
+    # cell 7 ends the first grid line and cell 8 starts the next: adjacent
+    # numbers, no shared face
+    with pytest.raises(ValueError, match="row 7 couples cell 8, which is not a face"):
+        om.hierarchy_from_matrix(with_couplings(a, [(7, 8)]), 8, 0.25, 2)
+    # in 3D, the last line of one plane and the first line of the next
+    a = om.assemble_poisson(om.ProblemSpec(dimension=3, cells_per_axis=4))[0]
+    with pytest.raises(ValueError, match="row 12 couples cell 16, which is not a face"):
+        om.hierarchy_from_matrix(with_couplings(a, [(12, 16)]), 4, 0.5, 3)
+
+
 @pytest.mark.parametrize("dimension,cells", [(2, 64), (3, 16)])
 def test_every_matrix_is_canonical_int32_csr(dimension, cells):
     # scipy CSR throughout, each row's columns ascending (the smoothers rely
@@ -255,9 +306,8 @@ def test_every_matrix_is_canonical_int32_csr(dimension, cells):
     assembled, _ = om.assemble_poisson(spec)
     prolongation = om.build_prolongation(cells, dimension)
     restriction = om.build_restriction(prolongation, dimension)
-    coarse = om.triple_product(restriction, assembled, prolongation)
     hierarchy = om.hierarchy_from_matrix(assembled, cells, spec.spacing, dimension, l_min=16)
-    matrices = [assembled, prolongation, restriction, coarse]
+    matrices = [assembled, prolongation, restriction]
     for level in hierarchy.levels:
         matrices += [m for m in (level.matrix, level.restriction, level.prolongation)
                      if m is not None]

@@ -185,30 +185,6 @@ def test_lu_unknown_precision():
 
 
 # ---------------------------------------------------------------------------
-# triple product
-
-
-def test_triple_product_matches_dense():
-    rng = np.random.default_rng(23)
-    for _ in range(20):
-        n_fine = int(rng.integers(2, 10))
-        n_coarse = int(rng.integers(1, n_fine + 1))
-        r = random_sparse(rng, n_coarse, n_fine, density=0.5)
-        a = random_sparse(rng, n_fine, n_fine, density=0.5)
-        p = random_sparse(rng, n_fine, n_coarse, density=0.5)
-        got = om.triple_product(r, a, p).toarray()
-        want = r.toarray() @ a.toarray() @ p.toarray()
-        assert got == pytest.approx(want, abs=1e-13)
-
-
-def test_triple_product_shape_mismatch():
-    a = scipy.sparse.eye(3, format="csr")
-    b = scipy.sparse.eye(4, format="csr")
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        om.triple_product(a, b, a)
-
-
-# ---------------------------------------------------------------------------
 # MatrixMarket round trips (written by the command line)
 
 

@@ -374,6 +374,44 @@ def test_realtime_converges_and_respects_protocol():
     assert trace.rows[-1].kind == "terminate"
 
 
+@pytest.mark.parametrize("smoother", ["schwarz", "block_jacobi"])
+def test_realtime_protocol_holds_at_128(smoother):
+    # the hierarchy of the bj_taskpar_2d128 benchmark workload (128^2,
+    # l_min 1024, three levels) under the realtime scheduler.  On each level
+    # boundary every cycle sends each message once, so each kind's cycle
+    # indices run 0, 1, 2, ... without a gap or a repeat, across all visits
+    # of the coarse level; the trace then closes with one terminate per
+    # boundary and nothing after it
+    cfg = om.parse_config("problem.cells_per_axis = 128\nhierarchy.l_min = 1024\n"
+                          f"smoother.kind = {smoother}\n")
+    prepared = cli.prepare_problem(cfg)
+    h = prepared.hierarchy
+    assert h.n_levels == 3
+    cycle = cycle_config("additive_task_parallel", tuple(prepared.smoothers),
+                         criteria=om.build_criteria(cfg))
+    b = np.random.default_rng(1).standard_normal(h.finest.n_dofs)
+    trace = om.MessageTrace()
+    res = om.async_solve(h, b, np.zeros_like(b), cycle, om.assign_groups(h, 3),
+                         om.SchedulerMode.realtime(), trace=trace)
+    assert res.converged
+    per_cycle = (om.MSG_UPDATED_RESIDUAL, om.MSG_SMOOTHER_DONE, "restrict", "prolong",
+                 om.MSG_COARSE_DONE, om.MSG_COARSE_CORRECTION)
+    runs = []
+    for boundary in range(h.n_levels - 1):
+        rows = [row for row in trace.rows if row.level == boundary]
+        cycles = len([row for row in rows if row.kind == om.MSG_UPDATED_RESIDUAL])
+        for kind in per_cycle:
+            indices = [row.cycle_index for row in rows if row.kind == kind]
+            assert indices == list(range(cycles)), (boundary, kind, indices)
+        runs.append(cycles)
+    assert runs[0] == res.iterations and runs[1] > runs[0], runs
+    kinds = [row.kind for row in trace.rows]
+    closing = kinds.index(om.MSG_TERMINATE)
+    assert kinds[closing:] == [om.MSG_TERMINATE] * (h.n_levels - 1)
+    assert sorted((row.level, row.cycle_index) for row in trace.rows[closing:]) == [
+        (boundary, cycles - 1) for boundary, cycles in enumerate(runs)]
+
+
 def test_realtime_takes_at_least_one_sweep_per_cycle():
     h, b, smoothers = two_level()
     cfg = cycle_config("additive_task_parallel", smoothers)
