@@ -289,8 +289,6 @@ def test_galerkin_levels_share_mirrored_blocks(dimension, cells, l_min, level, d
     # the coarse levels of the schwarz_mult_2d256 and schwarz_hybrid_3d32
     # benchmark hierarchies, 256-cell subdomains: every coarse entry is a
     # mirror-invariant sum, so mirror images share one block there too
-    # (15, 9, 4 and 16 distinct blocks when scipy's triple product summed
-    # each entry in index order)
     spec = om.ProblemSpec(dimension=dimension, cells_per_axis=cells, k_outer=1000.0)
     grid = om.build_hierarchy(spec, l_min=l_min).levels[level]
     p = om.partition_cells(grid.cells_per_axis, dimension, grid.n_dofs // 256, 1)
@@ -304,10 +302,9 @@ def test_sparse_setup_keeps_only_factors(dimension, cells, peak_mib):
     # the set-up peak reads 5.8 (2D) and 4.8 MiB (3D) beyond them, since
     # each gathering step frees its temporaries before its blocks are
     # keyed and the last step's entries before the next step gathers
-    # (5.9 and 7.7 MiB before that, 7.7 and 8.2 MiB before the first);
-    # it read 12.4 and 15.6 MiB when SuperLU kept the factors, and 22.3
-    # and 28.2 MiB when the whole A[idx][:, idx] and a block-diagonal copy
-    # were formed
+    # (7.7 and 8.2 MiB when neither was); it read 12.4 and 15.6 MiB when
+    # SuperLU kept the factors, and 22.3 and 28.2 MiB when the whole
+    # A[idx][:, idx] and a block-diagonal copy were formed
     a = disc_matrix(dimension, cells)
     p = om.partition_cells(cells, dimension, a.shape[0] // 256, 1)
     tracemalloc.start()
@@ -324,10 +321,9 @@ def test_sparse_setup_keeps_only_factors(dimension, cells, peak_mib):
     assert kernel(sm) == "sparse"
     assert not any(scipy.sparse.issparse(v) for v in vars(sm).values())
     # mirror images of a subdomain share its block, and only distinct blocks
-    # are factorized: 10 of 256 in 2D (0.65 MiB of factor arrays; 16 and
-    # 1.05 MiB while the 2D diagonal was summed axis by axis, and SuperLU
-    # held 16 MiB factorizing every block) and 11 of 128 in 3D (2.55 MiB,
-    # against 25.14 MiB when mirror images were keyed apart)
+    # are factorized: 10 of 256 in 2D (0.65 MiB of factor arrays, where
+    # SuperLU held 16 MiB factorizing every block) and 11 of 128 in 3D
+    # (2.55 MiB, against 25.14 MiB when mirror images were keyed apart)
     distinct, factor_mib = {2: (10, 0.75), 3: (11, 3.0)}[dimension]
     assert distinct_blocks(a, p.extended_cells) <= distinct
     assert factors <= factor_mib * 2**20, factors / 2**20
