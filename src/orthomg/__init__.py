@@ -16,7 +16,6 @@ from .problem import (
     build_hierarchy,
     build_prolongation,
     build_restriction,
-    coefficient_at,
     hierarchy_from_matrix,
 )
 from .resmin import SearchSpace, rm_init, rm_update
@@ -84,7 +83,7 @@ __all__ = [
     # sparse kernels
     "spmv", "norm2",
     # benchmark problem
-    "ProblemSpec", "GridLevel", "GridHierarchy", "coefficient_at",
+    "ProblemSpec", "GridLevel", "GridHierarchy",
     "assemble_poisson", "build_prolongation", "build_restriction",
     "build_hierarchy", "hierarchy_from_matrix",
     # residual minimization

@@ -27,7 +27,7 @@ from .config import (
     parse_config_file,
     validate_config,
 )
-from .problem import assemble_poisson, hierarchy_from_matrix
+from .problem import build_hierarchy
 from .sparse import norm2
 from .sync import (
     VARIANT_ADDITIVE_SYNC,
@@ -67,11 +67,9 @@ class PreparedProblem:
 
 def prepare_problem(cfg, cells_per_axis=None):
     spec = build_problem_spec(cfg, cells_per_axis)
-    matrix, rhs = assemble_poisson(spec)
-    hierarchy = hierarchy_from_matrix(matrix, spec.cells_per_axis, spec.spacing,
-                                      spec.dimension, cfg.l_min)
+    hierarchy = build_hierarchy(spec, cfg.l_min)
     smoothers = build_level_smoothers(hierarchy, cfg, spec.dimension)
-    return PreparedProblem(spec, hierarchy, rhs, smoothers)
+    return PreparedProblem(spec, hierarchy, spec.rhs(), smoothers)
 
 
 def execute_run(cfg, prepared, variant, workers):

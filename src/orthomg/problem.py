@@ -14,7 +14,7 @@ operators.
 """
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -26,7 +26,6 @@ __all__ = [
     "ProblemSpec",
     "GridLevel",
     "GridHierarchy",
-    "coefficient_at",
     "assemble_poisson",
     "build_prolongation",
     "build_restriction",
@@ -83,6 +82,10 @@ class ProblemSpec:
     def n_dofs(self):
         return self.cells_per_axis ** self.dimension
 
+    def rhs(self):
+        """The constant right-hand side, one entry per cell."""
+        return np.full(self.n_dofs, float(self.rhs_constant))
+
 
 @dataclass(eq=False)
 class GridLevel:
@@ -97,7 +100,6 @@ class GridLevel:
     restriction: Optional[scipy.sparse.csr_matrix]
     prolongation: Optional[scipy.sparse.csr_matrix]
     cells_per_axis: int
-    spacing: float
 
     @property
     def n_dofs(self):
@@ -109,7 +111,6 @@ class GridHierarchy:
     """Finest-to-coarsest sequence of grid levels."""
 
     levels: list
-    l_min: int
 
     def __post_init__(self):
         if not self.levels:
@@ -138,20 +139,6 @@ class GridHierarchy:
     @property
     def coarsest(self):
         return self.levels[-1]
-
-
-def coefficient_at(spec, x):
-    """Diffusion coefficient at point ``x``.
-
-    Returns ``k_inner`` strictly inside the inclusion ball and
-    ``k_outer`` on or outside the interface.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (spec.dimension,):
-        raise ValueError(f"point must have {spec.dimension} coordinates")
-    if np.linalg.norm(x) < spec.interface_radius:
-        return spec.k_inner
-    return spec.k_outer
 
 
 def _cell_coefficients(spec):
@@ -337,9 +324,7 @@ def assemble_poisson(spec):
         the grid changes, so the matrix keeps the coefficient's mirror
         symmetries bit for bit.
     """
-    matrix = _csr_of(_poisson_stencil(spec))
-    rhs = np.full(spec.n_dofs, float(spec.rhs_constant))
-    return matrix, rhs
+    return _csr_of(_poisson_stencil(spec)), spec.rhs()
 
 
 def build_prolongation(fine_cells_per_axis, dimension):
@@ -373,10 +358,10 @@ def build_restriction(prolongation, dimension):
 def build_hierarchy(spec, l_min=1024):
     """Assemble the benchmark and coarsen it as :func:`hierarchy_from_matrix` does."""
     stencil = _poisson_stencil(spec)
-    return _hierarchy(_csr_of(stencil), stencil, spec.spacing, l_min)
+    return _hierarchy(_csr_of(stencil), stencil, l_min)
 
 
-def hierarchy_from_matrix(matrix, cells, spacing, dimension, l_min=1024):
+def hierarchy_from_matrix(matrix, cells, dimension, l_min=1024):
     """Coarsen ``matrix`` on its ``cells**dimension`` grid down to ``l_min`` unknowns.
 
     Coarsening halts once the coarsest level has at most ``l_min``
@@ -388,10 +373,10 @@ def hierarchy_from_matrix(matrix, cells, spacing, dimension, l_min=1024):
     check_csr(matrix)
     if matrix.shape[0] != cells**dimension:
         raise ValueError(f"matrix must be square on the {cells}^{dimension} grid")
-    return _hierarchy(matrix, _stencil_of(matrix, cells, dimension), spacing, l_min)
+    return _hierarchy(matrix, _stencil_of(matrix, cells, dimension), l_min)
 
 
-def _hierarchy(matrix, stencil, spacing, l_min):
+def _hierarchy(matrix, stencil, l_min):
     """Levels from ``matrix`` and its stencil form down to ``l_min`` unknowns."""
     if l_min < 4:
         raise ValueError("l_min must be at least 4")
@@ -401,12 +386,9 @@ def _hierarchy(matrix, stencil, spacing, l_min):
     while matrix.shape[0] > l_min and cells >= 4:
         prolongation = build_prolongation(cells, dimension)
         restriction = build_restriction(prolongation, dimension)
-        levels.append(
-            GridLevel(len(levels), matrix, restriction, prolongation, cells, spacing)
-        )
+        levels.append(GridLevel(len(levels), matrix, restriction, prolongation, cells))
         stencil = _coarsened(stencil)
         matrix = _csr_of(stencil)
         cells //= 2
-        spacing *= 2.0
-    levels.append(GridLevel(len(levels), matrix, None, None, cells, spacing))
-    return GridHierarchy(levels, l_min)
+    levels.append(GridLevel(len(levels), matrix, None, None, cells))
+    return GridHierarchy(levels)

@@ -66,10 +66,8 @@ class Partition:
     orientation of :func:`partition_cells`.
     """
 
-    n_subdomains: int
     core_cells: list
     extended_cells: list
-    overlap_width: int
 
 
 class _UnsplittableError(Exception):
@@ -185,7 +183,7 @@ def partition_cells(cells_per_axis, dimension, n_subdomains, overlap):
         flat = sum(x * strides[a] for x, a in zip(axes, order))
         cores.append(np.sort(flat[steps == 0]))
         extended.append(flat[steps <= overlap])
-    return Partition(n_subdomains, cores, extended, overlap)
+    return Partition(cores, extended)
 
 
 @dataclass(eq=False)

@@ -15,8 +15,9 @@ boundary and serves any number of solves of its top level, so the
 hybrid cycle keeps one engine for a whole solve.
 
 A deterministic scheduler mode pins the number of smoother sweeps per
-cycle, which makes runs bitwise reproducible and, at one sweep per
-cycle, reduces the protocol to the synchronous additive cycle.
+cycle, which makes runs bitwise reproducible and each correction exactly
+that many sweeps late; at one sweep per cycle it reduces the protocol to
+the synchronous additive cycle.
 """
 
 import queue
@@ -210,7 +211,7 @@ class _AsyncEngine:
     """
 
     def __init__(self, hierarchy, cfg, sched, *, top_level=0, trace=None,
-                 watchdog_seconds=60.0, coarse_delay_seconds=0.0):
+                 watchdog_seconds=60.0):
         if watchdog_seconds <= 0.0:
             raise ValueError("watchdog_seconds must be positive")
         self.hierarchy = hierarchy
@@ -219,7 +220,6 @@ class _AsyncEngine:
         self.top_level = top_level
         self.trace = trace
         self.watchdog = watchdog_seconds
-        self.coarse_delay = coarse_delay_seconds
         boundaries = range(top_level, hierarchy.n_levels - 1)
         self.cycles = {k: -1 for k in boundaries}  # last cycle started, -1 before any
         self.workers = {k: _Worker(f"coarse-l{k + 1}") for k in boundaries}
@@ -242,8 +242,6 @@ class _AsyncEngine:
 
     def _correct(self, boundary, r, cycle):
         """Coarse task: restrict ``r``, solve the next level, prolong the correction."""
-        if self.coarse_delay > 0.0 and boundary == self.top_level:
-            time.sleep(self.coarse_delay)
         fine = self.hierarchy.levels[boundary]
         coarse = self.hierarchy.levels[boundary + 1]
         coarse_residual = spmv(fine.restriction, r)
@@ -301,7 +299,7 @@ class _AsyncEngine:
 
 
 def async_solve(hierarchy, b, x0, cfg, smoother_workers, sched, *, trace=None,
-                watchdog_seconds=60.0, coarse_delay_seconds=0.0):
+                watchdog_seconds=60.0):
     """Solve ``A x = b`` with the semi-asynchronous additive cycle.
 
     Parameters
@@ -321,8 +319,6 @@ def async_solve(hierarchy, b, x0, cfg, smoother_workers, sched, *, trace=None,
         Receives one row per protocol event and per transfer application.
     watchdog_seconds : float, optional
         Deadlock guard on every wait for a coarse correction.
-    coarse_delay_seconds : float, optional
-        Test hook: sleep injected before each top-boundary coarse solve.
 
     Returns
     -------
@@ -334,8 +330,7 @@ def async_solve(hierarchy, b, x0, cfg, smoother_workers, sched, *, trace=None,
         return orthomg_solve_additive(hierarchy, b, x0, cfg)
     with _bound_smoothers(cfg, smoother_workers) as bound, \
             _AsyncEngine(hierarchy, bound, sched, trace=trace,
-                         watchdog_seconds=watchdog_seconds,
-                         coarse_delay_seconds=coarse_delay_seconds) as engine:
+                         watchdog_seconds=watchdog_seconds) as engine:
         return engine.run_level(0, b, x0, ConvergenceHistory())
 
 

@@ -2,13 +2,14 @@
 
 import importlib.util
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import scipy.sparse
 
 import orthomg as om
-from orthomg import smoothers
+from orthomg import smoothers, sync
 
 
 def random_sparse(rng, n_rows, n_cols, density=0.3):
@@ -93,7 +94,7 @@ def benchmark_setup(cells=16, dimension=2, l_min=64, smoother="schwarz",
     """
     spec = om.ProblemSpec(dimension=dimension, cells_per_axis=cells, k_outer=k_outer)
     hierarchy = om.build_hierarchy(spec, l_min=l_min)
-    _, b = om.assemble_poisson(spec)
+    b = spec.rhs()
     smoothers = []
     for level in hierarchy.levels[:-1]:
         if smoother == "schwarz":
@@ -108,6 +109,21 @@ def benchmark_setup(cells=16, dimension=2, l_min=64, smoother="schwarz",
     return spec, hierarchy, b, tuple(smoothers)
 
 
+def slow_coarsest_solve(seconds):
+    """The coarsest direct solve, run after a sleep of ``seconds``.
+
+    Bound as ``orthomg.taskpar.coarsest_solve`` (by ``monkeypatch``, or by
+    assignment in a subprocess), it delays every coarse task whose next
+    level is the coarsest; on a two-level hierarchy that is every coarse
+    correction of the top boundary.
+    """
+    def solve(a, r):
+        time.sleep(seconds)
+        return sync.coarsest_solve(a, r)
+
+    return solve
+
+
 def cycle_config(variant, smoothers, **kwargs):
     return om.CycleConfig(
         variant=variant,
@@ -115,3 +131,19 @@ def cycle_config(variant, smoothers, **kwargs):
         smoothers=smoothers,
         **kwargs,
     )
+
+
+def smoother_steps(setup, sweeps_per_cycle):
+    """Finest-level smoother steps of a deterministic task-parallel solve.
+
+    ``setup`` is what :func:`benchmark_setup` returns.  The scheduler pins
+    the lateness: each cycle's coarse correction is folded in after
+    ``sweeps_per_cycle`` smoother sweeps.
+    """
+    _, h, b, smoothers = setup
+    result = om.async_solve(
+        h, b, np.zeros(h.finest.n_dofs), cycle_config("additive_task_parallel", smoothers),
+        om.assign_groups(h, h.n_levels), om.SchedulerMode.deterministic(sweeps_per_cycle),
+    )
+    assert result.converged
+    return result.history.kinds().count("smoother")

@@ -20,6 +20,11 @@ of the level operator's CSR arrays and how many distinct subdomain or
 tile blocks the workload's smoother factorizes there, so a diff of two
 outputs also names the operators that changed.
 
+After the histories it prints the staleness response: the finest-level
+smoother steps of ``additive_task_parallel`` under the deterministic
+scheduler at 1, 2, 4 and 10 sweeps per cycle, on the two problems of
+acceptance criterion 6 (64^2 with 4 Schwarz subdomains, 128^2 with 64).
+
 The file name keeps it out of pytest's collection.
 """
 
@@ -31,7 +36,7 @@ import tempfile
 from pathlib import Path
 
 from orthomg import build_hierarchy, build_level_smoothers, build_problem_spec, cli, smoothers
-from helpers import load_perfbench
+from helpers import benchmark_setup, load_perfbench, smoother_steps
 
 BASE = Path(__file__).resolve().parent.parent / "configs" / "benchmark.cfg"
 
@@ -91,6 +96,15 @@ def operators():
             yield f"{name:44s} {m.shape[0]:5d} rows  {digest(arrays)}  blocks {blocks}"
 
 
+def staleness():
+    """One line per criterion-6 problem: its smoother steps at each lateness."""
+    for cells, subdomains in ((64, 4), (128, 64)):
+        setup = benchmark_setup(cells=cells, l_min=64, n_subdomains=subdomains)
+        steps = "/".join(str(smoother_steps(setup, sweeps)) for sweeps in (1, 2, 4, 10))
+        name = f"staleness-{cells}-schwarz{subdomains}"
+        yield f"{name:44s} smoother steps at 1/2/4/10 sweeps per cycle: {steps}"
+
+
 def main():
     for line in operators():
         print(line)
@@ -108,6 +122,8 @@ def main():
             rows = data.count(b"\n") - 1  # minus the header
             kinds = b"\n".join(row.rsplit(b",", 1)[-1] for row in data.splitlines()[1:])
             print(f"{name:44s} {rows:4d} rows  {digest(data)}  kinds {digest(kinds)}")
+    for line in staleness():
+        print(line)
     return 0
 
 

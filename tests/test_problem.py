@@ -68,14 +68,6 @@ def test_spec_rejects(bad):
         om.ProblemSpec(**kwargs)
 
 
-def test_coefficient_at():
-    spec = om.ProblemSpec(dimension=2, cells_per_axis=8, radius_factor=0.5)
-    assert om.coefficient_at(spec, (0.0, 0.0)) == spec.k_inner
-    assert om.coefficient_at(spec, (0.9, 0.0)) == spec.k_outer
-    # the interface itself belongs to the outer region
-    assert om.coefficient_at(spec, (0.5, 0.0)) == spec.k_outer
-
-
 # ---------------------------------------------------------------------------
 # assembly
 
@@ -124,6 +116,19 @@ def test_rhs_uses_configured_constant():
     spec = om.ProblemSpec(dimension=2, cells_per_axis=4, rhs_constant=2.5)
     _, rhs = om.assemble_poisson(spec)
     assert np.array_equal(rhs, np.full(16, 2.5))
+
+
+def test_cells_on_the_interface_take_the_outer_coefficient():
+    # on the 4^2 grid of [-4, 4]^2 the four middle cells are centred at
+    # (+-1, +-1), exactly on an interface of radius sqrt(2)
+    on = om.ProblemSpec(dimension=2, cells_per_axis=4, half_width=4.0,
+                        radius_factor=math.sqrt(2.0) / 4.0)
+    outer = om.ProblemSpec(dimension=2, cells_per_axis=4, half_width=4.0,
+                           k_inner=on.k_outer)
+    past = om.ProblemSpec(dimension=2, cells_per_axis=4, half_width=4.0, radius_factor=0.36)
+    uniform = om.assemble_poisson(outer)[0].toarray()
+    assert np.array_equal(om.assemble_poisson(on)[0].toarray(), uniform)
+    assert not np.array_equal(om.assemble_poisson(past)[0].toarray(), uniform)
 
 
 def test_coefficient_jump_is_radial():
@@ -241,20 +246,13 @@ def test_hierarchy_stops_at_two_cells_per_axis():
     assert [lvl.cells_per_axis for lvl in hierarchy.levels] == [8, 4, 2]
 
 
-def test_hierarchy_spacing_doubles():
-    spec = om.ProblemSpec(dimension=2, cells_per_axis=16)
-    hierarchy = om.build_hierarchy(spec, l_min=16)
-    spacings = [lvl.spacing for lvl in hierarchy.levels]
-    assert spacings == pytest.approx([0.125, 0.25, 0.5])
-
-
 def test_hierarchy_validation():
     spec = om.ProblemSpec(dimension=2, cells_per_axis=8)
     good = om.build_hierarchy(spec, l_min=4)
     with pytest.raises(ValueError):
-        om.GridHierarchy(list(reversed(good.levels)), l_min=4)
+        om.GridHierarchy(list(reversed(good.levels)))
     with pytest.raises(ValueError):
-        om.GridHierarchy([], l_min=4)
+        om.GridHierarchy([])
 
 
 @pytest.mark.parametrize("dimension,cells", [(2, 32), (3, 8)])
@@ -262,15 +260,15 @@ def test_hierarchy_from_assembled_matrix_matches_build_hierarchy(dimension, cell
     spec = om.ProblemSpec(dimension=dimension, cells_per_axis=cells)
     matrix, _ = om.assemble_poisson(spec)
     direct = om.build_hierarchy(spec, l_min=16)
-    reused = om.hierarchy_from_matrix(matrix, cells, spec.spacing, dimension, l_min=16)
+    reused = om.hierarchy_from_matrix(matrix, cells, dimension, l_min=16)
     assert reused.finest.matrix is matrix
     assert reused.n_levels == direct.n_levels >= 2
     for mine, theirs in zip(reused.levels, direct.levels):
-        assert (mine.cells_per_axis, mine.spacing) == (theirs.cells_per_axis, theirs.spacing)
+        assert mine.cells_per_axis == theirs.cells_per_axis
         for name in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(mine.matrix, name), getattr(theirs.matrix, name))
     with pytest.raises(ValueError, match="grid"):
-        om.hierarchy_from_matrix(matrix, cells // 2, spec.spacing, dimension)
+        om.hierarchy_from_matrix(matrix, cells // 2, dimension)
 
 
 def with_couplings(a, pairs):
@@ -287,15 +285,15 @@ def test_hierarchy_from_matrix_rejects_couplings_off_the_faces():
     diagonal = [(grid[i, j], grid[i + di, j + dj]) for i in range(7) for j in range(8)
                 for di, dj in ((1, -1), (1, 1)) if 0 <= j + dj < 8]
     with pytest.raises(ValueError, match="row 0 couples cell 9, which is not a face"):
-        om.hierarchy_from_matrix(with_couplings(a, diagonal), 8, 0.25, 2)
+        om.hierarchy_from_matrix(with_couplings(a, diagonal), 8, 2)
     # cell 7 ends the first grid line and cell 8 starts the next: adjacent
     # numbers, no shared face
     with pytest.raises(ValueError, match="row 7 couples cell 8, which is not a face"):
-        om.hierarchy_from_matrix(with_couplings(a, [(7, 8)]), 8, 0.25, 2)
+        om.hierarchy_from_matrix(with_couplings(a, [(7, 8)]), 8, 2)
     # in 3D, the last line of one plane and the first line of the next
     a = om.assemble_poisson(om.ProblemSpec(dimension=3, cells_per_axis=4))[0]
     with pytest.raises(ValueError, match="row 12 couples cell 16, which is not a face"):
-        om.hierarchy_from_matrix(with_couplings(a, [(12, 16)]), 4, 0.5, 3)
+        om.hierarchy_from_matrix(with_couplings(a, [(12, 16)]), 4, 3)
 
 
 @pytest.mark.parametrize("dimension,cells", [(2, 64), (3, 16)])
@@ -306,7 +304,7 @@ def test_every_matrix_is_canonical_int32_csr(dimension, cells):
     assembled, _ = om.assemble_poisson(spec)
     prolongation = om.build_prolongation(cells, dimension)
     restriction = om.build_restriction(prolongation, dimension)
-    hierarchy = om.hierarchy_from_matrix(assembled, cells, spec.spacing, dimension, l_min=16)
+    hierarchy = om.hierarchy_from_matrix(assembled, cells, dimension, l_min=16)
     matrices = [assembled, prolongation, restriction]
     for level in hierarchy.levels:
         matrices += [m for m in (level.matrix, level.restriction, level.prolongation)

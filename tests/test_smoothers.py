@@ -97,7 +97,6 @@ def test_partition_1d_pinned():
     assert [list(c) for c in p.core_cells] == [[0, 1, 2, 3], [4, 5, 6, 7]]
     # the second box lies past the grid's centre, so its window runs backwards
     assert [list(c) for c in p.extended_cells] == [[0, 1, 2, 3, 4], [7, 6, 5, 4, 3]]
-    assert p.overlap_width == 1
 
 
 @pytest.mark.parametrize("dimension", [2, 3])
@@ -120,7 +119,7 @@ def test_reflected_boxes_list_reflected_cells_alike(dimension):
 
 def test_partition_quadrants():
     p = om.partition_cells(16, 2, 4, 1)
-    assert p.n_subdomains == 4
+    assert len(p.core_cells) == len(p.extended_cells) == 4
     assert [len(c) for c in p.core_cells] == [64, 64, 64, 64]
     # an interior-corner quadrant grows one ring along its two cut faces
     assert [len(c) for c in p.extended_cells] == [80, 80, 80, 80]

@@ -75,7 +75,7 @@ def test_matvec_dimension_mismatch():
 def entry_points(a):
     """Each entry point's call on the 4^2 grid matrix ``a``."""
     return [
-        lambda: om.hierarchy_from_matrix(a, 4, 0.5, 2, l_min=4),
+        lambda: om.hierarchy_from_matrix(a, 4, 2, l_min=4),
         lambda: om.schwarz_setup(a, om.partition_cells(4, 2, 2, 1)),
         lambda: om.bj_setup(a, 2, (4, 2)),
     ]
@@ -123,7 +123,7 @@ def test_empty_trailing_rows_are_valid():
     a = scipy.sparse.csr_matrix(a)
     a.eliminate_zeros()
     assert np.array_equal(np.diff(a.indptr)[12:], [0, 0, 0, 0])
-    hierarchy = om.hierarchy_from_matrix(a, 4, 0.5, 2, l_min=4)
+    hierarchy = om.hierarchy_from_matrix(a, 4, 2, l_min=4)
     assert hierarchy.finest.matrix is a and hierarchy.n_levels == 2
 
 

@@ -445,7 +445,7 @@ def anisotropic_disc(cells, eps):
     data[diagonal] -= (1.0 - eps) * (couplings + boundary)[a.row[diagonal]]
     matrix = scipy.sparse.csr_matrix(scipy.sparse.coo_matrix((data, (a.row, a.col)),
                                                                    shape=a.shape))
-    return om.hierarchy_from_matrix(matrix, cells, spec.spacing, 2, l_min=64)
+    return om.hierarchy_from_matrix(matrix, cells, 2, l_min=64)
 
 
 @pytest.mark.parametrize("smoother,bound", [("schwarz", 18), ("block_jacobi", 17)])

@@ -17,7 +17,7 @@ import orthomg.resmin as resmin
 import orthomg.smoothers as smoothers_mod
 import orthomg.sync as sync
 import orthomg.taskpar as taskpar
-from helpers import benchmark_setup, cycle_config, kernel, load_perfbench
+from helpers import benchmark_setup, cycle_config, kernel, load_perfbench, slow_coarsest_solve
 
 
 def history_records(res):
@@ -428,14 +428,14 @@ def test_realtime_takes_at_least_one_sweep_per_cycle():
     assert np.all(np.diff(residuals) <= 1e-12 * residuals[0])
 
 
-def test_realtime_survives_a_slow_coarse_side():
+def test_realtime_survives_a_slow_coarse_side(monkeypatch):
     # stale corrections still help; the run converges with the coarse
     # solve artificially delayed
+    monkeypatch.setattr(taskpar, "coarsest_solve", slow_coarsest_solve(0.003))
     h, b, smoothers = two_level()
     cfg = cycle_config("additive_task_parallel", smoothers)
     res = om.async_solve(h, b, np.zeros(h.finest.n_dofs), cfg,
-                         om.assign_groups(h, 2), om.SchedulerMode.realtime(),
-                         coarse_delay_seconds=0.003)
+                         om.assign_groups(h, 2), om.SchedulerMode.realtime())
     assert res.converged
     assert res.residual_norm <= 1e-8 * om.norm2(b)
 
@@ -503,26 +503,28 @@ def test_worker_failure_surfaces_with_level_and_cause():
     assert coarse_threads() == []
 
 
-def test_watchdog_breaks_a_stalled_exchange():
+def test_watchdog_breaks_a_stalled_exchange(monkeypatch):
+    monkeypatch.setattr(taskpar, "coarsest_solve", slow_coarsest_solve(0.5))
     h, b, smoothers = two_level()
     cfg = cycle_config("additive_task_parallel", smoothers)
     with pytest.raises(om.ExchangeTimeoutError, match="level boundary 0"):
         om.async_solve(h, b, np.zeros(h.finest.n_dofs), cfg,
                        om.assign_groups(h, 2), om.SchedulerMode.deterministic(1),
-                       watchdog_seconds=0.05, coarse_delay_seconds=0.5)
+                       watchdog_seconds=0.05)
     assert coarse_threads() == []
 
 
 def test_stalled_coarse_task_raises_within_watchdog_and_join_bound(monkeypatch):
     # the coarse task outlives the join bound; the error must not wait for it
     monkeypatch.setattr(taskpar, "JOIN_SECONDS", 0.2)
+    monkeypatch.setattr(taskpar, "coarsest_solve", slow_coarsest_solve(1.0))
     h, b, smoothers = two_level()
     cfg = cycle_config("additive_task_parallel", smoothers)
     started = time.perf_counter()
     with pytest.raises(om.ExchangeTimeoutError, match="level boundary 0"):
         om.async_solve(h, b, np.zeros(h.finest.n_dofs), cfg,
                        om.assign_groups(h, 2), om.SchedulerMode.deterministic(1),
-                       watchdog_seconds=0.05, coarse_delay_seconds=1.0)
+                       watchdog_seconds=0.05)
     elapsed = time.perf_counter() - started
     # 0.25 s of slack for the one sweep and thread start-up on a loaded host
     assert elapsed < 0.05 + 0.2 + 0.25
@@ -534,14 +536,15 @@ def test_stalled_coarse_task_raises_within_watchdog_and_join_bound(monkeypatch):
 def test_stalled_coarse_task_does_not_block_interpreter_exit():
     script = (
         "import sys, numpy as np, orthomg as om\n"
-        "from helpers import benchmark_setup, cycle_config\n"
+        "from helpers import benchmark_setup, cycle_config, slow_coarsest_solve\n"
         "om.taskpar.JOIN_SECONDS = 0.1\n"
+        "om.taskpar.coarsest_solve = slow_coarsest_solve(60.0)\n"
         "_, h, b, sm = benchmark_setup(cells=16, l_min=64)\n"
         "try:\n"
         "    om.async_solve(h, b, np.zeros(h.finest.n_dofs),\n"
         "                   cycle_config('additive_task_parallel', sm),\n"
         "                   om.assign_groups(h, 2), om.SchedulerMode.deterministic(1),\n"
-        "                   watchdog_seconds=0.05, coarse_delay_seconds=60.0)\n"
+        "                   watchdog_seconds=0.05)\n"
         "except om.ExchangeTimeoutError:\n"
         "    sys.exit(0)\n"
         "sys.exit(1)\n"
