@@ -196,6 +196,8 @@ def parse_config(text):
         section, name, caster = _SCHEMA[key]
         try:
             parsed = caster(value)
+            if caster is float and not math.isfinite(parsed):
+                raise ValueError(f"expected a finite number, got {value!r}")
         except ValueError as exc:
             raise ValueError(f"line {lineno}: bad value for {key!r}: {exc}") from None
         target = cfg if section is None else getattr(cfg, section)
@@ -263,12 +265,12 @@ def validate_config(cfg):
         raise ValueError("smoother.tile must be a power of two")
     if cfg.smoother.sweeps < 1:
         raise ValueError("smoother.sweeps must be at least 1")
-    if cfg.smoother.omega <= 0.0:
-        raise ValueError("smoother.omega must be positive")
+    if not 0.0 < cfg.smoother.omega < math.inf:
+        raise ValueError("smoother.omega must be positive and finite")
     if cfg.solver.max_outer_iterations < 1:
         raise ValueError("solver.max_outer_iterations must be at least 1")
-    if cfg.watchdog_seconds <= 0.0:
-        raise ValueError("watchdog_seconds must be positive")
+    if not 0.0 < cfg.watchdog_seconds < math.inf:
+        raise ValueError("watchdog_seconds must be positive and finite")
     build_criteria(cfg)  # level rules carry their own invariants
     return cfg
 

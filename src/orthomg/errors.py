@@ -21,7 +21,7 @@ class ExchangeTimeoutError(RuntimeError):
 
 
 class WorkerError(RuntimeError):
-    """A worker group died; records which level and role failed."""
+    """A worker thread died; records which level and role failed."""
 
     def __init__(self, level, role, cause):
         super().__init__(f"worker at level {level} ({role} role) failed: {cause}")

@@ -63,12 +63,13 @@ class ProblemSpec:
                 "cells_per_axis must be a power of two >= 4, "
                 f"got {self.cells_per_axis}"
             )
-        if not (self.k_inner > 0.0 and self.k_outer > 0.0):
-            raise ValueError("coefficients k_inner and k_outer must be positive")
+        for name in ("k_inner", "k_outer", "half_width"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if not 0.0 < self.radius_factor < 1.0:
             raise ValueError("radius_factor must lie strictly between 0 and 1")
-        if self.half_width <= 0.0:
-            raise ValueError("half_width must be positive")
+        if not np.isfinite(self.rhs_constant):
+            raise ValueError("rhs_constant must be finite")
 
     @property
     def interface_radius(self):

@@ -26,7 +26,12 @@ import scipy.sparse
 from scipy.sparse.linalg import splu
 # SuperLU's triangular solve is private to scipy (``spsolve_triangular``
 # calls it); the scipy floor in pyproject.toml is the release whose
-# ``gstrs`` signature was checked.
+# ``gstrs`` signature was checked.  The public ``SuperLU.solve`` solves the
+# same multi-column pieces to 1e-15 but, with BLAS threads unpinned as the
+# CLI and the tests run, erratically: 20-59 ms for one level-0 piece of the
+# 256^2 and 32^3 benchmarks on a 2-CPU host, where ``gstrs`` took 0.4-1.6 ms.
+# Pinned to one BLAS thread it is as fast or faster (32^3 level-0 sweep: 2.0
+# against 2.5 ms), so switching is safe only once every caller pins.
 from scipy.sparse.linalg._dsolve._superlu import gstrs
 
 from .errors import NumericalFailureError, SingularMatrixError
@@ -539,8 +544,8 @@ def bj_setup(a, tile_cells_per_axis, geometry=None, omega=1.0, sweeps=5,
             f"tile size {tile_cells_per_axis} does not divide the "
             f"axis cell count {cells}"
         )
-    if omega <= 0.0:
-        raise ValueError("omega must be positive")
+    if not 0.0 < omega < np.inf:
+        raise ValueError("omega must be positive and finite")
     # axes (tile_0, cell_0, tile_1, cell_1, ...) -> one row of cells per tile
     grid = np.arange(a.shape[0], dtype=np.int64).reshape(
         (cells // tile_cells_per_axis, tile_cells_per_axis) * dimension)

@@ -102,8 +102,8 @@ class ConvergenceCriteria:
     deep_rule: LevelRule = LevelRule(None, 1)
 
     def __post_init__(self):
-        if self.eps_rel <= 0.0 or self.eps_abs < 0.0:
-            raise ValueError("tolerances must be positive")
+        if not (0.0 < self.eps_rel < np.inf and 0.0 <= self.eps_abs < np.inf):
+            raise ValueError("eps_rel must be positive, eps_abs non-negative, both finite")
         for level, rule in self.level_rules:
             if level < 1 or not isinstance(rule, LevelRule):
                 raise ValueError("level rules apply to intermediate levels only")

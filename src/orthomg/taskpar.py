@@ -25,8 +25,8 @@ import threading
 import time
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from contextlib import ExitStack
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -212,8 +212,8 @@ class _AsyncEngine:
 
     def __init__(self, hierarchy, cfg, sched, *, top_level=0, trace=None,
                  watchdog_seconds=60.0):
-        if watchdog_seconds <= 0.0:
-            raise ValueError("watchdog_seconds must be positive")
+        if not 0.0 < watchdog_seconds < np.inf:
+            raise ValueError("watchdog_seconds must be positive and finite")
         self.hierarchy = hierarchy
         self.cfg = cfg
         self.sched = sched
@@ -237,11 +237,16 @@ class _AsyncEngine:
             worker.thread.join(timeout=JOIN_SECONDS)
 
     def _trace(self, level, role, kind, cycle_index):
-        if self.trace is not None:
+        if self.trace is not None and cycle_index is not None:
             self.trace.record(level, role, kind, cycle_index)
 
-    def _correct(self, boundary, r, cycle):
-        """Coarse task: restrict ``r``, solve the next level, prolong the correction."""
+    def _correct(self, boundary, r, cycle=None):
+        """Restrict ``r``, solve the next level, prolong; traced only with a ``cycle``.
+
+        ``sync.solve_level`` keeps its own step: perfbench's tracer tells
+        hybrid's coarse calls from the synchronous recursion by the module
+        whose ``spmv`` a transfer goes through.
+        """
         fine = self.hierarchy.levels[boundary]
         coarse = self.hierarchy.levels[boundary + 1]
         coarse_residual = spmv(fine.restriction, r)
@@ -326,11 +331,11 @@ def async_solve(hierarchy, b, x0, cfg, smoother_workers, sched, *, trace=None,
         ``iterations`` counts finest-level cycles.
     """
     b, x0 = _check_solve_inputs(hierarchy, b, x0, cfg)
-    if hierarchy.n_levels == 1:
-        return orthomg_solve_additive(hierarchy, b, x0, cfg)
     with _bound_smoothers(cfg, smoother_workers) as bound, \
             _AsyncEngine(hierarchy, bound, sched, trace=trace,
                          watchdog_seconds=watchdog_seconds) as engine:
+        if hierarchy.n_levels == 1:
+            return orthomg_solve_additive(hierarchy, b, x0, cfg)
         return engine.run_level(0, b, x0, ConvergenceHistory())
 
 
@@ -340,28 +345,14 @@ def hybrid_solve(hierarchy, b, x0, cfg, smoother_workers, sched=None, *, trace=N
 
     The finest level pre-smooths, folds in a coarse correction, and
     post-smooths exactly like the synchronous multiplicative cycle, but
-    each coarse correction is a solve of the next level by one
-    task-parallel engine, started once for the whole solve.  With a
-    two-level hierarchy the coarse call is a direct solve and the run
-    coincides with the synchronous multiplicative cycle; a one-level
-    hierarchy is solved directly.
+    each coarse correction is the coarse step of one task-parallel engine,
+    started once for the whole solve.  With a two-level hierarchy that
+    step is a direct solve and the run coincides with the synchronous
+    multiplicative cycle; a one-level hierarchy is solved directly.
     """
     b, x0 = _check_solve_inputs(hierarchy, b, x0, cfg)
-    if sched is None:
-        sched = SchedulerMode.realtime()
-    history = ConvergenceHistory()
-    with _bound_smoothers(cfg, smoother_workers) as bound, ExitStack() as stack:
-        coarse = None  # one or two levels: solve_level's direct coarsest solve
-        if hierarchy.n_levels > 2:
-            engine = stack.enter_context(_AsyncEngine(
-                hierarchy, bound, sched, top_level=1, trace=trace,
-                watchdog_seconds=watchdog_seconds))
-            finest = hierarchy.levels[0]
-
-            def coarse(r):
-                sub = engine.run_level(1, spmv(finest.restriction, r),
-                                       np.zeros(hierarchy.levels[1].n_dofs))
-                return spmv(finest.prolongation, sub.x)
-
-        return solve_level(hierarchy, 0, b, x0, bound, multiplicative_body, history,
-                           coarse=coarse)
+    with _bound_smoothers(cfg, smoother_workers) as bound, \
+            _AsyncEngine(hierarchy, bound, sched or SchedulerMode.realtime(), top_level=1,
+                         trace=trace, watchdog_seconds=watchdog_seconds) as engine:
+        return solve_level(hierarchy, 0, b, x0, bound, multiplicative_body,
+                           ConvergenceHistory(), coarse=partial(engine._correct, 0))

@@ -223,6 +223,20 @@ def test_zero_workers_is_a_config_error(tmp_path, capsys):
     assert "workers must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", [
+    "watchdog_seconds = nan", "watchdog_seconds = inf",
+    "solver.eps_rel = nan", "solver.eps_abs = nan",
+    "problem.k_outer = inf", "problem.half_width = nan",
+    "smoother.omega = nan", "smoother.omega = inf",
+    "problem.rhs_constant = nan", "problem.rhs_constant = inf",
+])
+def test_non_finite_setting_is_a_config_error(tmp_path, capsys, line):
+    code, out = run(tmp_path, "solve", line + "\n")
+    assert code == cli.EXIT_BAD_CONFIG
+    assert f"bad value for '{line.split(' = ')[0]}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_workers_flag_overrides_the_config(tmp_path):
     code, out = run(tmp_path, "solve", "workers = 4\n", flags=("--workers", "2"))
     assert code == cli.EXIT_OK

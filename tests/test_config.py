@@ -1,5 +1,6 @@
 """Config format tests: parsing, validation, canonical round trip, builders."""
 
+import math
 from pathlib import Path
 
 import pytest
@@ -164,6 +165,38 @@ def test_sample_config_parses_and_round_trips(name):
 def test_validation_rejects_bad_settings(line, message):
     with pytest.raises(ValueError, match=message):
         om.parse_config(line + "\n")
+
+
+# every float key, at a non-finite value: NaN passes a plain ``<= 0`` check
+NON_FINITE = [
+    "watchdog_seconds = nan", "watchdog_seconds = inf",
+    "solver.eps_rel = nan", "solver.eps_abs = nan",
+    "problem.k_outer = inf", "problem.half_width = nan",
+    "smoother.omega = nan", "smoother.omega = inf",
+    "problem.rhs_constant = nan", "problem.rhs_constant = inf",
+    "problem.k_inner = -inf", "problem.radius_factor = nan",
+    "solver.level1.factor = nan", "solver.level2.factor = inf",
+]
+
+
+@pytest.mark.parametrize("line", NON_FINITE)
+def test_non_finite_values_report_key_and_line(line):
+    key = line.split(" = ")[0]
+    with pytest.raises(ValueError, match=f"line 2: bad value for '{key}': expected a finite"):
+        om.parse_config(f"workers = 2\n{line}\n")
+
+
+@pytest.mark.parametrize("section,name", [
+    (None, "watchdog_seconds"), ("smoother", "omega"), ("solver", "eps_rel"),
+    ("problem", "half_width"), ("problem", "k_outer"), ("problem", "rhs_constant"),
+])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_validation_rejects_non_finite_values_built_in_code(section, name, value):
+    # a config built in code, as perfbench's workloads build theirs, skips the parser
+    cfg = om.RunConfig()
+    setattr(cfg if section is None else getattr(cfg, section), name, value)
+    with pytest.raises(ValueError, match=name):
+        config_mod.validate_config(cfg)
 
 
 @pytest.mark.parametrize("key", [

@@ -1,6 +1,9 @@
 """Sparse kernel tests against independent dense oracles."""
 
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -227,3 +230,13 @@ def test_perfbench_harness_reads_the_library_matrices():
         sample = harness.make_sample(setup.seconds, b, result, seconds)
         reasons, _, _ = harness.check(sample, *harness.reference_solver(cfg))
         assert reasons == [], (workload.name, reasons)
+
+
+def test_perfbench_selftest_passes():
+    # perfbench's harness and tracer drive this library; a change that breaks
+    # them fails here, not only when the benchmark runs
+    folder = Path(__file__).resolve().parent.parent
+    done = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=folder,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "selftest passed" in done.stdout

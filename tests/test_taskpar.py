@@ -1,4 +1,4 @@
-"""Task-parallel engine tests: worker groups, message protocol, equivalence."""
+"""Task-parallel engine tests: pool sizes, message protocol, equivalence."""
 
 import os
 import subprocess
@@ -626,6 +626,59 @@ def test_hybrid_call_sites_match_the_perfbench_tracer():
     exchanges = [span.level for span in driving
                  if span.name == tracing.RM_UPDATE and span.site == "taskpar"]
     assert exchanges and set(exchanges) == {1}
+
+
+def test_hybrid_finest_coarse_call_is_the_engine_coarse_step(monkeypatch):
+    h, b, smoothers = three_level()
+    calls = []
+    correct = taskpar._AsyncEngine._correct
+
+    def counted(engine, boundary, r, cycle=None):
+        calls.append((boundary, cycle))
+        return correct(engine, boundary, r, cycle)
+
+    monkeypatch.setattr(taskpar._AsyncEngine, "_correct", counted)
+    trace = om.MessageTrace()
+    res = om.hybrid_solve(h, b, np.zeros(h.finest.n_dofs), cycle_config("hybrid", smoothers),
+                          om.assign_groups(h, 3), om.SchedulerMode.deterministic(1),
+                          trace=trace)
+    assert res.converged
+    # one untraced call per finest iteration; the exchanges below pass their cycle
+    assert [c for c in calls if c[0] == 0] == [(0, None)] * res.iterations
+    exchanges = [c for c in calls if c[0] != 0]
+    assert exchanges and all(boundary == 1 and cycle is not None for boundary, cycle in exchanges)
+    assert trace.rows and all(row.level >= 1 for row in trace.rows)
+
+
+def test_hybrid_two_levels_checks_the_watchdog():
+    h, b, smoothers = two_level()
+    with pytest.raises(ValueError, match="watchdog_seconds"):
+        om.hybrid_solve(h, b, np.zeros(h.finest.n_dofs), cycle_config("hybrid", smoothers),
+                        om.assign_groups(h, 2), watchdog_seconds=0.0)
+
+
+def test_library_entry_points_reject_non_finite_settings():
+    with pytest.raises(ValueError, match="half_width"):
+        om.ProblemSpec(dimension=2, cells_per_axis=8, half_width=float("nan"))
+    with pytest.raises(ValueError, match="eps_rel"):
+        om.ConvergenceCriteria(eps_rel=float("nan"))
+    h, b, smoothers = two_level()
+    with pytest.raises(ValueError, match="omega"):
+        om.bj_setup(h.finest.matrix, 4, (16, 2), omega=float("nan"))
+    with pytest.raises(ValueError, match="watchdog_seconds"):
+        om.async_solve(h, b, np.zeros(h.finest.n_dofs),
+                       cycle_config("additive_task_parallel", smoothers),
+                       om.assign_groups(h, 2), om.SchedulerMode.deterministic(1),
+                       watchdog_seconds=float("nan"))
+    spec = om.ProblemSpec(dimension=2, cells_per_axis=8)
+    one = om.build_hierarchy(spec, l_min=10_000)
+    for solve in (om.async_solve, om.hybrid_solve):
+        # a one-level hierarchy is solved directly, and still checks the setting
+        with pytest.raises(ValueError, match="watchdog_seconds"):
+            solve(one, spec.rhs(), np.zeros(one.finest.n_dofs),
+                  cycle_config("additive_task_parallel", (None,)), (),
+                  om.SchedulerMode.realtime(), watchdog_seconds=float("inf"))
+    assert coarse_threads() == []
 
 
 def test_back_to_back_deterministic_hybrid_solves_match():
