@@ -10,6 +10,7 @@ can be round-tripped and identified in benchmark reports.
 
 import hashlib
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .problem import ProblemSpec
@@ -211,6 +212,24 @@ def parse_config_file(path):
         return parse_config(handle.read())
 
 
+@contextmanager
+def _keyed(prefix, renamed=()):
+    """Name the config key in a ``ValueError`` raised by a library type.
+
+    The type's messages open with its field's name; ``prefix`` is the
+    key's section, and ``renamed`` pairs a field with its key's name where
+    the two differ.
+    """
+    try:
+        yield
+    except ValueError as exc:
+        message = str(exc)
+        for name, key in renamed:
+            if message.startswith(name):
+                message = key + message[len(name):]
+        raise ValueError(prefix + message) from None
+
+
 def validate_config(cfg):
     """Cross-field validation beyond per-value parsing."""
     build_problem_spec(cfg)  # ProblemSpec carries its own invariants
@@ -226,11 +245,8 @@ def validate_config(cfg):
         raise ValueError(
             f"smoother.precision must be 'float64' or 'float32', got {cfg.smoother.precision!r}"
         )
-    try:
+    with _keyed("scheduler."):
         SchedulerMode(cfg.scheduler.mode, cfg.scheduler.sweeps_per_cycle)
-    except ValueError as exc:
-        # SchedulerMode's messages open with the key within the section
-        raise ValueError(f"scheduler.{exc}") from None
     if cfg.l_min < 4:
         raise ValueError("hierarchy.l_min must be at least 4")
     if cfg.workers < 1:
@@ -291,27 +307,28 @@ def config_digest(cfg):
 
 def build_problem_spec(cfg, cells_per_axis=None):
     p = cfg.problem
-    return ProblemSpec(
-        dimension=p.dimension,
-        cells_per_axis=cells_per_axis or p.cells_per_axis,
-        radius_factor=p.radius_factor,
-        k_inner=p.k_inner,
-        k_outer=p.k_outer,
-        rhs_constant=p.rhs_constant,
-        half_width=p.half_width,
-    )
+    with _keyed("problem."):
+        return ProblemSpec(
+            dimension=p.dimension,
+            cells_per_axis=cells_per_axis or p.cells_per_axis,
+            radius_factor=p.radius_factor,
+            k_inner=p.k_inner,
+            k_outer=p.k_outer,
+            rhs_constant=p.rhs_constant,
+            half_width=p.half_width,
+        )
 
 
 def build_criteria(cfg):
     s = cfg.solver
-    return ConvergenceCriteria(
-        eps_rel=s.eps_rel,
-        eps_abs=s.eps_abs,
-        level_rules=(
-            (1, LevelRule(s.level1_factor, s.level1_max_iterations)),
-            (2, LevelRule(s.level2_factor, s.level2_max_iterations)),
-        ),
-    )
+    rules = []
+    for level, factor, iterations in ((1, s.level1_factor, s.level1_max_iterations),
+                                      (2, s.level2_factor, s.level2_max_iterations)):
+        with _keyed(f"solver.level{level}.", renamed=(("reduction_factor", "factor"),)):
+            rules.append((level, LevelRule(factor, iterations)))
+    with _keyed("solver."):
+        return ConvergenceCriteria(eps_rel=s.eps_rel, eps_abs=s.eps_abs,
+                                   level_rules=tuple(rules))
 
 
 def subdomain_count(n_cells, target_cells):
@@ -329,12 +346,14 @@ def build_level_smoothers(hierarchy, cfg, dimension):
         if sm.kind == "schwarz":
             count = subdomain_count(level.n_dofs, sm.subdomain_cells)
             part = partition_cells(level.cells_per_axis, dimension, count, sm.overlap)
-            smoother = schwarz_setup(level.matrix, part, sm.precision, sm.iterations)
+            smoother = schwarz_setup(level.matrix, part, sm.precision, sm.iterations,
+                                     stencil=level.stencil)
         else:
             tile = min(sm.tile, level.cells_per_axis)
             smoother = bj_setup(
                 level.matrix, tile, (level.cells_per_axis, dimension),
                 omega=sm.omega, sweeps=sm.sweeps, precision=sm.precision,
+                stencil=level.stencil,
             )
         bound.append(LevelSmoother(smoother))
     bound.append(None)

@@ -94,6 +94,12 @@ class GridLevel:
 
     ``restriction`` maps this level to the next coarser one and
     ``prolongation`` maps back; both are ``None`` on the coarsest level.
+    ``stencil`` is ``matrix`` in stencil form, shape ``(2d+1,) + (n,)*d``:
+    slot ``a`` holds each cell's coupling to its lower neighbour on axis
+    ``a``, slot ``d`` its diagonal and slot ``2d - a`` its coupling to its
+    upper neighbour, 0 where that neighbour lies outside the grid.  The
+    smoothers read their blocks from it; ``None`` makes them gather the
+    blocks from the matrix rows.
     """
 
     index: int
@@ -101,6 +107,7 @@ class GridLevel:
     restriction: Optional[scipy.sparse.csr_matrix]
     prolongation: Optional[scipy.sparse.csr_matrix]
     cells_per_axis: int
+    stencil: Optional[np.ndarray] = None
 
     @property
     def n_dofs(self):
@@ -378,7 +385,7 @@ def hierarchy_from_matrix(matrix, cells, dimension, l_min=1024):
 
 
 def _hierarchy(matrix, stencil, l_min):
-    """Levels from ``matrix`` and its stencil form down to ``l_min`` unknowns."""
+    """Levels from ``matrix`` and its stencil form down to ``l_min`` unknowns, each keeping its stencil."""
     if l_min < 4:
         raise ValueError("l_min must be at least 4")
     dimension = stencil.ndim - 1
@@ -387,9 +394,9 @@ def _hierarchy(matrix, stencil, l_min):
     while matrix.shape[0] > l_min and cells >= 4:
         prolongation = build_prolongation(cells, dimension)
         restriction = build_restriction(prolongation, dimension)
-        levels.append(GridLevel(len(levels), matrix, restriction, prolongation, cells))
+        levels.append(GridLevel(len(levels), matrix, restriction, prolongation, cells, stencil))
         stencil = _coarsened(stencil)
         matrix = _csr_of(stencil)
         cells //= 2
-    levels.append(GridLevel(len(levels), matrix, None, None, cells))
+    levels.append(GridLevel(len(levels), matrix, None, None, cells, stencil))
     return GridHierarchy(levels)

@@ -19,6 +19,7 @@ damping because the surrounding minimization absorbs any
 overcorrection.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,11 +69,93 @@ class Partition:
     """Disjoint core cells plus overlap-extended cells per subdomain.
 
     Core cells are ascending; extended cells are listed in the canonical
-    orientation of :func:`partition_cells`.
+    orientation of :func:`partition_cells`.  ``boxes`` are the boxes the
+    sets were cut from, in groups that list their sets by one pattern
+    (:class:`_Boxes`); a partition listed by hand has none, and set-up
+    then gathers its blocks from the matrix rows.
     """
 
     core_cells: list
     extended_cells: list
+    boxes: tuple = ()
+
+
+@dataclass(eq=False)
+class _Boxes:
+    """Boxes whose sets are one pattern of cells, each placed by its own walk.
+
+    A set walks a window of ``shape`` cells, one extent per walk axis in
+    the walk's order, and holds the window cells ``cells`` (walk
+    coordinates, in walk order), of which those marked in ``core`` lie in
+    the box.  Box ``k`` is set ``members[k]``: window cell ``x`` is grid
+    cell ``base[k] + strides[k] @ x``, and walk direction ``j`` is stencil
+    slot ``slots[k, j]``, with walk directions in stencil order over the
+    walk axes.  Every set's block has the entries ``(row, col,
+    direction)``: each row lists its columns in ascending order, since the
+    walk fixes the set's order, and rows run in set order.
+    """
+
+    members: np.ndarray
+    base: np.ndarray
+    strides: np.ndarray
+    slots: np.ndarray
+    cells: np.ndarray
+    core: np.ndarray
+    row: np.ndarray
+    col: np.ndarray
+    direction: np.ndarray
+
+    def grid_cells(self, boxes=slice(None), cells=None):
+        """Grid cells of window ``cells`` (default: the set's) for each of ``boxes``, one row per box."""
+        cells = self.cells if cells is None else cells
+        out = np.repeat(self.base[boxes, None], len(cells), axis=1)
+        for stride, x in zip(self.strides[boxes].T, cells.T):
+            out += stride[:, None] * x
+        return out
+
+
+def _walks(lo, hi, flips, order, cells_per_axis, overlap):
+    """Group boxes ``[lo, hi)`` by the pattern their walks list.
+
+    Row ``k`` of each argument is box ``k`` in walk coordinates: ``lo``
+    and ``hi`` per walk axis, slowest first, whether the walk runs
+    backwards along it (``flips``), and its grid axis (``order``).  A set
+    holds the cells at most ``overlap`` face steps from its box, and only
+    a window ``overlap`` cells wider than the box can hold any.  Boxes
+    whose windows have the same extents, with the box at the same place
+    counted from the walk's start, list one pattern.
+    """
+    n, d = cells_per_axis, lo.shape[1]
+    start, stop = np.maximum(lo - overlap, 0), np.minimum(hi + overlap, n)
+    first = np.where(flips, stop - hi, lo - start)
+    last = np.where(flips, stop - lo, hi - start)
+    keys, group = np.unique(np.concatenate([stop - start, first, last], axis=1), axis=0,
+                            return_inverse=True)
+    grid = (n ** np.arange(d - 1, -1, -1))[order]
+    base = (np.where(flips, stop - 1, start) * grid).sum(axis=1)
+    strides = np.where(flips, -grid, grid)
+    lower = np.where(flips, 2 * d - order, order)
+    slots = np.concatenate([lower, np.full((len(lo), 1), d), 2 * d - lower[:, ::-1]], axis=1)
+    # a walk direction's step in walk coordinates: lower neighbours, the cell, upper ones
+    moves = np.concatenate([-np.eye(d, dtype=np.int64), np.zeros((1, d), np.int64),
+                            np.eye(d, dtype=np.int64)[::-1]])
+    groups = []
+    for g, (shape, first, last) in enumerate(keys.reshape(-1, 3, d)):
+        axes = np.ix_(*map(np.arange, shape))
+        steps = sum(np.maximum(np.maximum(f - x, x - l + 1), 0)
+                    for x, f, l in zip(axes, first, last))
+        inside = steps <= overlap
+        cells = np.argwhere(inside)
+        # each window cell's position in the set, -1 off the set, in a -1 frame
+        position = np.full(tuple(shape + 2), -1)
+        position[(slice(1, -1),) * d][inside] = np.arange(len(cells))
+        col = position[tuple((cells[:, None] + 1 + moves).transpose(2, 0, 1))]
+        entries = col >= 0
+        row, direction = np.nonzero(entries)
+        members = np.flatnonzero(group.reshape(-1) == g)
+        groups.append(_Boxes(members, base[members], strides[members], slots[members],
+                             cells, steps[inside] == 0, row, col[entries], direction))
+    return tuple(groups)
 
 
 class _UnsplittableError(Exception):
@@ -87,7 +170,7 @@ def _bisect(lo, hi, n_parts, out):
     n_left = (n_parts + 1) // 2
     n_right = n_parts - n_left
     extents = [h - l for l, h in zip(lo, hi)]
-    total = int(np.prod(extents))
+    total = math.prod(extents)
     for axis in sorted(range(len(lo)), key=lambda a: -extents[a]):
         e = extents[axis]
         if e < 2:
@@ -172,23 +255,18 @@ def partition_cells(cells_per_axis, dimension, n_subdomains, overlap):
         ) from None
 
     n = cells_per_axis
-    strides = n ** np.arange(dimension - 1, -1, -1)
-    cores = []
-    extended = []
-    for lo, hi in boxes:
-        # the walk's axes, slowest first, and their directions (see above)
-        order = sorted(range(dimension),
-                       key=lambda a: (hi[a] - lo[a], min(lo[a] + hi[a], 2 * n - lo[a] - hi[a])))
-        lo, hi = [lo[a] for a in order], [hi[a] for a in order]
-        # face-neighbour steps from the box are its L1 distance, summed per axis;
-        # only a window ``overlap`` cells wider than the box can be reached
-        windows = [np.arange(max(l - overlap, 0), min(h + overlap, n)) for l, h in zip(lo, hi)]
-        axes = np.ix_(*(w[::-1] if l + h > n else w for w, l, h in zip(windows, lo, hi)))
-        steps = sum(np.maximum(np.maximum(l - x, x - h + 1), 0) for x, l, h in zip(axes, lo, hi))
-        flat = sum(x * strides[a] for x, a in zip(axes, order))
-        cores.append(np.sort(flat[steps == 0]))
-        extended.append(flat[steps <= overlap])
-    return Partition(cores, extended)
+    lo, hi = np.array(boxes, dtype=np.int64).transpose(1, 0, 2)
+    # the walk's axes, slowest first, and their directions (see above)
+    centre = np.minimum(lo + hi, 2 * n - lo - hi)
+    order = np.argsort((hi - lo) * (2 * n + 1) + centre, axis=1, kind="stable")
+    lo, hi = np.take_along_axis(lo, order, axis=1), np.take_along_axis(hi, order, axis=1)
+    groups = _walks(lo, hi, lo + hi > n, order, n, overlap)
+    cores, extended = [None] * len(boxes), [None] * len(boxes)
+    for g in groups:
+        sets = g.grid_cells()
+        for k, core, cells in zip(g.members.tolist(), np.sort(sets[:, g.core], axis=1), sets):
+            cores[k], extended[k] = core, cells
+    return Partition(cores, extended, groups)
 
 
 @dataclass(eq=False)
@@ -387,6 +465,92 @@ def _distinct_blocks(a, sets, sizes, precision):
     return [(size, np.frombuffer(key, entry)) for size, key in keys], np.array(which)
 
 
+# Block entries one step of the stencil read takes, at most: a group's boxes
+# are read a slice at a time, so the temporaries do not grow with the level.
+READ_ENTRIES = 2**16
+
+
+def _distinct_rows(data):
+    """The first of each set of bitwise-equal rows of ``data``, and each row's one.
+
+    Rows are sorted by a wrapping weighted sum of their bits, and each is
+    then compared whole with the first row of its sum; only when two
+    unequal rows share a sum are the rows sorted by their bytes.
+    """
+    bits = data.view(np.dtype(f"u{data.itemsize}"))
+    weights = np.arange(1, 2 * bits.shape[1], 2, dtype=bits.dtype)
+    _, first, inverse = np.unique(bits @ weights, return_index=True, return_inverse=True)
+    if not (bits == bits[first[inverse]]).all():
+        rows = bits.view(np.dtype((np.void, bits[0].nbytes)))[:, 0]
+        _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+    return first, inverse
+
+
+def _reads_stencil(a, stencil, boxes):
+    """Whether set-up can read the blocks of ``a`` from ``stencil`` along ``boxes``.
+
+    It can when the sets were cut from boxes and ``a`` stores every
+    coupling on the grid, none of them zero: each block then holds an
+    entry for every pair of face neighbours in its set, as the stencil
+    read lists them.  A stencil that does not fit ``a`` and the boxes'
+    grid raises ``ValueError``.
+    """
+    if stencil is None:
+        return False
+    d = stencil.ndim - 1
+    n = stencil.shape[-1]
+    if (d < 1 or stencil.dtype != np.float64 or stencil.shape != (2 * d + 1,) + (n,) * d
+            or n**d != a.shape[0] or any(g.strides.shape[1] != d for g in boxes)):
+        raise ValueError(f"stencil of shape {stencil.shape} does not fit the "
+                         f"{a.shape[0]}-row matrix and its sets")
+    full = (2 * d + 1) * n**d - 2 * d * n ** (d - 1)
+    return bool(boxes) and a.nnz == full == np.count_nonzero(stencil)
+
+
+def _read_blocks(stencil, boxes, count, precision):
+    """Each distinct block over the ``count`` sets of ``boxes``, read from ``stencil``.
+
+    Returns what :func:`_distinct_blocks` returns for the stencil's
+    matrix where :func:`_reads_stencil` holds.  A box's entries are one
+    gather ``stencil[slot, cell]``, keyed by their bytes in ``precision``
+    beside its pattern's size, rows and columns, so bitwise-equal blocks
+    share one, as there.  Records are formed for distinct blocks only,
+    and blocks are numbered in order of their first set.
+    """
+    entry = np.dtype([("row", np.intc), ("col", np.intc), ("data", precision)])
+    values = stencil.reshape(-1)
+    total = stencil[0].size
+    patterns, keys, blocks = {}, {}, []
+    which = np.empty(count, dtype=np.intp)
+    for g in boxes:
+        size = len(g.cells)
+        pattern = patterns.setdefault((size, g.row.tobytes(), g.col.tobytes()), len(patterns))
+        rows = g.cells[g.row]
+        step = max(1, READ_ENTRIES // g.row.size)
+        for lo in range(0, g.members.size, step):
+            part = slice(lo, lo + step)
+            at = np.take(g.slots[part] * total, g.direction, axis=1)
+            at += g.grid_cells(part, rows)
+            data = values[at].astype(precision, copy=False)
+            del at
+            first, inverse = _distinct_rows(data)
+            number = []
+            for k in first.tolist():
+                number.append(keys.setdefault((pattern, data[k].tobytes()), len(keys)))
+                if number[-1] == len(blocks):
+                    records = np.empty(g.row.size, entry)
+                    records["row"], records["col"], records["data"] = g.row, g.col, data[k]
+                    blocks.append((size, records))
+            which[g.members[part]] = np.array(number)[inverse]
+            del data  # the next slice reads without it
+    first = np.full(len(blocks), count)
+    np.minimum.at(first, which, np.arange(count))
+    order = np.argsort(first)
+    number = np.empty_like(order)
+    number[order] = np.arange(order.size)
+    return [blocks[j] for j in order], number[which]
+
+
 def _stacked(blocks):
     """The entries of ``(size, entries)`` blocks in one array, and each one's block."""
     return (np.frombuffer(b"".join(entries for _, entries in blocks), blocks[0][1].dtype),
@@ -458,8 +622,12 @@ def _stacked_lu(blocks):
     return _StackedLU(lower, upper), np.argsort(lu.perm_r)
 
 
-def _subdomain_smoother(a, sets, omega, sweeps, precision, label):
+def _subdomain_smoother(a, sets, omega, sweeps, precision, label, stencil=None, boxes=()):
     """Invert or factorize each distinct block ``A[s, s]`` over ``sets`` once.
+
+    The blocks are read from ``stencil`` along the ``boxes`` the sets were
+    cut from where :func:`_reads_stencil` allows, and gathered from the
+    rows of ``a`` otherwise; both find the same blocks, bit for bit.
 
     The distinct blocks are cut into pieces (:func:`_pieces`), and each
     piece gets one solver: the inverses of its blocks when every set has
@@ -478,7 +646,10 @@ def _subdomain_smoother(a, sets, omega, sweeps, precision, label):
     sizes = np.array([len(s) for s in sets])
     dense = sizes[0] <= DENSE_MAX_CELLS and (sizes == sizes[0]).all()
     build = _batched_inverse if dense else _stacked_lu
-    blocks, which = _distinct_blocks(a, sets, sizes, precision)
+    if _reads_stencil(a, stencil, boxes):
+        blocks, which = _read_blocks(stencil, boxes, len(sets), precision)
+    else:
+        blocks, which = _distinct_blocks(a, sets, sizes, precision)
     counts = np.bincount(which)
     # the sets of block j, in set order: by_block[heads[j]:heads[j] + counts[j]]
     by_block = np.argsort(which, kind="stable")
@@ -508,11 +679,14 @@ def _subdomain_smoother(a, sets, omega, sweeps, precision, label):
     return SubdomainSmoother(sets, idx, float(omega), int(sweeps), precision, chunks)
 
 
-def schwarz_setup(a, partition, precision="float64", sweeps=1):
+def schwarz_setup(a, partition, precision="float64", sweeps=1, stencil=None):
     """Additive Schwarz over the extended cells of ``partition``.
 
-    A singular local block raises :class:`SingularMatrixError` naming
-    the subdomain.
+    ``stencil``, the matrix in stencil form (``GridLevel.stencil``), lets
+    set-up read the blocks from it along the partition's boxes instead of
+    gathering them from the matrix rows; the smoother is the same, bit for
+    bit.  A singular local block raises :class:`SingularMatrixError`
+    naming the subdomain.
     """
     check_csr(a)
     covered = sum(core.size for core in partition.core_cells)
@@ -521,17 +695,29 @@ def schwarz_setup(a, partition, precision="float64", sweeps=1):
             f"partition covers {covered} cells but the matrix has {a.shape[0]} rows"
         )
     return _subdomain_smoother(a, partition.extended_cells, 1.0, sweeps, precision,
-                               "subdomain")
+                               "subdomain", stencil, partition.boxes)
+
+
+def _tiles(cells_per_axis, dimension, tile):
+    """The grid's tiles of ``tile`` cells per axis as one group of boxes, in C order.
+
+    Each tile walks its own cells in grid order, so its set lists them
+    ascending.
+    """
+    lo = np.indices((cells_per_axis // tile,) * dimension).reshape(dimension, -1).T * tile
+    return _walks(lo, lo + tile, np.zeros(lo.shape, dtype=bool),
+                  np.broadcast_to(np.arange(dimension), lo.shape), cells_per_axis, 0)
 
 
 def bj_setup(a, tile_cells_per_axis, geometry=None, omega=1.0, sweeps=5,
-             precision="float64"):
+             precision="float64", stencil=None):
     """Damped block Jacobi over square tiles of ``tile_cells_per_axis`` cells.
 
     ``geometry`` is the grid shape ``(cells_per_axis, dimension)`` behind
     the matrix rows; without it the index space is one-dimensional and
-    tiles are contiguous ranges.  The tile edge must divide the axis.  A
-    singular tile raises :class:`SingularMatrixError` naming the block.
+    tiles are contiguous ranges.  The tile edge must divide the axis.
+    ``stencil`` is read as :func:`schwarz_setup` reads it.  A singular
+    tile raises :class:`SingularMatrixError` naming the block.
     """
     check_csr(a)
     cells, dimension = (a.shape[0], 1) if geometry is None else geometry
@@ -546,9 +732,6 @@ def bj_setup(a, tile_cells_per_axis, geometry=None, omega=1.0, sweeps=5,
         )
     if not 0.0 < omega < np.inf:
         raise ValueError("omega must be positive and finite")
-    # axes (tile_0, cell_0, tile_1, cell_1, ...) -> one row of cells per tile
-    grid = np.arange(a.shape[0], dtype=np.int64).reshape(
-        (cells // tile_cells_per_axis, tile_cells_per_axis) * dimension)
-    tiles = grid.transpose([*range(0, 2 * dimension, 2), *range(1, 2 * dimension, 2)])
-    tiles = list(tiles.reshape(-1, tile_cells_per_axis**dimension))
-    return _subdomain_smoother(a, tiles, omega, sweeps, precision, "diagonal block")
+    boxes = _tiles(cells, dimension, tile_cells_per_axis)
+    return _subdomain_smoother(a, list(boxes[0].grid_cells()), omega, sweeps, precision,
+                               "diagonal block", stencil, boxes)

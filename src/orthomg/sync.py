@@ -102,8 +102,10 @@ class ConvergenceCriteria:
     deep_rule: LevelRule = LevelRule(None, 1)
 
     def __post_init__(self):
-        if not (0.0 < self.eps_rel < np.inf and 0.0 <= self.eps_abs < np.inf):
-            raise ValueError("eps_rel must be positive, eps_abs non-negative, both finite")
+        if not 0.0 < self.eps_rel < np.inf:
+            raise ValueError("eps_rel must be positive and finite")
+        if not 0.0 <= self.eps_abs < np.inf:
+            raise ValueError("eps_abs must be non-negative and finite")
         for level, rule in self.level_rules:
             if level < 1 or not isinstance(rule, LevelRule):
                 raise ValueError("level rules apply to intermediate levels only")

@@ -46,6 +46,32 @@ def load_perfbench(name):
     return module
 
 
+def reference_partition(cells_per_axis, dimension, n_subdomains, overlap):
+    """:func:`orthomg.partition_cells`'s cores and extended sets, one box at a time.
+
+    The per-box loop the grouped walks replaced: each box orders its axes
+    and directions, walks its window and keeps the cells within
+    ``overlap`` face steps.
+    """
+    n = cells_per_axis
+    boxes = []
+    smoothers._bisect((0,) * dimension, (n,) * dimension, n_subdomains, boxes)
+    strides = n ** np.arange(dimension - 1, -1, -1)
+    cores = []
+    extended = []
+    for lo, hi in boxes:
+        order = sorted(range(dimension),
+                       key=lambda a: (hi[a] - lo[a], min(lo[a] + hi[a], 2 * n - lo[a] - hi[a])))
+        lo, hi = [lo[a] for a in order], [hi[a] for a in order]
+        windows = [np.arange(max(l - overlap, 0), min(h + overlap, n)) for l, h in zip(lo, hi)]
+        axes = np.ix_(*(w[::-1] if l + h > n else w for w, l, h in zip(windows, lo, hi)))
+        steps = sum(np.maximum(np.maximum(l - x, x - h + 1), 0) for x, l, h in zip(axes, lo, hi))
+        flat = sum(x * strides[a] for x, a in zip(axes, order))
+        cores.append(np.sort(flat[steps == 0]))
+        extended.append(flat[steps <= overlap])
+    return cores, extended
+
+
 def kernel(smoother):
     """Local kernel a :class:`~orthomg.SubdomainSmoother` took at set-up.
 

@@ -35,8 +35,10 @@ import sys
 import tempfile
 from pathlib import Path
 
-from orthomg import build_hierarchy, build_level_smoothers, build_problem_spec, cli, smoothers
-from helpers import benchmark_setup, load_perfbench, smoother_steps
+import numpy as np
+
+from orthomg import build_hierarchy, build_level_smoothers, build_problem_spec, cli
+from helpers import benchmark_setup, kernel, load_perfbench, smoother_steps
 
 BASE = Path(__file__).resolve().parent.parent / "configs" / "benchmark.cfg"
 
@@ -65,22 +67,21 @@ def digest(data):
     return hashlib.sha256(data).hexdigest()[:16]
 
 
-def distinct_blocks(hierarchy, cfg):
-    """Distinct blocks per smoother level, as the workload's set-up finds them."""
-    counts = []
-    keyed = smoothers._distinct_blocks
+def distinct_blocks(smoother):
+    """Distinct blocks a built smoother solves with, over its sets.
 
-    def counting(a, sets, *args):
-        blocks, which = keyed(a, sets, *args)
-        counts.append(f"{len(blocks)}/{len(sets)}")
-        return blocks, which
-
-    smoothers._distinct_blocks = counting
-    try:
-        build_level_smoothers(hierarchy, cfg, cfg.problem.dimension)
-    finally:
-        smoothers._distinct_blocks = keyed
-    return counts
+    Each chunk solves every copy of its piece's blocks, so the sets its
+    rows touch are the piece's blocks times their copies, and its rows
+    are the piece's cells times the copies.
+    """
+    ends = np.cumsum([len(s) for s in smoother.sets])
+    blocks = 0
+    for rows, _, solver in smoother.chunks:
+        cells = (solver.inverses.shape[0] * solver.inverses.shape[1]
+                 if kernel(smoother) == "dense" else solver.lower.shape[0])
+        sets = np.unique(np.searchsorted(ends, rows, side="right")).size
+        blocks += sets // (rows.size // cells)
+    return f"{blocks}/{len(smoother.sets)}"
 
 
 def operators():
@@ -88,7 +89,8 @@ def operators():
     for workload in load_perfbench("workloads").WORKLOADS.values():
         cfg = workload.run_config()
         hierarchy = build_hierarchy(build_problem_spec(cfg), cfg.l_min)
-        counts = distinct_blocks(hierarchy, cfg) + ["coarsest"]
+        bound = build_level_smoothers(hierarchy, cfg, cfg.problem.dimension)
+        counts = [distinct_blocks(level.smoother) for level in bound[:-1]] + ["coarsest"]
         for level, blocks in zip(hierarchy.levels, counts):
             m = level.matrix
             arrays = b"".join(x.tobytes() for x in (m.indptr, m.indices, m.data))

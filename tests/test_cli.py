@@ -237,6 +237,18 @@ def test_non_finite_setting_is_a_config_error(tmp_path, capsys, line):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("line,message", [
+    ("solver.level1.factor = 1.5", "solver.level1.factor must lie in (0, 1]"),
+    ("problem.k_outer = -1", "problem.k_outer must be positive and finite"),
+    ("problem.radius_factor = 1.5", "problem.radius_factor must lie strictly between 0 and 1"),
+])
+def test_range_error_names_the_config_key(tmp_path, capsys, line, message):
+    code, out = run(tmp_path, "solve", line + "\n")
+    assert code == cli.EXIT_BAD_CONFIG
+    assert f"invalid configuration: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_workers_flag_overrides_the_config(tmp_path):
     code, out = run(tmp_path, "solve", "workers = 4\n", flags=("--workers", "2"))
     assert code == cli.EXIT_OK

@@ -161,6 +161,14 @@ def test_sample_config_parses_and_round_trips(name):
     ("scaling.sizes = 2", "powers of two"),
     ("problem.dimension = 0", "dimension"),
     ("problem.radius_factor = 1.5", "radius"),
+    # the library types' range errors name the config key
+    ("solver.level1.factor = 1.5", r"^solver\.level1\.factor must lie in \(0, 1\]"),
+    ("solver.level2.max_iterations = 0", r"^solver\.level2\.max_iterations must be at least 1"),
+    ("solver.eps_rel = 0.0", r"^solver\.eps_rel must be positive"),
+    ("solver.eps_abs = -1.0", r"^solver\.eps_abs must be non-negative"),
+    ("problem.k_outer = -1", r"^problem\.k_outer must be positive and finite"),
+    ("problem.radius_factor = 1.5", r"^problem\.radius_factor must lie strictly between"),
+    ("problem.cells_per_axis = 12", r"^problem\.cells_per_axis must be a power of two"),
 ])
 def test_validation_rejects_bad_settings(line, message):
     with pytest.raises(ValueError, match=message):

@@ -17,8 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import orthomg as om
-from helpers import factor_arrays, factor_dtypes, kernel, same_setup
-from orthomg import smoothers
+from helpers import (factor_arrays, factor_dtypes, kernel, load_perfbench, reference_partition,
+                     same_setup)
+from orthomg import problem, smoothers
+from orthomg.config import build_level_smoothers, build_problem_spec, subdomain_count
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -153,6 +155,29 @@ def test_partition_covers_disjointly(cells, dimension, n_subdomains, overlap):
     for core, ext in zip(p.core_cells, p.extended_cells):
         assert set(map(int, core)) <= set(map(int, ext))
         assert set(map(int, ext)) == grow_oracle(core, cells, dimension, overlap)
+
+
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+def test_grouped_walks_list_the_per_box_walks_sets(dimension):
+    # every box of a group adds its own base cell and signed strides to one
+    # pattern; the sets must be those the per-box loop lists, bit for bit
+    sizes = {1: (3, 4, 5, 8, 16, 17, 64), 2: (3, 4, 5, 8, 16, 17, 32), 3: (3, 4, 5, 8, 16)}
+    cases = 0
+    for cells, count, overlap in itertools.product(
+            sizes[dimension], (1, 2, 3, 4, 5, 7, 8, 13, 16, 64), (0, 1, 2, 3)):
+        if count > cells**dimension:
+            continue
+        try:
+            p = om.partition_cells(cells, dimension, count, overlap)
+        except ValueError:
+            continue
+        cores, extended = reference_partition(cells, dimension, count, overlap)
+        for ours, theirs in ((p.core_cells, cores), (p.extended_cells, extended)):
+            assert len(ours) == len(theirs) == count
+            for x, y in zip(ours, theirs):
+                assert x.dtype == y.dtype and np.array_equal(x, y), (cells, count, overlap)
+        cases += 1
+    assert cases >= 100
 
 
 def test_partition_unreachable_count_names_alternative():
@@ -296,27 +321,31 @@ def test_galerkin_levels_share_mirrored_blocks(dimension, cells, l_min, level, d
 
 @pytest.mark.parametrize("dimension,cells,peak_mib", [(2, 256, 6.0), (3, 32, 10.0)])
 def test_sparse_setup_keeps_only_factors(dimension, cells, peak_mib):
-    # the benchmark's finest disc levels, 256-cell subdomains.  Both peak
-    # bounds count beyond the factor arrays, which are numpy arrays now:
-    # the set-up peak reads 5.8 (2D) and 4.8 MiB (3D) beyond them, since
-    # each gathering step frees its temporaries before its blocks are
-    # keyed and the last step's entries before the next step gathers
-    # (7.7 and 8.2 MiB when neither was); it read 12.4 and 15.6 MiB when
-    # SuperLU kept the factors, and 22.3 and 28.2 MiB when the whole
+    # the benchmark's finest disc levels, 256-cell subdomains, with the
+    # blocks gathered from the matrix rows and read from the kept stencil.
+    # Both peak bounds count beyond the factor arrays, which are numpy
+    # arrays now: the gathering set-up peak reads 5.8 (2D) and 4.8 MiB (3D)
+    # beyond them, since each gathering step frees its temporaries before
+    # its blocks are keyed and the last step's entries before the next step
+    # gathers (7.7 and 8.2 MiB when neither was); it read 12.4 and 15.6 MiB
+    # when SuperLU kept the factors, and 22.3 and 28.2 MiB when the whole
     # A[idx][:, idx] and a block-diagonal copy were formed
-    a = disc_matrix(dimension, cells)
+    spec = om.ProblemSpec(dimension=dimension, cells_per_axis=cells, k_outer=1000.0)
+    level = om.build_hierarchy(spec, l_min=cells**dimension).finest
+    a = level.matrix
     p = om.partition_cells(cells, dimension, a.shape[0] // 256, 1)
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        sm = om.schwarz_setup(a, p)
-        retained, peak = (m - start for m in tracemalloc.get_traced_memory())
-    finally:
-        tracemalloc.stop()
-    factors = sum(array.nbytes for array in factor_arrays(sm))
-    assert peak - factors <= peak_mib * 2**20, (peak - factors) / 2**20
-    # the sets, their concatenation and the rows and cells of every chunk
-    assert retained - factors <= 2 * 2**20, (retained - factors) / 2**20
+    for stencil in (None, level.stencil):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            sm = om.schwarz_setup(a, p, stencil=stencil)
+            retained, peak = (m - start for m in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        factors = sum(array.nbytes for array in factor_arrays(sm))
+        assert peak - factors <= peak_mib * 2**20, (peak - factors) / 2**20
+        # the sets' concatenation and the rows and cells of every chunk
+        assert retained - factors <= 2 * 2**20, (retained - factors) / 2**20
     assert kernel(sm) == "sparse"
     assert not any(scipy.sparse.issparse(v) for v in vars(sm).values())
     # mirror images of a subdomain share its block, and only distinct blocks
@@ -326,6 +355,106 @@ def test_sparse_setup_keeps_only_factors(dimension, cells, peak_mib):
     distinct, factor_mib = {2: (10, 0.75), 3: (11, 3.0)}[dimension]
     assert distinct_blocks(a, p.extended_cells) <= distinct
     assert factors <= factor_mib * 2**20, factors / 2**20
+
+
+def level_sets(kind, level, dimension, cfg):
+    """The sets of ``level`` that ``cfg``'s smoother of ``kind`` builds, and their boxes."""
+    n = level.cells_per_axis
+    if kind == "schwarz":
+        count = subdomain_count(level.n_dofs, cfg.smoother.subdomain_cells)
+        p = om.partition_cells(n, dimension, count, cfg.smoother.overlap)
+        return p.extended_cells, p.boxes
+    boxes = smoothers._tiles(n, dimension, min(cfg.smoother.tile, n))
+    return list(boxes[0].grid_cells()), boxes
+
+
+@pytest.mark.parametrize("kind", ["schwarz", "block_jacobi"])
+@pytest.mark.parametrize("workload", ["schwarz_mult_2d256", "bj_taskpar_2d128",
+                                      "schwarz_hybrid_3d32"])
+def test_stencil_read_finds_the_row_gathers_blocks(workload, kind):
+    # every smoother level of the benchmark hierarchies, with the library's
+    # default subdomains and tiles: the blocks read from the kept stencil,
+    # their order and each set's block equal the row gather's, bit for bit
+    cfg = load_perfbench("workloads").WORKLOADS[workload].run_config()
+    d = cfg.problem.dimension
+    hierarchy = om.build_hierarchy(build_problem_spec(cfg), cfg.l_min)
+    for level in hierarchy.levels[:-1]:
+        sets, boxes = level_sets(kind, level, d, cfg)
+        assert smoothers._reads_stencil(level.matrix, level.stencil, boxes)
+        sizes = np.array([len(s) for s in sets])
+        for precision in ("float64", "float32"):
+            gathered, which = smoothers._distinct_blocks(level.matrix, sets, sizes, precision)
+            read, read_which = smoothers._read_blocks(level.stencil, boxes, len(sets), precision)
+            assert read_which.dtype == which.dtype and np.array_equal(read_which, which)
+            assert ([(size, e.dtype, e.tobytes()) for size, e in read]
+                    == [(size, e.dtype, e.tobytes()) for size, e in gathered]), level.index
+
+
+@pytest.mark.parametrize("kind", ["schwarz", "block_jacobi"])
+def test_level_smoothers_read_the_kept_stencil(monkeypatch, kind):
+    # the library's set-up reads every level's blocks from its stencil and
+    # builds the smoothers the row gather builds
+    cfg = om.RunConfig()
+    cfg.smoother.kind = kind
+    cfg.smoother.subdomain_cells = 64
+    spec = om.ProblemSpec(dimension=2, cells_per_axis=32, k_outer=1000.0)
+    hierarchy = om.build_hierarchy(spec, l_min=64)
+    gathered = []
+    for level in hierarchy.levels[:-1]:
+        n = level.cells_per_axis
+        if kind == "schwarz":
+            p = om.partition_cells(n, 2, subdomain_count(level.n_dofs, 64), 1)
+            gathered.append(om.schwarz_setup(level.matrix, p))
+        else:
+            gathered.append(om.bj_setup(level.matrix, min(4, n), (n, 2)))
+
+    def no_gather(*args):
+        raise AssertionError("blocks gathered from the matrix rows")
+
+    monkeypatch.setattr(smoothers, "_distinct_blocks", no_gather)
+    read = build_level_smoothers(hierarchy, cfg, 2)
+    assert len(read) == hierarchy.n_levels and read[-1] is None
+    for ours, theirs in zip(read, gathered):
+        assert same_setup(ours.smoother, theirs)
+
+
+def test_distinct_rows_tell_apart_rows_that_share_a_sum():
+    # rows are first told apart by a weighted sum of their bits (weights 1,
+    # 3, ...): bits (3, 0) and (0, 1) share the sum 3, so the rows are then
+    # sorted by their bytes
+    bits = np.array([[3, 0], [0, 1], [3, 0], [0, 2]], dtype=np.uint64)
+    first, inverse = smoothers._distinct_rows(bits.view(np.float64))
+    assert sorted(first.tolist()) == [0, 1, 3]
+    assert np.array_equal(first[inverse], [0, 1, 0, 3])
+    # equal values with unequal bits key apart, as the row gather's bytes do
+    first, inverse = smoothers._distinct_rows(np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0]]))
+    assert np.array_equal(first[inverse], [0, 1, 0])
+
+
+def test_stencil_read_needs_every_coupling_stored_and_nonzero():
+    # a zero coupling leaves the matrix without an entry the stencil read
+    # would list, and a stored zero gives the matrix one it would not: both
+    # gather from the rows and build the same smoother as without a stencil
+    spec = om.ProblemSpec(dimension=2, cells_per_axis=16, k_outer=1000.0)
+    level = om.build_hierarchy(spec, l_min=256).finest
+    p = om.partition_cells(16, 2, 4, 1)
+    cell = 5 * 16 + 7
+    cut = level.stencil.copy()
+    cut[0].flat[cell] = cut[4].flat[cell - 16] = 0.0
+    weak = scipy.sparse.csr_matrix(level.matrix)
+    weak.data[weak.indptr[cell]] = 0.0  # coupling to the cell below, kept as a stored zero
+    for a, stencil in ((problem._csr_of(cut), cut),
+                       (weak, om.hierarchy_from_matrix(weak, 16, 2, l_min=256).finest.stencil)):
+        assert not smoothers._reads_stencil(a, stencil, p.boxes)
+        assert same_setup(om.schwarz_setup(a, p, stencil=stencil), om.schwarz_setup(a, p))
+    assert smoothers._reads_stencil(level.matrix, level.stencil, p.boxes)
+    # a hand-listed partition has no boxes to read along
+    listed = om.Partition(p.core_cells, p.extended_cells)
+    assert not smoothers._reads_stencil(level.matrix, level.stencil, listed.boxes)
+    for stencil in (level.stencil[:, :8], level.stencil.astype(np.float32),
+                    level.stencil.reshape(5, 256)):
+        with pytest.raises(ValueError, match="does not fit"):
+            om.schwarz_setup(level.matrix, p, stencil=stencil)
 
 
 def test_stacked_lu_matches_superlu_on_copied_blocks():
