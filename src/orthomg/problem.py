@@ -385,7 +385,7 @@ def hierarchy_from_matrix(matrix, cells, dimension, l_min=1024):
 
 
 def _hierarchy(matrix, stencil, l_min):
-    """Levels from ``matrix`` and its stencil form down to ``l_min`` unknowns, each keeping its stencil."""
+    """Levels from ``matrix`` and its stencil form down to ``l_min`` unknowns, stencils kept."""
     if l_min < 4:
         raise ValueError("l_min must be at least 4")
     dimension = stencil.ndim - 1

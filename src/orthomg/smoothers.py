@@ -4,9 +4,12 @@ Both are one :class:`SubdomainSmoother`, summing local solves over
 overlapping subdomains (Schwarz) or disjoint tiles (block Jacobi).  Set-up
 finds the distinct blocks ``A[s, s]``, stacks those with the same number
 of copies into pieces, and gives each piece one solver for all its
-copies.  A block is listed in its set's cell order, and a subdomain
-lists its cells in a canonical orientation (:func:`partition_cells`), so
-mirror images of a subdomain under the grid's reflections and axis swaps
+copies.  Given the level's stencil, it reads the blocks from it: boxes
+that list their sets by one pattern share the pattern's entries, and
+each box reads its values with one gather (:func:`_read_blocks`).  A
+block is listed in its set's cell order, and a subdomain lists its
+cells in a canonical orientation (:func:`partition_cells`), so mirror
+images of a subdomain under the grid's reflections and axis swaps
 share one block.  The sets choose the solver, once per level: when every
 set has the same size ``m <= DENSE_MAX_CELLS`` (16), a piece's blocks
 are inverted explicitly and its solve is one batched product (the
@@ -84,15 +87,14 @@ class Partition:
 class _Boxes:
     """Boxes whose sets are one pattern of cells, each placed by its own walk.
 
-    A set walks a window of ``shape`` cells, one extent per walk axis in
-    the walk's order, and holds the window cells ``cells`` (walk
-    coordinates, in walk order), of which those marked in ``core`` lie in
-    the box.  Box ``k`` is set ``members[k]``: window cell ``x`` is grid
-    cell ``base[k] + strides[k] @ x``, and walk direction ``j`` is stencil
-    slot ``slots[k, j]``, with walk directions in stencil order over the
-    walk axes.  Every set's block has the entries ``(row, col,
-    direction)``: each row lists its columns in ascending order, since the
-    walk fixes the set's order, and rows run in set order.
+    Each set holds the window cells ``cells`` (coordinates along the walk
+    axes, slowest first, in walk order), of which those marked in
+    ``core`` lie in the box.  Box ``k`` is set ``members[k]``: window cell
+    ``x`` is grid cell ``base[k] + strides[k] @ x``, and walk direction
+    ``j`` is stencil slot ``slots[k, j]``, with walk directions in stencil
+    order over the walk axes.  Every set's block has the entries ``(row,
+    col, direction)``, rows in set order and each row's columns ascending,
+    since the walk fixes the set's order.
     """
 
     members: np.ndarray
@@ -106,7 +108,7 @@ class _Boxes:
     direction: np.ndarray
 
     def grid_cells(self, boxes=slice(None), cells=None):
-        """Grid cells of window ``cells`` (default: the set's) for each of ``boxes``, one row per box."""
+        """Grid cells of window ``cells`` (default: the set's), one row per box of ``boxes``."""
         cells = self.cells if cells is None else cells
         out = np.repeat(self.base[boxes, None], len(cells), axis=1)
         for stride, x in zip(self.strides[boxes].T, cells.T):
@@ -139,11 +141,11 @@ def _walks(lo, hi, flips, order, cells_per_axis, overlap):
     # a walk direction's step in walk coordinates: lower neighbours, the cell, upper ones
     moves = np.concatenate([-np.eye(d, dtype=np.int64), np.zeros((1, d), np.int64),
                             np.eye(d, dtype=np.int64)[::-1]])
+    group = group.reshape(-1)
     groups = []
-    for g, (shape, first, last) in enumerate(keys.reshape(-1, 3, d)):
+    for g, (shape, low, high) in enumerate(keys.reshape(-1, 3, d)):
         axes = np.ix_(*map(np.arange, shape))
-        steps = sum(np.maximum(np.maximum(f - x, x - l + 1), 0)
-                    for x, f, l in zip(axes, first, last))
+        steps = sum(np.maximum(np.maximum(l - x, x - h + 1), 0) for x, l, h in zip(axes, low, high))
         inside = steps <= overlap
         cells = np.argwhere(inside)
         # each window cell's position in the set, -1 off the set, in a -1 frame
@@ -152,7 +154,7 @@ def _walks(lo, hi, flips, order, cells_per_axis, overlap):
         col = position[tuple((cells[:, None] + 1 + moves).transpose(2, 0, 1))]
         entries = col >= 0
         row, direction = np.nonzero(entries)
-        members = np.flatnonzero(group.reshape(-1) == g)
+        members = np.flatnonzero(group == g)
         groups.append(_Boxes(members, base[members], strides[members], slots[members],
                              cells, steps[inside] == 0, row, col[entries], direction))
     return tuple(groups)
@@ -546,9 +548,9 @@ def _read_blocks(stencil, boxes, count, precision):
     first = np.full(len(blocks), count)
     np.minimum.at(first, which, np.arange(count))
     order = np.argsort(first)
-    number = np.empty_like(order)
-    number[order] = np.arange(order.size)
-    return [blocks[j] for j in order], number[which]
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return [blocks[j] for j in order], rank[which]
 
 
 def _stacked(blocks):
