@@ -377,6 +377,8 @@ def hierarchy_from_matrix(matrix, cells, dimension, l_min=1024):
     the Galerkin products ``R A P`` of the fine operator, formed on the
     grid: ``matrix`` may couple each cell only to itself and its face
     neighbours, and a ``ValueError`` names the first row that does not.
+    Every level keeps its operator in stencil form, the finest one that
+    of ``matrix``.
     """
     check_csr(matrix)
     if matrix.shape[0] != cells**dimension:

@@ -368,6 +368,19 @@ def level_sets(kind, level, dimension, cfg):
     return list(boxes[0].grid_cells()), boxes
 
 
+def assert_read_is_the_row_gather(a, stencil, sets, boxes):
+    """The blocks read from ``stencil``, their order and each set's block are
+    the row gather's, bit for bit, in both precisions."""
+    assert smoothers._reads_stencil(a, stencil, boxes)
+    sizes = np.array([len(s) for s in sets])
+    for precision in ("float64", "float32"):
+        gathered, which = smoothers._distinct_blocks(a, sets, sizes, precision)
+        read, read_which = smoothers._read_blocks(stencil, boxes, len(sets), precision)
+        assert read_which.dtype == which.dtype and np.array_equal(read_which, which)
+        assert ([(size, e.dtype, e.tobytes()) for size, e in read]
+                == [(size, e.dtype, e.tobytes()) for size, e in gathered])
+
+
 @pytest.mark.parametrize("kind", ["schwarz", "block_jacobi"])
 @pytest.mark.parametrize("workload", ["schwarz_mult_2d256", "bj_taskpar_2d128",
                                       "schwarz_hybrid_3d32"])
@@ -379,15 +392,34 @@ def test_stencil_read_finds_the_row_gathers_blocks(workload, kind):
     d = cfg.problem.dimension
     hierarchy = om.build_hierarchy(build_problem_spec(cfg), cfg.l_min)
     for level in hierarchy.levels[:-1]:
-        sets, boxes = level_sets(kind, level, d, cfg)
-        assert smoothers._reads_stencil(level.matrix, level.stencil, boxes)
-        sizes = np.array([len(s) for s in sets])
-        for precision in ("float64", "float32"):
-            gathered, which = smoothers._distinct_blocks(level.matrix, sets, sizes, precision)
-            read, read_which = smoothers._read_blocks(level.stencil, boxes, len(sets), precision)
-            assert read_which.dtype == which.dtype and np.array_equal(read_which, which)
-            assert ([(size, e.dtype, e.tobytes()) for size, e in read]
-                    == [(size, e.dtype, e.tobytes()) for size, e in gathered]), level.index
+        assert_read_is_the_row_gather(level.matrix, level.stencil,
+                                      *level_sets(kind, level, d, cfg))
+
+
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+def test_stencil_read_finds_the_row_gathers_blocks_on_small_grids(dimension):
+    # every walk of small partitions and tilings, on an operator with random
+    # couplings (no two boxes share a block unless their walks coincide) and
+    # on the disc operator (mirror images share one)
+    rng = np.random.default_rng(61)
+    for n in {1: (5, 8, 16), 2: (4, 5, 8), 3: (4, 5)}[dimension]:
+        stencil = rng.uniform(-1.0, -0.1, (2 * dimension + 1, n**dimension))
+        stencil[dimension] = 2.0 * dimension + 1.0
+        stencils = [(stencil * problem._inside(dimension, n)).reshape(
+            (2 * dimension + 1,) + (n,) * dimension)]
+        if dimension > 1 and n % 4 == 0:
+            spec = om.ProblemSpec(dimension=dimension, cells_per_axis=n, k_outer=1000.0)
+            stencils.append(problem._poisson_stencil(spec))
+        layouts = []
+        for count, overlap in itertools.product((1, 2, 3, 4, 7, 8), (0, 1, 2)):
+            if count <= n**dimension and smoothers._feasible(n, dimension, count):
+                p = om.partition_cells(n, dimension, count, overlap)
+                layouts.append((p.extended_cells, p.boxes))
+        for tile in (t for t in (1, 2, 4) if n % t == 0):
+            boxes = smoothers._tiles(n, dimension, tile)
+            layouts.append((list(boxes[0].grid_cells()), boxes))
+        for stencil, (sets, boxes) in itertools.product(stencils, layouts):
+            assert_read_is_the_row_gather(problem._csr_of(stencil), stencil, sets, boxes)
 
 
 @pytest.mark.parametrize("kind", ["schwarz", "block_jacobi"])
