@@ -1,9 +1,10 @@
 """Why a second thread cannot speed up a solve on this host: three measurements.
 
 1. ``hashlib.sha256`` over 8 MiB, 100 times: on one thread, on each of two
-   threads at once, and in each of two processes at once.  ``hashlib``
-   releases the interpreter lock for inputs this long, so two threads
-   should take the time of one if the host ran them on two cores.
+   threads at once, and in each of two processes at once; then
+   ``zlib.crc32`` over the same bytes on one thread and on two.  Two
+   workers take the time of one only where the host runs them on two
+   cores at once and neither holds the interpreter lock.
 2. How far a 0.5 ms ``time.sleep`` overshoots while another thread loops
    on one kernel of a solve, on W1's problem (``perfbench/workloads.py``,
    65536 unknowns, 39 basis vectors): scipy's ``dgemv`` (the minimizer's
@@ -35,6 +36,7 @@ import subprocess  # noqa: E402
 import sys  # noqa: E402
 import threading  # noqa: E402
 import time  # noqa: E402
+import zlib  # noqa: E402
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor  # noqa: E402
 from multiprocessing import get_context  # noqa: E402
 
@@ -58,13 +60,17 @@ print((time.perf_counter() - start) / 5)
 """
 
 
-def hashes(count=HASHES):
-    """Wall-clock interval ``(start, end)`` of ``count`` sha256 digests of 8 MiB."""
+def hashes(count=HASHES, digest=lambda data: hashlib.sha256(data).digest()):
+    """Wall-clock interval ``(start, end)`` of ``count`` digests of 8 MiB."""
     data = bytes(HASH_BYTES)
     start = time.time()
     for _ in range(count):
-        hashlib.sha256(data).digest()
+        digest(data)
     return start, time.time()
+
+
+def crcs(count=HASHES):
+    return hashes(count, zlib.crc32)
 
 
 def hash_scaling():
@@ -82,6 +88,10 @@ def hash_scaling():
     with ProcessPoolExecutor(2, mp_context=get_context("spawn")) as pool:
         list(pool.map(hashes, [1, 1]))  # both workers started
         yield line("two processes", list(pool.map(hashes, [HASHES] * 2)))
+    yield f"zlib.crc32 over 8 MiB, {HASHES} times per worker:"
+    yield line("one thread", [crcs()])
+    with ThreadPoolExecutor(2) as pool:
+        yield line("two threads", list(pool.map(crcs, [HASHES] * 2)))
 
 
 def kernels():
