@@ -346,14 +346,12 @@ def build_level_smoothers(hierarchy, cfg, dimension):
         if sm.kind == "schwarz":
             count = subdomain_count(level.n_dofs, sm.subdomain_cells)
             part = partition_cells(level.cells_per_axis, dimension, count, sm.overlap)
-            smoother = schwarz_setup(level.matrix, part, sm.precision, sm.iterations,
-                                     stencil=level.stencil)
+            smoother = schwarz_setup(level.matrix, part, sm.precision, sm.iterations)
         else:
             tile = min(sm.tile, level.cells_per_axis)
             smoother = bj_setup(
                 level.matrix, tile, (level.cells_per_axis, dimension),
                 omega=sm.omega, sweeps=sm.sweeps, precision=sm.precision,
-                stencil=level.stencil,
             )
         bound.append(LevelSmoother(smoother))
     bound.append(None)

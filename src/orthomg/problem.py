@@ -94,12 +94,6 @@ class GridLevel:
 
     ``restriction`` maps this level to the next coarser one and
     ``prolongation`` maps back; both are ``None`` on the coarsest level.
-    ``stencil`` is ``matrix`` in stencil form, shape ``(2d+1,) + (n,)*d``:
-    slot ``a`` holds each cell's coupling to its lower neighbour on axis
-    ``a``, slot ``d`` its diagonal and slot ``2d - a`` its coupling to its
-    upper neighbour, 0 where that neighbour lies outside the grid.  The
-    smoothers read their blocks from it; ``None`` makes them gather the
-    blocks from the matrix rows.
     """
 
     index: int
@@ -107,7 +101,6 @@ class GridLevel:
     restriction: Optional[scipy.sparse.csr_matrix]
     prolongation: Optional[scipy.sparse.csr_matrix]
     cells_per_axis: int
-    stencil: Optional[np.ndarray] = None
 
     @property
     def n_dofs(self):
@@ -254,8 +247,11 @@ def _csr_of(stencil):
     np.cumsum(np.sum(slots != 0.0, axis=0, dtype=np.int32), out=indptr[1:])
     values = np.ascontiguousarray(slots.T)
     keep = values != 0.0
-    offsets = _offsets(stencil.ndim - 1, n).astype(np.int32)
-    columns = np.arange(total, dtype=np.int32)[:, None] + offsets
+    # filled slot by slot: one long add each, not 2d+1 short ones per cell
+    cells = np.arange(total, dtype=np.int32)
+    columns = np.empty(values.shape, dtype=np.int32)
+    for slot, offset in enumerate(_offsets(stencil.ndim - 1, n).tolist()):
+        np.add(cells, offset, out=columns[:, slot])
     return csr((values[keep], columns[keep], indptr), shape=(total, total))
 
 
@@ -335,6 +331,16 @@ def assemble_poisson(spec):
     return _csr_of(_poisson_stencil(spec)), spec.rhs()
 
 
+def _coarse_cells(fine_cells_per_axis):
+    """Cells per axis of the 2:1 coarsened grid."""
+    n = fine_cells_per_axis
+    if n % 2 != 0:
+        raise ValueError(f"cannot coarsen an odd cell count ({n})")
+    if n < 2:
+        raise ValueError("need at least two cells per axis to coarsen")
+    return n // 2
+
+
 def build_prolongation(fine_cells_per_axis, dimension):
     """Piecewise-constant prolongation from the 2:1 coarsened grid.
 
@@ -342,25 +348,30 @@ def build_prolongation(fine_cells_per_axis, dimension):
     each row holds a single 1 and each column sums to ``2**dimension``.
     """
     n = fine_cells_per_axis
-    if n % 2 != 0:
-        raise ValueError(f"cannot coarsen an odd cell count ({n})")
-    if n < 2:
-        raise ValueError("need at least two cells per axis to coarsen")
     d = dimension
-    nc = n // 2
+    nc = _coarse_cells(n)
     idx = np.indices((n,) * d).reshape(d, -1)
     parent = np.ravel_multi_index(idx // 2, (nc,) * d)
     n_fine = n**d
     return csr((np.ones(n_fine), parent, np.arange(n_fine + 1)), shape=(n_fine, nc**d))
 
 
-def build_restriction(prolongation, dimension):
+def build_restriction(fine_cells_per_axis, dimension):
     """Restriction as the scaled transpose ``P^T / 2**dimension``.
 
-    With piecewise-constant prolongation this averages the children of
-    each coarse cell, and ``R @ P`` is exactly the identity.
+    ``P`` is :func:`build_prolongation` of the same grid, so this averages
+    the children of each coarse cell, and ``R @ P`` is exactly the
+    identity.  It is built on the grid: row ``j`` lists the ``2**dimension``
+    children of coarse cell ``j``, ascending.
     """
-    return csr(prolongation.T) * (1.0 / 2**dimension)
+    d = dimension
+    nc = _coarse_cells(fine_cells_per_axis)
+    n_fine = fine_cells_per_axis**d
+    # the fine cells as (coarse cell, child) along each axis, children last
+    children = np.arange(n_fine, dtype=np.int32).reshape((nc, 2) * d).transpose(
+        *range(0, 2 * d, 2), *range(1, 2 * d, 2))
+    return csr((np.full(n_fine, 1.0 / 2**d), children.reshape(-1),
+                np.arange(0, n_fine + 1, 2**d, dtype=np.int32)), shape=(nc**d, n_fine))
 
 
 def build_hierarchy(spec, l_min=1024):
@@ -377,8 +388,8 @@ def hierarchy_from_matrix(matrix, cells, dimension, l_min=1024):
     the Galerkin products ``R A P`` of the fine operator, formed on the
     grid: ``matrix`` may couple each cell only to itself and its face
     neighbours, and a ``ValueError`` names the first row that does not.
-    Every level keeps its operator in stencil form, the finest one that
-    of ``matrix``.
+    The hierarchy keeps each operator once, as its CSR matrix; its
+    stencil form lives only until the next level is coarsened.
     """
     check_csr(matrix)
     if matrix.shape[0] != cells**dimension:
@@ -387,7 +398,10 @@ def hierarchy_from_matrix(matrix, cells, dimension, l_min=1024):
 
 
 def _hierarchy(matrix, stencil, l_min):
-    """Levels from ``matrix`` and its stencil form down to ``l_min`` unknowns, stencils kept."""
+    """Levels from ``matrix`` and its stencil form down to ``l_min`` unknowns.
+
+    Each stencil is dropped once the next level is coarsened from it.
+    """
     if l_min < 4:
         raise ValueError("l_min must be at least 4")
     dimension = stencil.ndim - 1
@@ -395,10 +409,10 @@ def _hierarchy(matrix, stencil, l_min):
     levels = []
     while matrix.shape[0] > l_min and cells >= 4:
         prolongation = build_prolongation(cells, dimension)
-        restriction = build_restriction(prolongation, dimension)
-        levels.append(GridLevel(len(levels), matrix, restriction, prolongation, cells, stencil))
+        restriction = build_restriction(cells, dimension)
+        levels.append(GridLevel(len(levels), matrix, restriction, prolongation, cells))
         stencil = _coarsened(stencil)
         matrix = _csr_of(stencil)
         cells //= 2
-    levels.append(GridLevel(len(levels), matrix, None, None, cells, stencil))
+    levels.append(GridLevel(len(levels), matrix, None, None, cells))
     return GridHierarchy(levels)

@@ -94,7 +94,7 @@ class SearchSpace:
 
     __slots__ = ("anchor_x", "r_factor", "galerkin_matrix", "galerkin_rhs", "_alpha",
                  "_proposal", "_y", "breakdown_count", "restart_cap", "_size", "_panel_rows",
-                 "_panels", "_x", "_r", "_anchor_r", "_anchor_norm")
+                 "_panels", "_x", "_r", "_r_norm", "_anchor_r", "_anchor_norm")
 
     def __init__(self, x0, r0, restart_cap=DEFAULT_RESTART_CAP):
         x0 = np.asarray(x0, dtype=np.float64)
@@ -122,7 +122,7 @@ class SearchSpace:
         self._x = x0
         self._r = r0
         self._anchor_r = r0
-        self._anchor_norm = norm2(r0)
+        self._anchor_norm = self._r_norm = norm2(r0)
 
     @property
     def size(self):
@@ -145,6 +145,11 @@ class SearchSpace:
     def residual(self):
         """The residual of the 2-norm minimizer, as ``rm_update`` last returned it."""
         return self._r
+
+    @property
+    def residual_norm(self):
+        """``norm2(residual)``, as the update that formed the residual computed it."""
+        return self._r_norm
 
     @property
     def minimizer(self):
@@ -287,9 +292,10 @@ def _fold(space, a, z):
     alpha = float(np.dot(w, space._r))
     r = np.multiply(w, -alpha)
     r += space._r
-    if norm2(r) > norm2(space._r):
+    r_norm = norm2(r)
+    if r_norm > space._r_norm:
         return False
-    space._r = r
+    space._r, space._r_norm = r, r_norm
     space._x = None
     column[:, k] = remaining, np.dot(w, d)
     _extend(space, column, alpha, d)

@@ -4,13 +4,14 @@ Both are one :class:`SubdomainSmoother`, summing local solves over
 overlapping subdomains (Schwarz) or disjoint tiles (block Jacobi).  Set-up
 finds the distinct blocks ``A[s, s]``, stacks those with the same number
 of copies into pieces, and gives each piece one solver for all its
-copies.  Given the level's stencil, it reads the blocks from it: boxes
-that list their sets by one pattern share the pattern's entries, and
-each box reads its values with one gather (:func:`_read_blocks`).  A
-block is listed in its set's cell order, and a subdomain lists its
-cells in a canonical orientation (:func:`partition_cells`), so mirror
-images of a subdomain under the grid's reflections and axis swaps
-share one block.  The sets choose the solver, once per level: when every
+copies.  Where the sets were cut from boxes and the matrix stores
+exactly the face pattern of its grid, it reads the blocks from the
+matrix at positions the grid fixes: boxes that list their sets by one
+pattern share the pattern's entries, and each box reads its values with
+one gather (:func:`_read_blocks`).  A block is listed in its set's cell
+order, and a subdomain lists its cells in a canonical orientation
+(:func:`partition_cells`), so mirror images of a subdomain under the
+grid's reflections and axis swaps share one block.  The sets choose the solver, once per level: when every
 set has the same size ``m <= DENSE_MAX_CELLS`` (16), a piece's blocks
 are inverted explicitly and its solve is one batched product (the
 batched block-Jacobi form of Anzt, Dongarra, Flegar and Quintana-Orti,
@@ -91,10 +92,10 @@ class _Boxes:
     axes, slowest first, in walk order), of which those marked in
     ``core`` lie in the box.  Box ``k`` is set ``members[k]``: window cell
     ``x`` is grid cell ``base[k] + strides[k] @ x``, and walk direction
-    ``j`` is stencil slot ``slots[k, j]``, with walk directions in stencil
-    order over the walk axes.  Every set's block has the entries ``(row,
-    col, direction)``, rows in set order and each row's columns ascending,
-    since the walk fixes the set's order.
+    ``j`` is slot ``slots[k, j]`` of :func:`_face_positions`, with walk
+    directions in slot order over the walk axes.  Every set's block has
+    the entries ``(row, col, direction)``, rows in set order and each
+    row's columns ascending, since the walk fixes the set's order.
     """
 
     members: np.ndarray
@@ -275,8 +276,8 @@ def partition_cells(cells_per_axis, dimension, n_subdomains, overlap):
 class SubdomainSmoother:
     """Local solves on index sets, summed over ``sweeps`` damped sweeps.
 
-    ``sets`` are the subdomains or tiles of the level matrix and ``idx``
-    their concatenation: row ``k`` of the block-diagonal matrix
+    ``sets`` are the subdomains or tiles of the level matrix, as views of
+    ``idx``, their concatenation: row ``k`` of the block-diagonal matrix
     ``diag(A[s, s])`` belongs to cell ``idx[k]``.  Each chunk holds rows
     of that matrix, their cells ``idx[rows]`` and a solver for them, one
     chunk per piece: a few distinct blocks with the same number of
@@ -306,9 +307,9 @@ class SubdomainSmoother:
         r = np.asarray(r, dtype=np.float64)
         if r.shape != (a.shape[0],):
             raise ValueError("residual length does not match the matrix")
-        z = np.zeros_like(r)
-        for sweep in range(self.sweeps):
-            defect = r if sweep == 0 else r - spmv(a, z)
+        z = None
+        for _ in range(self.sweeps):
+            defect = r if z is None else r - spmv(a, z)
             if not np.isfinite(defect).all():
                 raise NumericalFailureError("non-finite defect in smoother sweep")
             solved = np.empty(self.idx.size, self.precision)
@@ -319,7 +320,15 @@ class SubdomainSmoother:
 
             mapper = map if executor is None else executor.map
             list(mapper(solve, self.chunks))
-            z += self.omega * np.bincount(self.idx, weights=solved, minlength=r.size)
+            step = np.bincount(self.idx, weights=solved, minlength=r.size)
+            if self.omega != 1.0:
+                step *= self.omega
+            if z is not None:
+                z += step
+            elif self.omega != 1.0:
+                z = step + 0.0  # 0.0 + a damped step rounded to -0.0 is +0.0
+            else:
+                z = step  # bincount sums from +0.0, so no entry is -0.0
         return z
 
 
@@ -467,7 +476,7 @@ def _distinct_blocks(a, sets, sizes, precision):
     return [(size, np.frombuffer(key, entry)) for size, key in keys], np.array(which)
 
 
-# Block entries one step of the stencil read takes, at most: a group's boxes
+# Block entries one step of the grid read takes, at most: a group's boxes
 # are read a slice at a time, so the temporaries do not grow with the level.
 READ_ENTRIES = 2**16
 
@@ -488,40 +497,74 @@ def _distinct_rows(data):
     return first, inverse
 
 
-def _reads_stencil(a, stencil, boxes):
-    """Whether set-up can read the blocks of ``a`` from ``stencil`` along ``boxes``.
+def _face_positions(a, boxes):
+    """Where ``a.data`` holds each face coupling of each cell, or ``None``.
 
-    It can when the sets were cut from boxes and ``a`` stores every
-    coupling on the grid, none of them zero: each block then holds an
-    entry for every pair of face neighbours in its set, as the stencil
-    read lists them.  A stencil that does not fit ``a`` and the boxes'
-    grid raises ``ValueError``.
+    The grid is the ``n**d`` one of ``boxes``.  Slot ``s`` of a cell is its
+    coupling to its lower neighbour on axis ``s`` for ``s < d``, its
+    diagonal for ``s = d``, and its coupling to its upper neighbour on
+    axis ``2d - s`` for ``s > d``; with cells in C order a row lists its
+    columns in slot order.  Set-up reads along boxes only where ``a`` stores exactly the
+    face pattern of the grid, stored zeros included: every row holds one
+    entry per neighbour on the grid and itself, each at the expected
+    column.  Then slot ``s`` of cell ``c`` lies at ``positions[s, c]``:
+    ``indptr[c]`` plus the slots the cell has before ``s``.  Each slot is
+    checked on its own, so no temporary holds more than one index per
+    cell.  Without boxes, or where the pattern differs, returns ``None``.
     """
-    if stencil is None:
-        return False
-    d = stencil.ndim - 1
-    n = stencil.shape[-1]
-    if (d < 1 or stencil.dtype != np.float64 or stencil.shape != (2 * d + 1,) + (n,) * d
-            or n**d != a.shape[0] or any(g.strides.shape[1] != d for g in boxes)):
-        raise ValueError(f"stencil of shape {stencil.shape} does not fit the "
-                         f"{a.shape[0]}-row matrix and its sets")
-    full = (2 * d + 1) * n**d - 2 * d * n ** (d - 1)
-    return bool(boxes) and a.nnz == full == np.count_nonzero(stencil)
+    if not boxes:
+        return None
+    d, total = boxes[0].strides.shape[1], a.shape[0]
+    n = round(total ** (1.0 / d))
+    if n**d != total or any(g.strides.shape[1] != d for g in boxes):
+        return None
+    shape = (n,) * d
+    # the cells whose lower and upper neighbours on each axis lie on the grid
+    lower = [(slice(None),) * axis + (slice(1, None),) for axis in range(d)]
+    upper = [(slice(None),) * axis + (slice(None, -1),) for axis in range(d)]
+    count = np.full(shape, 2 * d + 1, dtype=np.int8)
+    for axis in range(d):
+        count[(slice(None),) * axis + (0,)] -= 1
+        count[(slice(None),) * axis + (-1,)] -= 1
+    if not np.array_equal(np.diff(a.indptr), count.reshape(-1)):
+        return None
+    del count
+    cells = np.arange(total, dtype=a.indices.dtype).reshape(shape)
+    positions = np.empty((2 * d + 1, total), dtype=a.indptr.dtype)
+    positions[0] = a.indptr[:-1]
+    for slot in range(2 * d + 1):
+        here = positions[slot].reshape(shape)
+        if slot < d:
+            inside, step = lower[slot], -n ** (d - 1 - slot)
+        elif slot > d:
+            inside, step = upper[2 * d - slot], n ** (slot - d - 1)
+        else:
+            inside, step = (), 0
+        columns = np.take(a.indices, here[inside])
+        columns -= cells[inside]
+        if not (columns == step).all():
+            return None
+        del columns
+        if slot < 2 * d:
+            positions[slot + 1] = positions[slot]
+            positions[slot + 1].reshape(shape)[inside] += 1
+    return positions
 
 
-def _read_blocks(stencil, boxes, count, precision):
-    """Each distinct block over the ``count`` sets of ``boxes``, read from ``stencil``.
+def _read_blocks(a, positions, boxes, count, precision):
+    """Each distinct block over the ``count`` sets of ``boxes``, read from ``a``.
 
-    Returns what :func:`_distinct_blocks` returns for the stencil's
-    matrix where :func:`_reads_stencil` holds.  A box's entries are one
-    gather ``stencil[slot, cell]``, keyed by their bytes in ``precision``
-    beside its pattern's size, rows and columns, so bitwise-equal blocks
-    share one, as there.  Records are formed for distinct blocks only,
-    and blocks are numbered in order of their first set.
+    Returns what :func:`_distinct_blocks` returns where
+    :func:`_face_positions` gives ``positions``.  A box's entries are one
+    gather ``a.data[positions[slot, cell]]``, keyed by their bytes in
+    ``precision`` beside its pattern's size, rows and columns, so
+    bitwise-equal blocks share one, as there.  Records are formed for
+    distinct blocks only, and blocks are numbered in order of their first
+    set.
     """
     entry = np.dtype([("row", np.intc), ("col", np.intc), ("data", precision)])
-    values = stencil.reshape(-1)
-    total = stencil[0].size
+    places = positions.reshape(-1)
+    total = a.shape[0]
     patterns, keys, blocks = {}, {}, []
     which = np.empty(count, dtype=np.intp)
     for g in boxes:
@@ -533,7 +576,7 @@ def _read_blocks(stencil, boxes, count, precision):
             part = slice(lo, lo + step)
             at = np.take(g.slots[part] * total, g.direction, axis=1)
             at += g.grid_cells(part, rows)
-            data = values[at].astype(precision, copy=False)
+            data = np.take(a.data, places[at]).astype(precision, copy=False)
             del at
             first, inverse = _distinct_rows(data)
             number = []
@@ -600,13 +643,17 @@ def _stacked_lu(blocks):
     """:class:`_StackedLU` of ``diag(blocks)``, from ``(size, entries)`` blocks, and its row order.
 
     Row ``k`` of the factor is row ``order[k]`` of ``diag(blocks)``.
+    The entries, in row order and each row by column, are the CSR arrays
+    of ``diag(blocks)``, turned into CSC in linear time, without a sort.
     """
     entries, owner = _stacked(blocks)
     sizes = np.array([size for size, _ in blocks])
     offset = (np.cumsum(sizes) - sizes)[owner]
     n = sizes.sum()
-    matrix = scipy.sparse.csc_matrix(
-        (entries["data"], (entries["row"] + offset, entries["col"] + offset)), shape=(n, n))
+    indptr = np.zeros(n + 1, dtype=np.intc)
+    np.cumsum(np.bincount(entries["row"] + offset, minlength=n), out=indptr[1:])
+    matrix = scipy.sparse.csr_matrix(
+        (entries["data"], entries["col"] + offset, indptr), shape=(n, n)).tocsc()
     try:
         lu = splu(matrix, **_SPLU_OPTIONS)
     except RuntimeError:  # SuperLU: "Factor is exactly singular"
@@ -624,12 +671,12 @@ def _stacked_lu(blocks):
     return _StackedLU(lower, upper), np.argsort(lu.perm_r)
 
 
-def _subdomain_smoother(a, sets, omega, sweeps, precision, label, stencil=None, boxes=()):
+def _subdomain_smoother(a, sets, omega, sweeps, precision, label, boxes=()):
     """Invert or factorize each distinct block ``A[s, s]`` over ``sets`` once.
 
-    The blocks are read from ``stencil`` along the ``boxes`` the sets were
-    cut from where :func:`_reads_stencil` allows, and gathered from the
-    rows of ``a`` otherwise; both find the same blocks, bit for bit.
+    The blocks are read from ``a`` along the ``boxes`` the sets were cut
+    from where :func:`_face_positions` allows, and gathered from its rows
+    otherwise; both find the same blocks, bit for bit.
 
     The distinct blocks are cut into pieces (:func:`_pieces`), and each
     piece gets one solver: the inverses of its blocks when every set has
@@ -648,10 +695,12 @@ def _subdomain_smoother(a, sets, omega, sweeps, precision, label, stencil=None, 
     sizes = np.array([len(s) for s in sets])
     dense = sizes[0] <= DENSE_MAX_CELLS and (sizes == sizes[0]).all()
     build = _batched_inverse if dense else _stacked_lu
-    if _reads_stencil(a, stencil, boxes):
-        blocks, which = _read_blocks(stencil, boxes, len(sets), precision)
+    positions = _face_positions(a, boxes)
+    if positions is not None:
+        blocks, which = _read_blocks(a, positions, boxes, len(sets), precision)
     else:
         blocks, which = _distinct_blocks(a, sets, sizes, precision)
+    del positions
     counts = np.bincount(which)
     # the sets of block j, in set order: by_block[heads[j]:heads[j] + counts[j]]
     by_block = np.argsort(which, kind="stable")
@@ -659,6 +708,8 @@ def _subdomain_smoother(a, sets, omega, sweeps, precision, label, stencil=None, 
     block_sizes = sizes[by_block[heads]]
     set_rows = np.cumsum(sizes) - sizes
     idx = np.concatenate(sets)
+    # the smoother keeps no copy of the caller's sets
+    sets = [idx[lo:lo + size] for lo, size in zip(set_rows.tolist(), sizes.tolist())]
     chunks = []
     for piece in _pieces(block_sizes, counts):
         try:
@@ -681,14 +732,14 @@ def _subdomain_smoother(a, sets, omega, sweeps, precision, label, stencil=None, 
     return SubdomainSmoother(sets, idx, float(omega), int(sweeps), precision, chunks)
 
 
-def schwarz_setup(a, partition, precision="float64", sweeps=1, stencil=None):
+def schwarz_setup(a, partition, precision="float64", sweeps=1):
     """Additive Schwarz over the extended cells of ``partition``.
 
-    ``stencil``, the matrix in stencil form (``GridLevel.stencil``), lets
-    set-up read the blocks from it along the partition's boxes instead of
-    gathering them from the matrix rows; the smoother is the same, bit for
-    bit.  A singular local block raises :class:`SingularMatrixError`
-    naming the subdomain.
+    Where the partition has boxes (:func:`partition_cells`) and ``a``
+    stores exactly the face pattern of their grid, set-up reads the blocks
+    from ``a.data`` along the boxes instead of gathering them from the
+    matrix rows; the smoother is the same, bit for bit.  A singular local
+    block raises :class:`SingularMatrixError` naming the subdomain.
     """
     check_csr(a)
     covered = sum(core.size for core in partition.core_cells)
@@ -697,7 +748,7 @@ def schwarz_setup(a, partition, precision="float64", sweeps=1, stencil=None):
             f"partition covers {covered} cells but the matrix has {a.shape[0]} rows"
         )
     return _subdomain_smoother(a, partition.extended_cells, 1.0, sweeps, precision,
-                               "subdomain", stencil, partition.boxes)
+                               "subdomain", partition.boxes)
 
 
 def _tiles(cells_per_axis, dimension, tile):
@@ -712,14 +763,15 @@ def _tiles(cells_per_axis, dimension, tile):
 
 
 def bj_setup(a, tile_cells_per_axis, geometry=None, omega=1.0, sweeps=5,
-             precision="float64", stencil=None):
+             precision="float64"):
     """Damped block Jacobi over square tiles of ``tile_cells_per_axis`` cells.
 
     ``geometry`` is the grid shape ``(cells_per_axis, dimension)`` behind
     the matrix rows; without it the index space is one-dimensional and
     tiles are contiguous ranges.  The tile edge must divide the axis.
-    ``stencil`` is read as :func:`schwarz_setup` reads it.  A singular
-    tile raises :class:`SingularMatrixError` naming the block.
+    The blocks are read along the tiles as :func:`schwarz_setup` reads
+    them along its boxes.  A singular tile raises
+    :class:`SingularMatrixError` naming the block.
     """
     check_csr(a)
     cells, dimension = (a.shape[0], 1) if geometry is None else geometry
@@ -736,4 +788,4 @@ def bj_setup(a, tile_cells_per_axis, geometry=None, omega=1.0, sweeps=5,
         raise ValueError("omega must be positive and finite")
     boxes = _tiles(cells, dimension, tile_cells_per_axis)
     return _subdomain_smoother(a, list(boxes[0].grid_cells()), omega, sweeps, precision,
-                               "diagonal block", stencil, boxes)
+                               "diagonal block", boxes)

@@ -293,8 +293,10 @@ def level_loop(hierarchy, level, b, x0, cfg, body, history=None):
     the energy-norm residual over the directions so far, folds it into
     ``space`` with ``rm_update`` and hands each residual ``rm_update``
     returns to ``record(kind, r)``.  The loop keeps no iterate of its
-    own: after each cycle it reads ``space.residual``, and the iterate is
-    formed once, from ``space.minimizer``, when the level is left.  A
+    own: after each cycle it reads ``space.residual_norm``, and the
+    iterate is formed once, from ``space.minimizer``, when the level is
+    left.  ``record`` takes the norm the space carries when handed its
+    residual, so no norm is computed twice.  A
     zero ``x0`` takes ``b`` as its residual without a product.  Only the
     entry level passes a ``history``; the finest level also stops at
     ``cfg.max_outer_iterations``.
@@ -303,19 +305,19 @@ def level_loop(hierarchy, level, b, x0, cfg, body, history=None):
 
     def record(kind, r):
         if history is not None:
-            history.append(kind, norm2(r))
+            history.append(kind, space.residual_norm if r is space.residual else norm2(r))
 
     # every coarse visit starts from zero, and so do most callers: no product
     r0 = b - spmv(a, x0) if x0.any() else b.copy()
     space = rm_init(x0, r0)
-    r0_norm = r_norm = norm2(r0)
+    r0_norm = r_norm = space.residual_norm
     record(KIND_INITIAL, r0)
     iterations = 0
     while not level_converged(level, r_norm, r0_norm, iterations, cfg.criteria):
         if level == 0 and iterations >= cfg.max_outer_iterations:
             break
         body(space, record)
-        r_norm = norm2(space.residual)
+        r_norm = space.residual_norm
         iterations += 1
     x, r = space.minimizer
     record(KIND_FINAL, r)

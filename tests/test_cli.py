@@ -1,8 +1,12 @@
 """Command-line driver tests: artifacts, report shapes, exit codes, worker counts."""
 
 import csv
+import difflib
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import scipy.io
@@ -405,3 +409,19 @@ def test_scaling_config_converges_in_every_repetition(tmp_path):
     stalled = [(row["workers_requested"], row["repetition"], row["note"])
                for row in runs if row["converged"] != "True"]
     assert stalled == []
+
+
+def test_history_digests_match_the_committed_file():
+    # the level operators, block counts, deterministic histories and
+    # staleness response that tests/history_digests.py prints, byte for byte
+    # against tests/history_digests.txt: a change that moves any rounding
+    # updates the file and gives the reason
+    tests = Path(__file__).resolve().parent
+    path = [str(Path(cli.__file__).parents[1]), str(tests)]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    done = subprocess.run([sys.executable, str(tests / "history_digests.py")], env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stdout + done.stderr
+    expected = (tests / "history_digests.txt").read_text()
+    assert done.stdout == expected, "".join(difflib.unified_diff(
+        expected.splitlines(True), done.stdout.splitlines(True), "committed", "printed"))

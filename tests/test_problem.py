@@ -160,7 +160,7 @@ def test_prolongation_structure():
 
 def test_restriction_averages_children():
     p = om.build_prolongation(4, 2)
-    r = om.build_restriction(p, 2)
+    r = om.build_restriction(4, 2)
     dense = r.toarray()
     assert dense.shape == (4, 16)
     assert np.array_equal(np.sort(np.unique(dense)), [0.0, 0.25])
@@ -173,6 +173,21 @@ def test_prolongation_rejects_odd_or_tiny():
         om.build_prolongation(5, 2)
     with pytest.raises(ValueError):
         om.build_prolongation(1, 2)
+    with pytest.raises(ValueError):
+        om.build_restriction(5, 2)
+
+
+@pytest.mark.parametrize("dimension,cells", [(1, 8), (2, 4), (2, 256), (3, 4), (3, 32)])
+def test_restriction_is_the_scaled_transpose_bit_for_bit(dimension, cells):
+    # built on the grid, the restriction holds the arrays of the transpose
+    # of the prolongation times 1/2^d, dtypes included
+    p = om.build_prolongation(cells, dimension)
+    expected = scipy.sparse.csr_matrix(p.T) * (1.0 / 2**dimension)
+    expected.sort_indices()
+    r = om.build_restriction(cells, dimension)
+    for ours, theirs in ((r.indptr, expected.indptr), (r.indices, expected.indices),
+                         (r.data, expected.data)):
+        assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs)
 
 
 def test_coarse_operator_is_galerkin_product():
@@ -303,7 +318,7 @@ def test_every_matrix_is_canonical_int32_csr(dimension, cells):
     spec = om.ProblemSpec(dimension=dimension, cells_per_axis=cells)
     assembled, _ = om.assemble_poisson(spec)
     prolongation = om.build_prolongation(cells, dimension)
-    restriction = om.build_restriction(prolongation, dimension)
+    restriction = om.build_restriction(cells, dimension)
     hierarchy = om.hierarchy_from_matrix(assembled, cells, dimension, l_min=16)
     matrices = [assembled, prolongation, restriction]
     for level in hierarchy.levels:

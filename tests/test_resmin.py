@@ -154,6 +154,23 @@ def test_restart_cap_re_anchors_without_losing_progress():
     assert space.breakdown_count == 0  # restarts are not breakdowns
 
 
+def test_carried_residual_norm_is_the_residuals_norm():
+    # the norm an update computed for its residual is carried bit for bit
+    # through accepted updates, a breakdown and restarts
+    rng = np.random.default_rng(29)
+    n = 12
+    a = random_spd(rng, n)
+    b = rng.standard_normal(n)
+    space = om.rm_init(np.zeros(n), b, restart_cap=4)
+    assert space.residual_norm == om.norm2(b)
+    directions = [rng.standard_normal(n) for _ in range(10)]
+    directions.insert(3, directions[2])  # already in the span: breaks down
+    for z in directions:
+        r = om.rm_update(space, a, z)
+        assert r is space.residual and space.residual_norm == om.norm2(r)
+    assert space.breakdown_count == 1
+
+
 def test_near_dependent_direction_breaks_down():
     # a stored direction plus noise of relative size 1e-10 keeps almost none
     # of its image after projection; normalizing it would make the pairs drift

@@ -322,30 +322,31 @@ def test_galerkin_levels_share_mirrored_blocks(dimension, cells, l_min, level, d
 @pytest.mark.parametrize("dimension,cells,peak_mib", [(2, 256, 6.0), (3, 32, 10.0)])
 def test_sparse_setup_keeps_only_factors(dimension, cells, peak_mib):
     # the benchmark's finest disc levels, 256-cell subdomains, with the
-    # blocks gathered from the matrix rows and read from the kept stencil.
-    # Both peak bounds count beyond the factor arrays, which are numpy
-    # arrays now: the gathering set-up peak reads 5.8 (2D) and 4.8 MiB (3D)
-    # beyond them, since each gathering step frees its temporaries before
-    # its blocks are keyed and the last step's entries before the next step
-    # gathers (7.7 and 8.2 MiB when neither was); it read 12.4 and 15.6 MiB
-    # when SuperLU kept the factors, and 22.3 and 28.2 MiB when the whole
-    # A[idx][:, idx] and a block-diagonal copy were formed.  Read from the
-    # stencil, a slice of boxes at a time, it reads 2.2 and 2.0 MiB
+    # blocks gathered from the matrix rows (a hand-listed partition) and
+    # read from the matrix along the partition's boxes.  Both peak bounds
+    # count beyond the factor arrays, which are numpy arrays now: the
+    # gathering set-up peak reads 5.8 (2D) and 4.8 MiB (3D) beyond them,
+    # since each gathering step frees its temporaries before its blocks are
+    # keyed and the last step's entries before the next step gathers (7.7
+    # and 8.2 MiB when neither was); it read 12.4 and 15.6 MiB when SuperLU
+    # kept the factors, and 22.3 and 28.2 MiB when the whole A[idx][:, idx]
+    # and a block-diagonal copy were formed.  Read along the boxes, a slice
+    # of boxes at a time, it reads 2.8 and 2.0 MiB, the slot positions
+    # included
     spec = om.ProblemSpec(dimension=dimension, cells_per_axis=cells, k_outer=1000.0)
-    level = om.build_hierarchy(spec, l_min=cells**dimension).finest
-    a = level.matrix
+    a = om.build_hierarchy(spec, l_min=cells**dimension).finest.matrix
     p = om.partition_cells(cells, dimension, a.shape[0] // 256, 1)
-    for stencil in (None, level.stencil):
+    for partition in (om.Partition(p.core_cells, p.extended_cells), p):
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            sm = om.schwarz_setup(a, p, stencil=stencil)
+            sm = om.schwarz_setup(a, partition)
             retained, peak = (m - start for m in tracemalloc.get_traced_memory())
         finally:
             tracemalloc.stop()
         factors = sum(array.nbytes for array in factor_arrays(sm))
         assert peak - factors <= peak_mib * 2**20, (peak - factors) / 2**20
-        # the sets, their concatenation and the rows and cells of every chunk
+        # the sets' concatenation and the rows and cells of every chunk
         assert retained - factors <= 2 * 2**20, (retained - factors) / 2**20
     assert kernel(sm) == "sparse"
     assert not any(scipy.sparse.issparse(v) for v in vars(sm).values())
@@ -369,14 +370,15 @@ def level_sets(kind, level, dimension, cfg):
     return list(boxes[0].grid_cells()), boxes
 
 
-def assert_read_is_the_row_gather(a, stencil, sets, boxes):
-    """The blocks read from ``stencil``, their order and each set's block are
-    the row gather's, bit for bit, in both precisions."""
-    assert smoothers._reads_stencil(a, stencil, boxes)
+def assert_read_is_the_row_gather(a, sets, boxes):
+    """The blocks read from ``a`` along ``boxes``, their order and each set's
+    block are the row gather's, bit for bit, in both precisions."""
+    positions = smoothers._face_positions(a, boxes)
+    assert positions is not None
     sizes = np.array([len(s) for s in sets])
     for precision in ("float64", "float32"):
         gathered, which = smoothers._distinct_blocks(a, sets, sizes, precision)
-        read, read_which = smoothers._read_blocks(stencil, boxes, len(sets), precision)
+        read, read_which = smoothers._read_blocks(a, positions, boxes, len(sets), precision)
         assert read_which.dtype == which.dtype and np.array_equal(read_which, which)
         assert ([(size, e.dtype, e.tobytes()) for size, e in read]
                 == [(size, e.dtype, e.tobytes()) for size, e in gathered])
@@ -387,14 +389,14 @@ def assert_read_is_the_row_gather(a, stencil, sets, boxes):
                                       "schwarz_hybrid_3d32"])
 def test_stencil_read_finds_the_row_gathers_blocks(workload, kind):
     # every smoother level of the benchmark hierarchies, with the library's
-    # default subdomains and tiles: the blocks read from the kept stencil,
-    # their order and each set's block equal the row gather's, bit for bit
+    # default subdomains and tiles: the blocks read from the level matrix
+    # at its slot positions, their order and each set's block equal the
+    # row gather's, bit for bit
     cfg = load_perfbench("workloads").WORKLOADS[workload].run_config()
     d = cfg.problem.dimension
     hierarchy = om.build_hierarchy(build_problem_spec(cfg), cfg.l_min)
     for level in hierarchy.levels[:-1]:
-        assert_read_is_the_row_gather(level.matrix, level.stencil,
-                                      *level_sets(kind, level, d, cfg))
+        assert_read_is_the_row_gather(level.matrix, *level_sets(kind, level, d, cfg))
 
 
 @pytest.mark.parametrize("dimension", [1, 2, 3])
@@ -420,35 +422,57 @@ def test_stencil_read_finds_the_row_gathers_blocks_on_small_grids(dimension):
             boxes = smoothers._tiles(n, dimension, tile)
             layouts.append((list(boxes[0].grid_cells()), boxes))
         for stencil, (sets, boxes) in itertools.product(stencils, layouts):
-            assert_read_is_the_row_gather(problem._csr_of(stencil), stencil, sets, boxes)
+            assert_read_is_the_row_gather(problem._csr_of(stencil), sets, boxes)
+
+
+def gathered_setups(monkeypatch, build):
+    """``build()`` with every block gathered from the matrix rows."""
+    with monkeypatch.context() as patch:
+        patch.setattr(smoothers, "_face_positions", lambda a, boxes: None)
+        return build()
+
+
+def no_gather(*args):
+    raise AssertionError("blocks gathered from the matrix rows")
 
 
 @pytest.mark.parametrize("kind", ["schwarz", "block_jacobi"])
-def test_level_smoothers_read_the_kept_stencil(monkeypatch, kind):
-    # the library's set-up reads every level's blocks from its stencil and
-    # builds the smoothers the row gather builds
+def test_level_smoothers_read_the_level_matrix(monkeypatch, kind):
+    # the library's set-up reads every level's blocks from its matrix along
+    # the boxes and builds the smoothers the row gather builds
     cfg = om.RunConfig()
     cfg.smoother.kind = kind
     cfg.smoother.subdomain_cells = 64
     spec = om.ProblemSpec(dimension=2, cells_per_axis=32, k_outer=1000.0)
     hierarchy = om.build_hierarchy(spec, l_min=64)
-    gathered = []
-    for level in hierarchy.levels[:-1]:
-        n = level.cells_per_axis
-        if kind == "schwarz":
-            p = om.partition_cells(n, 2, subdomain_count(level.n_dofs, 64), 1)
-            gathered.append(om.schwarz_setup(level.matrix, p))
-        else:
-            gathered.append(om.bj_setup(level.matrix, min(4, n), (n, 2)))
-
-    def no_gather(*args):
-        raise AssertionError("blocks gathered from the matrix rows")
-
+    gathered = gathered_setups(monkeypatch, lambda: build_level_smoothers(hierarchy, cfg, 2))
     monkeypatch.setattr(smoothers, "_distinct_blocks", no_gather)
     read = build_level_smoothers(hierarchy, cfg, 2)
     assert len(read) == hierarchy.n_levels and read[-1] is None
-    for ours, theirs in zip(read, gathered):
-        assert same_setup(ours.smoother, theirs)
+    for ours, theirs in zip(read[:-1], gathered[:-1]):
+        assert same_setup(ours.smoother, theirs.smoother)
+
+
+@pytest.mark.parametrize("dimension,cells", [(1, 64), (2, 32), (3, 16)])
+def test_matrix_only_setup_reads_along_boxes(monkeypatch, dimension, cells):
+    # a caller who passes only a matrix, with a partition from
+    # partition_cells or block-Jacobi tiles, never gathers from the rows
+    if dimension == 1:
+        a = problem._csr_of(np.array([[0.0] + [-1.0] * (cells - 1), [2.5] * cells,
+                                      [-1.0] * (cells - 1) + [0.0]]))
+    else:
+        spec = om.ProblemSpec(dimension=dimension, cells_per_axis=cells, k_outer=1000.0)
+        a = om.build_hierarchy(spec, l_min=cells**dimension).finest.matrix
+    p = om.partition_cells(cells, dimension, 8, 1)
+    geometry = None if dimension == 1 else (cells, dimension)
+
+    def build():
+        return om.schwarz_setup(a, p), om.bj_setup(a, 4, geometry)
+
+    gathered = gathered_setups(monkeypatch, build)
+    monkeypatch.setattr(smoothers, "_distinct_blocks", no_gather)
+    for ours, theirs in zip(build(), gathered):
+        assert same_setup(ours, theirs)
 
 
 def test_distinct_rows_tell_apart_rows_that_share_a_sum():
@@ -464,30 +488,44 @@ def test_distinct_rows_tell_apart_rows_that_share_a_sum():
     assert np.array_equal(first[inverse], [0, 1, 0])
 
 
-def test_stencil_read_needs_every_coupling_stored_and_nonzero():
-    # a zero coupling leaves the matrix without an entry the stencil read
-    # would list, and a stored zero gives the matrix one it would not: both
-    # gather from the rows and build the same smoother as without a stencil
+def test_stencil_read_needs_exactly_the_face_pattern(monkeypatch):
+    # set-up reads along the boxes only where the matrix stores exactly the
+    # face pattern of its grid; a missing coupling, a foreign column, a
+    # hand-listed partition or tiles on the wrong grid gather from the rows
+    # and build the same smoother as the row gather
     spec = om.ProblemSpec(dimension=2, cells_per_axis=16, k_outer=1000.0)
-    level = om.build_hierarchy(spec, l_min=256).finest
+    a = om.build_hierarchy(spec, l_min=256).finest.matrix
     p = om.partition_cells(16, 2, 4, 1)
-    cell = 5 * 16 + 7
-    cut = level.stencil.copy()
-    cut[0].flat[cell] = cut[4].flat[cell - 16] = 0.0
-    weak = scipy.sparse.csr_matrix(level.matrix)
-    weak.data[weak.indptr[cell]] = 0.0  # coupling to the cell below, kept as a stored zero
-    for a, stencil in ((problem._csr_of(cut), cut),
-                       (weak, om.hierarchy_from_matrix(weak, 16, 2, l_min=256).finest.stencil)):
-        assert not smoothers._reads_stencil(a, stencil, p.boxes)
-        assert same_setup(om.schwarz_setup(a, p, stencil=stencil), om.schwarz_setup(a, p))
-    assert smoothers._reads_stencil(level.matrix, level.stencil, p.boxes)
-    # a hand-listed partition has no boxes to read along
     listed = om.Partition(p.core_cells, p.extended_cells)
-    assert not smoothers._reads_stencil(level.matrix, level.stencil, listed.boxes)
-    for stencil in (level.stencil[:, :8], level.stencil.astype(np.float32),
-                    level.stencil.reshape(5, 256)):
-        with pytest.raises(ValueError, match="does not fit"):
-            om.schwarz_setup(level.matrix, p, stencil=stencil)
+    cell = 5 * 16 + 7
+    cut = problem._poisson_stencil(spec)
+    cut[0].flat[cell] = cut[4].flat[cell - 16] = 0.0
+    # full row counts, but the coupling of the cell to the one above it
+    # replaced by one to the cell above and right of it
+    foreign = scipy.sparse.csr_matrix(a, copy=True)
+    foreign.indices[foreign.indptr[cell + 1] - 1] += 1
+    for matrix in (problem._csr_of(cut), foreign):
+        assert smoothers._face_positions(matrix, p.boxes) is None
+        assert same_setup(om.schwarz_setup(matrix, p), om.schwarz_setup(matrix, listed))
+    assert smoothers._face_positions(a, p.boxes) is not None
+    # a hand-listed partition has no boxes to read along
+    assert smoothers._face_positions(a, listed.boxes) is None
+    # without geometry, the tiles run along one axis of 256 cells
+    assert smoothers._face_positions(a, smoothers._tiles(256, 1, 4)) is None
+    assert same_setup(om.bj_setup(a, 4), gathered_setups(monkeypatch, lambda: om.bj_setup(a, 4)))
+
+
+def test_stencil_read_takes_a_stored_zero_as_the_row_gather_does():
+    # a zero coupling kept as a stored entry is part of the face pattern:
+    # set-up reads it through the grid, and the row gather lists it too
+    spec = om.ProblemSpec(dimension=2, cells_per_axis=16, k_outer=1000.0)
+    weak = scipy.sparse.csr_matrix(om.build_hierarchy(spec, l_min=256).finest.matrix, copy=True)
+    cell = 5 * 16 + 7
+    weak.data[weak.indptr[cell]] = 0.0  # coupling to the cell below
+    p = om.partition_cells(16, 2, 4, 1)
+    assert_read_is_the_row_gather(weak, p.extended_cells, p.boxes)
+    assert same_setup(om.schwarz_setup(weak, p),
+                      om.schwarz_setup(weak, om.Partition(p.core_cells, p.extended_cells)))
 
 
 def test_stacked_lu_matches_superlu_on_copied_blocks():
@@ -529,6 +567,34 @@ def test_schwarz_float32_local_solves():
         assert z32.dtype == np.float64
         assert not np.array_equal(z32, z64)
         assert z32 == pytest.approx(z64, rel=1e-4, abs=1e-4 * np.abs(z64).max()), kind
+
+
+def zero_start_apply(sm, a, r):
+    """``sm.apply(a, r)`` as sums into a correction that starts at zero."""
+    z = np.zeros_like(r)
+    for sweep in range(sm.sweeps):
+        defect = r if sweep == 0 else r - a @ z
+        solved = np.empty(sm.idx.size, sm.precision)
+        for rows, cells, solver in sm.chunks:
+            solved[rows] = solver.solve(defect[cells].astype(sm.precision, copy=False))
+        z += sm.omega * np.bincount(sm.idx, weights=solved, minlength=r.size)
+    return z
+
+
+@pytest.mark.parametrize("omega,sweeps", [(1.0, 1), (1.0, 3), (0.5, 1), (0.7, 3)])
+def test_apply_is_the_sum_from_a_zero_correction(omega, sweeps):
+    # the first sweep's step is taken as the correction without adding it
+    # to zeros, bit for bit: on the identity a damped step of the smallest
+    # subnormal rounds to -0.0, and the correction holds +0.0 there
+    r = np.random.default_rng(5).standard_normal(64)
+    r[:4] = -5e-324
+    identity = scipy.sparse.csr_matrix(scipy.sparse.identity(64))
+    for sm, a in ((om.bj_setup(poisson_matrix(8), 2, (8, 2), omega, sweeps), poisson_matrix(8)),
+                  (om.bj_setup(identity, 1, None, omega, sweeps), identity)):
+        z = sm.apply(a, r)
+        assert np.array_equal(z.view(np.uint64), zero_start_apply(sm, a, r).view(np.uint64))
+    if (omega, sweeps) == (0.5, 1):
+        assert (z[:4] == 0.0).all() and not np.signbit(z[:4]).any()
 
 
 def test_schwarz_setup_rejects_partial_cover():

@@ -1,5 +1,13 @@
-"""Why a second thread cannot speed up a solve on this host: three measurements.
+"""Why a second thread cannot speed up a solve on this host: four measurements.
 
+0. Whether the host gave a second CPU: two workers, each making as many
+   calls of a solve kernel (the CSR product and SuperLU's ``gstrs``, on
+   W1's problem as in 2.) as one worker makes alone in about half a
+   second, first on two threads and then in two processes.  The line
+   gives their speed-up over making both workers' calls in turn: 2.00x
+   where both ran at once, 1.00x where they took turns on one CPU.  On a
+   shared host the answer changes from run to run, so print it beside any
+   parallel timing.
 1. ``hashlib.sha256`` over 8 MiB, 100 times: on one thread, on each of two
    threads at once, and in each of two processes at once; then
    ``zlib.crc32`` over the same bytes on one thread and on two.  Two
@@ -30,6 +38,7 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("OMP_NUM_THREADS", "1")
 
+import functools  # noqa: E402
 import hashlib  # noqa: E402
 import statistics  # noqa: E402
 import subprocess  # noqa: E402
@@ -49,6 +58,8 @@ HASHES = 100
 HASH_BYTES = 8 * 2**20
 SLEEP = 0.0005
 SLEEPS = 200
+OVERLAP_SECONDS = 0.5
+OVERLAP_KERNELS = ("csr_matvec", "gstrs")
 GEMM = """
 import time, numpy as np
 a = np.random.default_rng(0).standard_normal((1500, 1500))
@@ -94,8 +105,9 @@ def hash_scaling():
         yield line("two threads", list(pool.map(crcs, [HASHES] * 2)))
 
 
+@functools.lru_cache(maxsize=None)
 def kernels():
-    """``(name, call)`` of each solve kernel, on W1's finest level."""
+    """``(name, call)`` of each solve kernel, on W1's finest level, built once per process."""
     spec = om.ProblemSpec(dimension=2, cells_per_axis=256, k_outer=1000.0)
     level = om.build_hierarchy(spec, l_min=64).finest
     n = level.n_dofs
@@ -103,7 +115,7 @@ def kernels():
     panel = rng.standard_normal((39, n))
     x, y, coefficients = rng.standard_normal(n), rng.standard_normal(n), rng.standard_normal(39)
     partition = om.partition_cells(256, 2, 256, 1)
-    smoother = om.schwarz_setup(level.matrix, partition, stencil=level.stencil)
+    smoother = om.schwarz_setup(level.matrix, partition)
     rows, cells, solver = max(smoother.chunks, key=lambda chunk: chunk[0].size)
     defect = x[cells]
     return [
@@ -113,6 +125,46 @@ def kernels():
         ("csr_matvec", lambda: level.matrix @ x),
         ("gstrs", lambda: solver.solve(defect)),
     ]
+
+
+def calls(name, count):
+    """Wall-clock interval ``(start, end)`` of ``count`` calls of kernel ``name``."""
+    call = dict(kernels())[name]
+    start = time.time()
+    for _ in range(count):
+        call()
+    return start, time.time()
+
+
+def kernels_built(seconds):
+    """Build the kernels in a pool worker, then hold it so that the other one starts too."""
+    kernels()
+    time.sleep(seconds)
+
+
+def overlap():
+    """One line per kernel: the speed-up of two workers over one worker's calls in turn."""
+    yield (f"two workers at once, each making the calls one worker makes in about "
+           f"{OVERLAP_SECONDS} s, against both workers' calls in turn (2.00x: a second "
+           f"CPU ran them; 1.00x: none did):")
+    with ProcessPoolExecutor(2, mp_context=get_context("spawn")) as processes:
+        list(processes.map(kernels_built, [0.2, 0.2]))  # both workers started
+        for name in OVERLAP_KERNELS:
+            start, end = calls(name, 20)
+            count = max(1, round(20 * OVERLAP_SECONDS / max(end - start, 1e-6)))
+
+            def span(intervals):
+                return max(e for _, e in intervals) - min(s for s, _ in intervals)
+
+            before = span([calls(name, count)])
+            with ThreadPoolExecutor(2) as threads:
+                two_threads = span(list(threads.map(calls, [name] * 2, [count] * 2)))
+            two_processes = span(list(processes.map(calls, [name] * 2, [count] * 2)))
+            # the faster of one worker's runs before and after the pairs
+            alone = min(before, span([calls(name, count)]))
+            yield (f"  {name:12s} {count} calls alone {alone:.3f} s; two threads "
+                   f"{2 * alone / two_threads:.2f}x, two processes "
+                   f"{2 * alone / two_processes:.2f}x")
 
 
 def overshoots(call):
@@ -170,7 +222,7 @@ def gemm_threads():
 
 def main():
     print(f"usable CPUs: {len(os.sched_getaffinity(0))}")
-    for section in (hash_scaling, lock_holding, gemm_threads):
+    for section in (overlap, hash_scaling, lock_holding, gemm_threads):
         for line in section():
             print(line, flush=True)
     return 0
