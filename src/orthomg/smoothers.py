@@ -111,9 +111,8 @@ class _Boxes:
     def grid_cells(self, boxes=slice(None), cells=None):
         """Grid cells of window ``cells`` (default: the set's), one row per box of ``boxes``."""
         cells = self.cells if cells is None else cells
-        out = np.repeat(self.base[boxes, None], len(cells), axis=1)
-        for stride, x in zip(self.strides[boxes].T, cells.T):
-            out += stride[:, None] * x
+        out = self.strides[boxes] @ cells.T
+        out += self.base[boxes, None]
         return out
 
 
@@ -574,8 +573,10 @@ def _read_blocks(a, positions, boxes, count, precision):
         step = max(1, READ_ENTRIES // g.row.size)
         for lo in range(0, g.members.size, step):
             part = slice(lo, lo + step)
-            at = np.take(g.slots[part] * total, g.direction, axis=1)
-            at += g.grid_cells(part, rows)
+            # slot s of cell c at s * total + c: each box's slot and base
+            # cell per walk direction, plus the entry's cell in its window
+            at = np.take(g.slots[part] * total + g.base[part, None], g.direction, axis=1)
+            at += g.strides[part] @ rows.T
             data = np.take(a.data, places[at]).astype(precision, copy=False)
             del at
             first, inverse = _distinct_rows(data)

@@ -10,6 +10,11 @@ solve alike when their outputs match line for line:
 
     PYTHONPATH=src python tests/history_digests.py
 
+``tests/history_digests.txt`` holds the output of the current tree, and
+``test_cli.py::test_history_digests_match_the_committed_file`` compares
+the two byte for byte: a change that moves any rounding updates the file
+and gives the reason.
+
 Each line also carries a digest of the ``type`` column alone.  Where two
 trees differ only at rounding, a diff of their outputs shows the same row
 counts and kind digests and different digests of the whole file.
