@@ -8,19 +8,21 @@ copies.  Where the sets were cut from boxes and the matrix stores
 exactly the face pattern of its grid, it reads the blocks from the
 matrix at positions the grid fixes: boxes that list their sets by one
 pattern share the pattern's entries, and each box reads its values with
-one gather (:func:`_read_blocks`).  A block is listed in its set's cell
-order, and a subdomain lists its cells in a canonical orientation
-(:func:`partition_cells`), so mirror images of a subdomain under the
-grid's reflections and axis swaps share one block.  The sets choose the solver, once per level: when every
-set has the same size ``m <= DENSE_MAX_CELLS`` (16), a piece's blocks
-are inverted explicitly and its solve is one batched product (the
-batched block-Jacobi form of Anzt, Dongarra, Flegar and Quintana-Orti,
-Parallel Computing 81, 2019); otherwise they are factorized together by
-sparse LU, and its solve is one triangular solve.  An application always
-starts from a zero correction, so smoothers are linear operators on the
-residual; overlap contributions in the Schwarz sweep are summed without
-damping because the surrounding minimization absorbs any
-overcorrection.
+one gather (:func:`_read_blocks`).  Elsewhere it slices each set's block
+from the matrix on its own (:func:`_sliced_blocks`), slower but with one
+block's temporaries; both find the same blocks.  A block is listed in its
+set's cell order, and a subdomain lists its cells in a canonical
+orientation (:func:`partition_cells`), so mirror images of a subdomain
+under the grid's reflections and axis swaps share one block.  The sets
+choose the solver, once per level: when every set has the same size
+``m <= DENSE_MAX_CELLS`` (16), a piece's blocks are inverted explicitly
+and its solve is one batched product (the batched block-Jacobi form of
+Anzt, Dongarra, Flegar and Quintana-Orti, Parallel Computing 81, 2019);
+otherwise they are factorized together by sparse LU, and its solve is
+one triangular solve.  An application always starts from a zero
+correction, so smoothers are linear operators on the residual; overlap
+contributions in the Schwarz sweep are summed without damping because
+the surrounding minimization absorbs any overcorrection.
 """
 
 import math
@@ -76,7 +78,7 @@ class Partition:
     orientation of :func:`partition_cells`.  ``boxes`` are the boxes the
     sets were cut from, in groups that list their sets by one pattern
     (:class:`_Boxes`); a partition listed by hand has none, and set-up
-    then gathers its blocks from the matrix rows.
+    then slices each set's block from the matrix.
     """
 
     core_cells: list
@@ -383,95 +385,31 @@ class _StackedLU:
         return x.T.reshape(-1)
 
 
-# Cells whose blocks one gathering step takes from the level matrix, at
-# most, and the slots of its lookup table (a larger set is gathered on its
-# own).  Each step forms the rows ``A[g]`` for its cells ``g`` only, so the
-# temporaries do not grow with the level.
-GATHER_CELLS = 2**14
-GATHER_SLOTS = 2**18
-
-
-def _gathered(a, sets, sizes):
-    """Entries of each block ``A[s, s]`` over ``sets``, one step of sets at a time.
-
-    Each set owns a window of table slots, one per matrix index from its
-    smallest cell to its largest, holding the step row of each of its
-    cells; an entry of a gathered row is kept when its column hits a
-    filled slot in the window of the row's own set.  Consecutive sets
-    whose cells and windows fit in :data:`GATHER_CELLS` cells and
-    :data:`GATHER_SLOTS` slots form a step.  Yields ``(first, nnz, row,
-    col, data)`` per step: its sets start at set ``first``, and the
-    ``k``-th of them holds the next ``nnz[k]`` entries, in row order, each
-    row by column, with rows and columns counted as positions in the set.
-    So a block's entries do not depend on where the set lies in the grid.
-    """
-    heads = np.cumsum(sizes) - sizes
-    cells = np.concatenate(sets)
-    lo = np.minimum.reduceat(cells, heads)
-    width = np.maximum.reduceat(cells, heads) - lo + 1
-    ends = (np.cumsum(sizes) - 1) // GATHER_CELLS + (np.cumsum(width) - 1) // GATHER_SLOTS
-    starts = [0, *(np.flatnonzero(np.diff(ends)) + 1)]
-    # cells listed after a larger cell of their own set; a step without any
-    # keeps the matrix's ascending columns, already each row by column
-    descends = np.diff(cells) < 0
-    descends[heads[1:] - 1] = False
-    for first, stop in zip(starts, [*starts[1:], len(sets)]):
-        row0, size = heads[first], heads[stop - 1] + sizes[stop - 1] - heads[first]
-        owner = np.repeat(np.arange(stop - first), sizes[first:stop])
-        # slot of index j for a row of set o: shift[o] + j, past a -1 guard
-        # slot at each end of the table
-        window = np.cumsum(width[first:stop]) - width[first:stop] + 1
-        shift = window - lo[first:stop]
-        slots = np.full(window[-1] + width[stop - 1] + 1, -1, dtype=np.intc)
-        slots[shift[owner] + cells[row0:row0 + size]] = np.arange(size)
-        sub = a[cells[row0:row0 + size]]
-        per_row = np.diff(sub.indptr)
-        set_of = np.repeat(owner, per_row)
-        col = slots[np.clip(shift[set_of] + sub.indices, 0, slots.size - 1)]
-        # a column outside the row's window lands on a guard, an empty slot
-        # or another set's cell
-        keep = (col >= 0) & (owner[col] == set_of)
-        base = heads[first:stop] - row0  # step row of each set's first cell
-        row = np.repeat(np.arange(size) - base[owner], per_row)[keep]
-        set_of = set_of[keep]
-        col, data = col[keep], sub.data[keep]
-        if descends[row0:row0 + size - 1].any():
-            # the rows list columns in the grid's order: sort each by the set's
-            by_col = np.argsort((row + base[set_of]) * size + col, kind="stable")
-            col, data = col[by_col], data[by_col]
-            del by_col
-        nnz, col = np.bincount(set_of, minlength=stop - first), col - base[set_of]
-        # the caller keys the step's blocks: free the step's temporaries first
-        del sub, per_row, set_of, keep, slots, owner
-        yield first, nnz, row, col, data
-        del nnz, row, col, data  # the next step gathers without them
-
-
-def _distinct_blocks(a, sets, sizes, precision):
+def _sliced_blocks(a, sets, sizes, precision):
     """Each distinct block ``A[s, s]`` over ``sets`` once, in ``precision``.
 
     A structured grid repeats blocks wherever the coefficient is constant
     and between mirror images of a subdomain (16 distinct ones among the
     256 subdomains of the 256^2 disc level, 11 among the 128 of the 32^3
-    one, 106 among the 1024 tiles of the 128^2 one).  A set is keyed by its
-    size and the bytes of its entries, so only bitwise-equal blocks share
-    one: the dict confirms every hash match by comparing the keys whole.
-    Returns the distinct blocks in order of first appearance, each as its
-    size and its entries (``row``, ``col`` and ``data`` records, in row
-    order), and per set the index of its block.
+    one, 106 among the 1024 tiles of the 128^2 one).  Each set's block is
+    sliced from ``a`` on its own, so the temporaries are one block's, and
+    keyed by its size and the bytes of its entries, so only bitwise-equal
+    blocks share one: the dict confirms every hash match by comparing the
+    keys whole.  Returns the distinct blocks in order of first appearance,
+    each as its size and its entries (``row``, ``col`` and ``data``
+    records, in row order, each row by column, counted as positions in the
+    set), and per set the index of its block.
     """
     entry = np.dtype([("row", np.intc), ("col", np.intc), ("data", precision)])
     keys = {}
     which = []
-    for first, nnz, row, col, data in _gathered(a, sets, sizes):
-        records = np.empty(row.size, entry)
-        records["row"], records["col"], records["data"] = row, col, data
-        flat = records.tobytes()
-        ends = np.cumsum(nnz) * entry.itemsize
-        which += [keys.setdefault((size, flat[lo:hi]), len(keys)) for size, lo, hi
-                  in zip(sizes[first:first + nnz.size].tolist(),
-                         (ends - nnz * entry.itemsize).tolist(), ends.tolist())]
-        del records, flat, row, col, data  # likewise
+    for s, size in zip(sets, sizes.tolist()):
+        block = a[s][:, s]
+        block.sort_indices()
+        records = np.empty(block.nnz, entry)
+        records["row"] = np.repeat(np.arange(size), np.diff(block.indptr))
+        records["col"], records["data"] = block.indices, block.data
+        which.append(keys.setdefault((size, records.tobytes()), len(keys)))
     return [(size, np.frombuffer(key, entry)) for size, key in keys], np.array(which)
 
 
@@ -553,7 +491,7 @@ def _face_positions(a, boxes):
 def _read_blocks(a, positions, boxes, count, precision):
     """Each distinct block over the ``count`` sets of ``boxes``, read from ``a``.
 
-    Returns what :func:`_distinct_blocks` returns where
+    Returns what :func:`_sliced_blocks` returns where
     :func:`_face_positions` gives ``positions``.  A box's entries are one
     gather ``a.data[positions[slot, cell]]``, keyed by their bytes in
     ``precision`` beside its pattern's size, rows and columns, so
@@ -676,8 +614,8 @@ def _subdomain_smoother(a, sets, omega, sweeps, precision, label, boxes=()):
     """Invert or factorize each distinct block ``A[s, s]`` over ``sets`` once.
 
     The blocks are read from ``a`` along the ``boxes`` the sets were cut
-    from where :func:`_face_positions` allows, and gathered from its rows
-    otherwise; both find the same blocks, bit for bit.
+    from where :func:`_face_positions` allows, and sliced from it set by
+    set otherwise; both find the same blocks, bit for bit.
 
     The distinct blocks are cut into pieces (:func:`_pieces`), and each
     piece gets one solver: the inverses of its blocks when every set has
@@ -700,7 +638,7 @@ def _subdomain_smoother(a, sets, omega, sweeps, precision, label, boxes=()):
     if positions is not None:
         blocks, which = _read_blocks(a, positions, boxes, len(sets), precision)
     else:
-        blocks, which = _distinct_blocks(a, sets, sizes, precision)
+        blocks, which = _sliced_blocks(a, sets, sizes, precision)
     del positions
     counts = np.bincount(which)
     # the sets of block j, in set order: by_block[heads[j]:heads[j] + counts[j]]
@@ -738,9 +676,9 @@ def schwarz_setup(a, partition, precision="float64", sweeps=1):
 
     Where the partition has boxes (:func:`partition_cells`) and ``a``
     stores exactly the face pattern of their grid, set-up reads the blocks
-    from ``a.data`` along the boxes instead of gathering them from the
-    matrix rows; the smoother is the same, bit for bit.  A singular local
-    block raises :class:`SingularMatrixError` naming the subdomain.
+    from ``a.data`` along the boxes instead of slicing each from ``a``; the
+    smoother is the same, bit for bit.  A singular local block raises
+    :class:`SingularMatrixError` naming the subdomain.
     """
     check_csr(a)
     covered = sum(core.size for core in partition.core_cells)

@@ -72,6 +72,102 @@ def reference_partition(cells_per_axis, dimension, n_subdomains, overlap):
     return cores, extended
 
 
+# Cells whose blocks one gathering step takes from the level matrix, at
+# most, and the slots of its lookup table (a larger set is gathered on its
+# own).  Each step forms the rows ``A[g]`` for its cells ``g`` only, so the
+# temporaries do not grow with the level.
+GATHER_CELLS = 2**14
+GATHER_SLOTS = 2**18
+
+
+def _gathered(a, sets, sizes):
+    """Entries of each block ``A[s, s]`` over ``sets``, one step of sets at a time.
+
+    Each set owns a window of table slots, one per matrix index from its
+    smallest cell to its largest, holding the step row of each of its
+    cells; an entry of a gathered row is kept when its column hits a
+    filled slot in the window of the row's own set.  Consecutive sets
+    whose cells and windows fit in :data:`GATHER_CELLS` cells and
+    :data:`GATHER_SLOTS` slots form a step.  Yields ``(first, nnz, row,
+    col, data)`` per step: its sets start at set ``first``, and the
+    ``k``-th of them holds the next ``nnz[k]`` entries, in row order, each
+    row by column, with rows and columns counted as positions in the set.
+    So a block's entries do not depend on where the set lies in the grid.
+    """
+    heads = np.cumsum(sizes) - sizes
+    cells = np.concatenate(sets)
+    lo = np.minimum.reduceat(cells, heads)
+    width = np.maximum.reduceat(cells, heads) - lo + 1
+    ends = (np.cumsum(sizes) - 1) // GATHER_CELLS + (np.cumsum(width) - 1) // GATHER_SLOTS
+    starts = [0, *(np.flatnonzero(np.diff(ends)) + 1)]
+    # cells listed after a larger cell of their own set; a step without any
+    # keeps the matrix's ascending columns, already each row by column
+    descends = np.diff(cells) < 0
+    descends[heads[1:] - 1] = False
+    for first, stop in zip(starts, [*starts[1:], len(sets)]):
+        row0, size = heads[first], heads[stop - 1] + sizes[stop - 1] - heads[first]
+        owner = np.repeat(np.arange(stop - first), sizes[first:stop])
+        # slot of index j for a row of set o: shift[o] + j, past a -1 guard
+        # slot at each end of the table
+        window = np.cumsum(width[first:stop]) - width[first:stop] + 1
+        shift = window - lo[first:stop]
+        slots = np.full(window[-1] + width[stop - 1] + 1, -1, dtype=np.intc)
+        slots[shift[owner] + cells[row0:row0 + size]] = np.arange(size)
+        sub = a[cells[row0:row0 + size]]
+        per_row = np.diff(sub.indptr)
+        set_of = np.repeat(owner, per_row)
+        col = slots[np.clip(shift[set_of] + sub.indices, 0, slots.size - 1)]
+        # a column outside the row's window lands on a guard, an empty slot
+        # or another set's cell
+        keep = (col >= 0) & (owner[col] == set_of)
+        base = heads[first:stop] - row0  # step row of each set's first cell
+        row = np.repeat(np.arange(size) - base[owner], per_row)[keep]
+        set_of = set_of[keep]
+        col, data = col[keep], sub.data[keep]
+        if descends[row0:row0 + size - 1].any():
+            # the rows list columns in the grid's order: sort each by the set's
+            by_col = np.argsort((row + base[set_of]) * size + col, kind="stable")
+            col, data = col[by_col], data[by_col]
+            del by_col
+        nnz, col = np.bincount(set_of, minlength=stop - first), col - base[set_of]
+        # the caller keys the step's blocks: free the step's temporaries first
+        del sub, per_row, set_of, keep, slots, owner
+        yield first, nnz, row, col, data
+        del nnz, row, col, data  # the next step gathers without them
+
+
+def reference_blocks(a, sets, sizes, precision):
+    """Each distinct block ``A[s, s]`` over ``sets`` once, in ``precision``, gathered.
+
+    The row gather that set-up took where it could not read along boxes
+    (:func:`_gathered`), kept as the independent reference that the grid
+    read and the per-set slice (``smoothers._sliced_blocks``) must match.
+
+    A structured grid repeats blocks wherever the coefficient is constant
+    and between mirror images of a subdomain (16 distinct ones among the
+    256 subdomains of the 256^2 disc level, 11 among the 128 of the 32^3
+    one, 106 among the 1024 tiles of the 128^2 one).  A set is keyed by its
+    size and the bytes of its entries, so only bitwise-equal blocks share
+    one: the dict confirms every hash match by comparing the keys whole.
+    Returns the distinct blocks in order of first appearance, each as its
+    size and its entries (``row``, ``col`` and ``data`` records, in row
+    order), and per set the index of its block.
+    """
+    entry = np.dtype([("row", np.intc), ("col", np.intc), ("data", precision)])
+    keys = {}
+    which = []
+    for first, nnz, row, col, data in _gathered(a, sets, sizes):
+        records = np.empty(row.size, entry)
+        records["row"], records["col"], records["data"] = row, col, data
+        flat = records.tobytes()
+        ends = np.cumsum(nnz) * entry.itemsize
+        which += [keys.setdefault((size, flat[lo:hi]), len(keys)) for size, lo, hi
+                  in zip(sizes[first:first + nnz.size].tolist(),
+                         (ends - nnz * entry.itemsize).tolist(), ends.tolist())]
+        del records, flat, row, col, data  # likewise
+    return [(size, np.frombuffer(key, entry)) for size, key in keys], np.array(which)
+
+
 def kernel(smoother):
     """Local kernel a :class:`~orthomg.SubdomainSmoother` took at set-up.
 

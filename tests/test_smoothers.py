@@ -3,6 +3,7 @@
 import itertools
 import os
 import sys
+import threading
 import tracemalloc
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -17,8 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import orthomg as om
-from helpers import (factor_arrays, factor_dtypes, kernel, load_perfbench, reference_partition,
-                     same_setup)
+from helpers import (factor_arrays, factor_dtypes, kernel, load_perfbench, reference_blocks,
+                     reference_partition, same_setup)
 from orthomg import problem, smoothers
 from orthomg.config import build_level_smoothers, build_problem_spec, subdomain_count
 
@@ -87,7 +88,7 @@ def summed_local_solves(a, sets, r):
 
 def distinct_blocks(a, sets):
     sizes = np.array([len(s) for s in sets])
-    return len(smoothers._distinct_blocks(a, sets, sizes, "float64")[0])
+    return len(reference_blocks(a, sets, sizes, "float64")[0])
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +289,7 @@ def test_mirrored_subdomains_share_blocks_and_match_dense_oracle(dimension, cell
     z = om.schwarz_setup(a, p).apply(a, r)
     assert np.linalg.norm(z - oracle) <= 1e-12 * np.linalg.norm(oracle)
     sizes = np.array([len(s) for s in p.extended_cells])
-    blocks, which = smoothers._distinct_blocks(a, p.extended_cells, sizes, "float64")
+    blocks, which = reference_blocks(a, p.extended_cells, sizes, "float64")
     assert len(blocks) == distinct
     # one ulp more on the diagonal of a cell that only subdomain k holds
     # parts its block from its mirror images, and from no other block
@@ -322,21 +323,21 @@ def test_galerkin_levels_share_mirrored_blocks(dimension, cells, l_min, level, d
 @pytest.mark.parametrize("dimension,cells,peak_mib", [(2, 256, 6.0), (3, 32, 10.0)])
 def test_sparse_setup_keeps_only_factors(dimension, cells, peak_mib):
     # the benchmark's finest disc levels, 256-cell subdomains, with the
-    # blocks gathered from the matrix rows (a hand-listed partition) and
-    # read from the matrix along the partition's boxes.  Both peak bounds
-    # count beyond the factor arrays, which are numpy arrays now: the
-    # gathering set-up peak reads 5.8 (2D) and 4.8 MiB (3D) beyond them,
-    # since each gathering step frees its temporaries before its blocks are
-    # keyed and the last step's entries before the next step gathers (7.7
-    # and 8.2 MiB when neither was); it read 12.4 and 15.6 MiB when SuperLU
-    # kept the factors, and 22.3 and 28.2 MiB when the whole A[idx][:, idx]
-    # and a block-diagonal copy were formed.  Read along the boxes, a slice
-    # of boxes at a time, it reads 2.8 and 2.0 MiB, the slot positions
-    # included
+    # blocks sliced from the matrix set by set (a hand-listed partition)
+    # and read from the matrix along the partition's boxes.  Both peak
+    # bounds count beyond the factor arrays: the sliced set-up peaks at 2.2
+    # (2D) and 2.0 MiB (3D) beyond them, as it holds one set's block at a
+    # time; it read 12.4 and 15.6 MiB when SuperLU kept the factors, and
+    # 22.3 and 28.2 MiB when the whole A[idx][:, idx] and a block-diagonal
+    # copy were formed.  Read along the boxes, a slice of boxes at a time,
+    # it peaks at 2.8 and 2.0 MiB, the slot positions included.
+    # tracemalloc counts every thread's allocations, so a failure names the
+    # threads alive beside the way and the measures
     spec = om.ProblemSpec(dimension=dimension, cells_per_axis=cells, k_outer=1000.0)
     a = om.build_hierarchy(spec, l_min=cells**dimension).finest.matrix
     p = om.partition_cells(cells, dimension, a.shape[0] // 256, 1)
-    for partition in (om.Partition(p.core_cells, p.extended_cells), p):
+    for way, partition in (("sliced", om.Partition(p.core_cells, p.extended_cells)),
+                           ("read along boxes", p)):
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
@@ -345,9 +346,12 @@ def test_sparse_setup_keeps_only_factors(dimension, cells, peak_mib):
         finally:
             tracemalloc.stop()
         factors = sum(array.nbytes for array in factor_arrays(sm))
-        assert peak - factors <= peak_mib * 2**20, (peak - factors) / 2**20
+        measured = (f"blocks {way}: peak {(peak - factors) / 2**20:.2f} MiB and retained "
+                    f"{(retained - factors) / 2**20:.2f} MiB beyond the factors, "
+                    f"threads alive: {threading.active_count()}")
+        assert peak - factors <= peak_mib * 2**20, measured
         # the sets' concatenation and the rows and cells of every chunk
-        assert retained - factors <= 2 * 2**20, (retained - factors) / 2**20
+        assert retained - factors <= 2 * 2**20, measured
     assert kernel(sm) == "sparse"
     assert not any(scipy.sparse.issparse(v) for v in vars(sm).values())
     # mirror images of a subdomain share its block, and only distinct blocks
@@ -370,18 +374,22 @@ def level_sets(kind, level, dimension, cfg):
     return list(boxes[0].grid_cells()), boxes
 
 
-def assert_read_is_the_row_gather(a, sets, boxes):
-    """The blocks read from ``a`` along ``boxes``, their order and each set's
-    block are the row gather's, bit for bit, in both precisions."""
-    positions = smoothers._face_positions(a, boxes)
-    assert positions is not None
+def assert_blocks_are_the_row_gather(a, sets, boxes=None):
+    """The blocks sliced from ``a`` per set and, given ``boxes``, those read
+    along them, their order and each set's block are the row gather's
+    (:func:`helpers.reference_blocks`), bit for bit, in both precisions."""
+    positions = None if boxes is None else smoothers._face_positions(a, boxes)
+    assert (positions is None) == (boxes is None)
     sizes = np.array([len(s) for s in sets])
     for precision in ("float64", "float32"):
-        gathered, which = smoothers._distinct_blocks(a, sets, sizes, precision)
-        read, read_which = smoothers._read_blocks(a, positions, boxes, len(sets), precision)
-        assert read_which.dtype == which.dtype and np.array_equal(read_which, which)
-        assert ([(size, e.dtype, e.tobytes()) for size, e in read]
-                == [(size, e.dtype, e.tobytes()) for size, e in gathered])
+        gathered, which = reference_blocks(a, sets, sizes, precision)
+        found = [smoothers._sliced_blocks(a, sets, sizes, precision)]
+        if boxes is not None:
+            found.append(smoothers._read_blocks(a, positions, boxes, len(sets), precision))
+        for blocks, block_of in found:
+            assert block_of.dtype == which.dtype and np.array_equal(block_of, which)
+            assert ([(size, e.dtype, e.tobytes()) for size, e in blocks]
+                    == [(size, e.dtype, e.tobytes()) for size, e in gathered])
 
 
 @pytest.mark.parametrize("kind", ["schwarz", "block_jacobi"])
@@ -390,13 +398,13 @@ def assert_read_is_the_row_gather(a, sets, boxes):
 def test_stencil_read_finds_the_row_gathers_blocks(workload, kind):
     # every smoother level of the benchmark hierarchies, with the library's
     # default subdomains and tiles: the blocks read from the level matrix
-    # at its slot positions, their order and each set's block equal the
-    # row gather's, bit for bit
+    # at its slot positions and those sliced from it per set, their order
+    # and each set's block equal the row gather's, bit for bit
     cfg = load_perfbench("workloads").WORKLOADS[workload].run_config()
     d = cfg.problem.dimension
     hierarchy = om.build_hierarchy(build_problem_spec(cfg), cfg.l_min)
     for level in hierarchy.levels[:-1]:
-        assert_read_is_the_row_gather(level.matrix, *level_sets(kind, level, d, cfg))
+        assert_blocks_are_the_row_gather(level.matrix, *level_sets(kind, level, d, cfg))
 
 
 @pytest.mark.parametrize("dimension", [1, 2, 3])
@@ -422,18 +430,19 @@ def test_stencil_read_finds_the_row_gathers_blocks_on_small_grids(dimension):
             boxes = smoothers._tiles(n, dimension, tile)
             layouts.append((list(boxes[0].grid_cells()), boxes))
         for stencil, (sets, boxes) in itertools.product(stencils, layouts):
-            assert_read_is_the_row_gather(problem._csr_of(stencil), sets, boxes)
+            assert_blocks_are_the_row_gather(problem._csr_of(stencil), sets, boxes)
 
 
 def gathered_setups(monkeypatch, build):
-    """``build()`` with every block gathered from the matrix rows."""
+    """``build()`` with every block gathered from the matrix rows (the reference)."""
     with monkeypatch.context() as patch:
         patch.setattr(smoothers, "_face_positions", lambda a, boxes: None)
+        patch.setattr(smoothers, "_sliced_blocks", reference_blocks)
         return build()
 
 
-def no_gather(*args):
-    raise AssertionError("blocks gathered from the matrix rows")
+def no_slice(*args):
+    raise AssertionError("blocks sliced from the matrix set by set")
 
 
 @pytest.mark.parametrize("kind", ["schwarz", "block_jacobi"])
@@ -446,7 +455,7 @@ def test_level_smoothers_read_the_level_matrix(monkeypatch, kind):
     spec = om.ProblemSpec(dimension=2, cells_per_axis=32, k_outer=1000.0)
     hierarchy = om.build_hierarchy(spec, l_min=64)
     gathered = gathered_setups(monkeypatch, lambda: build_level_smoothers(hierarchy, cfg, 2))
-    monkeypatch.setattr(smoothers, "_distinct_blocks", no_gather)
+    monkeypatch.setattr(smoothers, "_sliced_blocks", no_slice)
     read = build_level_smoothers(hierarchy, cfg, 2)
     assert len(read) == hierarchy.n_levels and read[-1] is None
     for ours, theirs in zip(read[:-1], gathered[:-1]):
@@ -456,7 +465,7 @@ def test_level_smoothers_read_the_level_matrix(monkeypatch, kind):
 @pytest.mark.parametrize("dimension,cells", [(1, 64), (2, 32), (3, 16)])
 def test_matrix_only_setup_reads_along_boxes(monkeypatch, dimension, cells):
     # a caller who passes only a matrix, with a partition from
-    # partition_cells or block-Jacobi tiles, never gathers from the rows
+    # partition_cells or block-Jacobi tiles, never slices blocks set by set
     if dimension == 1:
         a = problem._csr_of(np.array([[0.0] + [-1.0] * (cells - 1), [2.5] * cells,
                                       [-1.0] * (cells - 1) + [0.0]]))
@@ -470,7 +479,7 @@ def test_matrix_only_setup_reads_along_boxes(monkeypatch, dimension, cells):
         return om.schwarz_setup(a, p), om.bj_setup(a, 4, geometry)
 
     gathered = gathered_setups(monkeypatch, build)
-    monkeypatch.setattr(smoothers, "_distinct_blocks", no_gather)
+    monkeypatch.setattr(smoothers, "_sliced_blocks", no_slice)
     for ours, theirs in zip(build(), gathered):
         assert same_setup(ours, theirs)
 
@@ -491,8 +500,8 @@ def test_distinct_rows_tell_apart_rows_that_share_a_sum():
 def test_stencil_read_needs_exactly_the_face_pattern(monkeypatch):
     # set-up reads along the boxes only where the matrix stores exactly the
     # face pattern of its grid; a missing coupling, a foreign column, a
-    # hand-listed partition or tiles on the wrong grid gather from the rows
-    # and build the same smoother as the row gather
+    # hand-listed partition or tiles on the wrong grid slice each set's
+    # block, and find the row gather's blocks and build its smoother
     spec = om.ProblemSpec(dimension=2, cells_per_axis=16, k_outer=1000.0)
     a = om.build_hierarchy(spec, l_min=256).finest.matrix
     p = om.partition_cells(16, 2, 4, 1)
@@ -506,6 +515,7 @@ def test_stencil_read_needs_exactly_the_face_pattern(monkeypatch):
     foreign.indices[foreign.indptr[cell + 1] - 1] += 1
     for matrix in (problem._csr_of(cut), foreign):
         assert smoothers._face_positions(matrix, p.boxes) is None
+        assert_blocks_are_the_row_gather(matrix, p.extended_cells)
         assert same_setup(om.schwarz_setup(matrix, p), om.schwarz_setup(matrix, listed))
     assert smoothers._face_positions(a, p.boxes) is not None
     # a hand-listed partition has no boxes to read along
@@ -517,13 +527,14 @@ def test_stencil_read_needs_exactly_the_face_pattern(monkeypatch):
 
 def test_stencil_read_takes_a_stored_zero_as_the_row_gather_does():
     # a zero coupling kept as a stored entry is part of the face pattern:
-    # set-up reads it through the grid, and the row gather lists it too
+    # set-up reads it through the grid, and the per-set slice and the row
+    # gather list it too
     spec = om.ProblemSpec(dimension=2, cells_per_axis=16, k_outer=1000.0)
     weak = scipy.sparse.csr_matrix(om.build_hierarchy(spec, l_min=256).finest.matrix, copy=True)
     cell = 5 * 16 + 7
     weak.data[weak.indptr[cell]] = 0.0  # coupling to the cell below
     p = om.partition_cells(16, 2, 4, 1)
-    assert_read_is_the_row_gather(weak, p.extended_cells, p.boxes)
+    assert_blocks_are_the_row_gather(weak, p.extended_cells, p.boxes)
     assert same_setup(om.schwarz_setup(weak, p),
                       om.schwarz_setup(weak, om.Partition(p.core_cells, p.extended_cells)))
 
