@@ -389,7 +389,7 @@ def _sliced_blocks(a, sets, sizes, precision):
     """Each distinct block ``A[s, s]`` over ``sets`` once, in ``precision``.
 
     A structured grid repeats blocks wherever the coefficient is constant
-    and between mirror images of a subdomain (16 distinct ones among the
+    and between mirror images of a subdomain (10 distinct ones among the
     256 subdomains of the 256^2 disc level, 11 among the 128 of the 32^3
     one, 106 among the 1024 tiles of the 128^2 one).  Each set's block is
     sliced from ``a`` on its own, so the temporaries are one block's, and

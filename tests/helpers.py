@@ -144,7 +144,7 @@ def reference_blocks(a, sets, sizes, precision):
     read and the per-set slice (``smoothers._sliced_blocks``) must match.
 
     A structured grid repeats blocks wherever the coefficient is constant
-    and between mirror images of a subdomain (16 distinct ones among the
+    and between mirror images of a subdomain (10 distinct ones among the
     256 subdomains of the 256^2 disc level, 11 among the 128 of the 32^3
     one, 106 among the 1024 tiles of the 128^2 one).  A set is keyed by its
     size and the bytes of its entries, so only bitwise-equal blocks share
